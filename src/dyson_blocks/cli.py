@@ -274,9 +274,9 @@ def _z_list(cfg: RunConfig):
 
 def _run_solve(cfg: RunConfig, workers):
     eta = _eta(cfg.data["eta"], "config.eta")
+    zs = _z_list(cfg)
     rows = []
-    for z in _z_list(cfg):
-        sol = dyson.solve_semicircular(eta, z, cfg.solver)
+    for z, sol in zip(zs, dyson.solve_dyson(eta, zs, cfg.solver)):
         if not sol.converged:
             raise SolverFailure(
                 f"solver failed at z={z!r} (residual {sol.residual:.3e})")

@@ -1,9 +1,32 @@
-"""Fixed-point solvers for operator-valued Dyson equations.
+"""Solvers for operator-valued Dyson equations.
 
-Semicircular case:  z G = I + eta(G) G, solved by damped iteration of
-G -> (z I - eta(G))^{-1} from G0 = I / z.
+Both equations are solved as z G = I + S(G) G for a self-energy S:
 
-Wishart case:  z G = I + eta1((I - eta2(G))^{-1}) G.
+    semicircular:  S(G) = eta(G)
+    Wishart:       S(G) = eta1((I - eta2(G))^{-1})
+
+by one driver, ``solve_dyson``, that takes a whole stack of z points at
+once.  Each point is reached by continuation in Im z: it starts at a
+height where plain iteration contracts (Im z > 1.5 ||eta||^(1/2) in the
+semicircular case) and descends geometrically to the requested z,
+taking Newton steps on R(G) = (z - S(G)) G - I at every height.  Maps
+act through their d^2 x d^2 ``CovarianceMap.action`` matrices, and the
+Newton systems of all points are solved in one batched
+``np.linalg.solve``.
+
+Certificate: a point converges when ||z G - I - S(G) G||_F <= tol and
+Im G <= 0 (largest eigenvalue of (G - G^*)/2i at most tol).  The branch
+condition matters because Newton can converge to a root of the wrong
+branch.  Every continuation height must meet the certificate before
+the descent goes on; a height that does not is retried closer to the
+last accepted one.  A point whose first height fails, whose step cannot
+be shortened further, or whose Jacobian is singular or non-finite falls
+back, alone and inside the same driver, to the damped fixed-point
+iteration G -> (1 - theta) G + theta (z - S(G))^{-1}, restarted from its
+last accepted height.  theta halves when the residual stalls; at
+theta = 1/2 this is the averaged iteration that Helton, Rashidi Far and
+Speicher prove convergent for the semicircular equation from any G with
+Im G < 0.
 
 Also provides the scalar semicircle closed form, mixtures of semicircle
 transforms (the block-circulant limit laws), Stieltjes inversion to a
@@ -17,18 +40,37 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .eta import CovarianceMap, EtaPair
 
+# fallback: a step must beat the best residual by this relative margin to
+# count as progress; slow 1-O(eps) contraction near the real axis
+# otherwise never triggers the damping that actually accelerates it
 RESIDUAL_STALL_STEPS = 10
-# a step must beat the best residual by this relative margin to count as
-# progress; slow 1-O(eps) contraction near the real axis otherwise never
-# triggers the damping that actually accelerates it
 RESIDUAL_IMPROVEMENT = 1e-3
+# continuation starts where plain iteration contracts, Im z > 1.5 ||eta||^(1/2)
+START_HEIGHT_FACTOR = 1.5
+# the next height is (current height) * ratio, ratio in [MIN, MAX)
+DESCENT_RATIO = 0.1
+MIN_DESCENT_RATIO = 1e-4
+MAX_DESCENT_RATIO = 0.99
+# Newton steps a height may take before it is rejected; a height certified
+# within FAST_HEIGHT_STEPS squares the ratio, a rejection takes its root
+NEWTON_STEPS_PER_HEIGHT = 8
+FAST_HEIGHT_STEPS = 3
+
+# points per driver are capped so their d^2 x d^2 Jacobians hold at most
+# this many entries (64 MiB of complex128)
+JACOBIAN_ENTRIES = 1 << 22
+
+_NEWTON, _FALLBACK, _DONE, _FAILED = range(4)
 
 
 @dataclass
 class SolverOptions:
+    """``tol`` bounds the certificate (residual and Im G); ``max_iter``
+    bounds each point's sweeps (Newton, rejected and fallback steps
+    together); the two dampings govern the fallback iteration."""
+
     tol: float = 1e-11
     max_iter: int = 20000
     initial_damping: float = 1.0
@@ -43,12 +85,23 @@ class SolverOptions:
 
 @dataclass
 class DysonSolution:
+    """One solved point.
+
+    ``iterations`` counts the driver sweeps the point took (Newton steps,
+    rejected continuation steps and fallback steps); ``damping_used`` is
+    1.0 unless the point fell back to damped iteration.
+    ``stability_margin`` is the smallest singular value of the stability
+    operator H -> H - G S'(H) G at the returned G; it tends to 0 at a
+    spectral edge as Im z -> 0.
+    """
+
     z: complex
     G: np.ndarray
     residual: float
     iterations: int
     converged: bool
     damping_used: float
+    stability_margin: float = float("nan")
 
     def trace(self) -> complex:
         """Normalized trace of G, the scalar Cauchy transform."""
@@ -62,106 +115,306 @@ def _require_upper_half_plane(z: complex) -> complex:
     return z
 
 
+def _batched_solve(a: np.ndarray, b: np.ndarray):
+    """Solve a[m] x[m] = b[m] for a stack; returns (x, ok).
+
+    Rows whose matrix is singular, or whose solution is not finite, come
+    back with ok False (and NaN entries for a singular matrix).
+    """
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                    + b.shape[-2:], np.nan, dtype=np.complex128)
+        for m in range(len(x)):
+            try:
+                x[m] = np.linalg.solve(a[m:m + 1], b[m:m + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+    return x, np.isfinite(x).all(axis=(-2, -1))
+
+
+class _Semicircular:
+    """S(G) = eta(G); its derivative S' is the action matrix, shared by
+    all points (a 2-D S' below stands for the same matrix at every point)."""
+
+    def __init__(self, eta: CovarianceMap):
+        self.d = eta.d
+        self.action = eta.action
+        self.start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
+
+    def __call__(self, G):
+        k, d = len(G), self.d
+        S = (self.action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
+        return S, self.action, np.ones(k, bool)
+
+
+class _Wishart:
+    """S(G) = eta1(K) with K = (I - eta2(G))^{-1}; S' = E1 kron(K, K^T) E2."""
+
+    def __init__(self, pair: EtaPair):
+        self.d = pair.d
+        self.action1, self.action2 = pair.eta1.action, pair.eta2.action
+        n1, n2 = pair.eta1.cp_norm(), pair.eta2.cp_norm()
+        # ||eta2(G)|| <= 1/2 and ||G||^2 ||S'|| < 1 for ||G|| <= 1 / Im z
+        self.start_height = max(2.0 * n2, 2.0 * START_HEIGHT_FACTOR * np.sqrt(n1 * n2))
+
+    def __call__(self, G):
+        k, d = len(G), self.d
+        eye = np.eye(d, dtype=np.complex128)
+        X = eye - (self.action2 @ G.reshape(k, d * d, 1)).reshape(k, d, d)
+        K, ok = _batched_solve(X, np.broadcast_to(eye, X.shape))
+        S = (self.action1 @ K.reshape(k, d * d, 1)).reshape(k, d, d)
+        kron = np.einsum("mij,mlk->mikjl", K, K).reshape(k, d * d, d * d)
+        return S, self.action1 @ kron @ self.action2, ok
+
+
+def _self_energy(model):
+    if isinstance(model, CovarianceMap):
+        return _Semicircular(model)
+    if isinstance(model, EtaPair):
+        return _Wishart(model)
+    raise TypeError("model must be a CovarianceMap (semicircular) or an "
+                    "EtaPair (Wishart)")
+
+
+def _newton_jacobian(A, G, Sp):
+    """d^2 x d^2 Jacobians kron(A, I) - kron(I, G^T) S' of R = A G - I."""
+    k, d = G.shape[0], G.shape[1]
+    eye = np.eye(d, dtype=np.complex128)
+    left = np.einsum("mij,kl->mikjl", A, eye).reshape(k, d * d, d * d)
+    # (kron(I, G^T) S')[(i,k), n] = sum_l G[l,k] S'[(i,l), n]
+    right = G.transpose(0, 2, 1)[:, None] @ Sp.reshape(Sp.shape[:-2] + (d, d, d * d))
+    return left - right.reshape(k, d * d, d * d)
+
+
+def _stability_margin(G, Sp):
+    """Smallest singular value of I - kron(G, G^T) S', i.e. H -> H - G S'(H) G."""
+    k, d = G.shape[0], G.shape[1]
+    cols = np.moveaxis(Sp.reshape(Sp.shape[:-2] + (d, d, d * d)), -1, -3)  # S'(e_n)
+    gsg = (G[:, None] @ cols @ G[:, None]).transpose(0, 2, 3, 1)
+    op = np.eye(d * d) - gsg.reshape(k, d * d, d * d)
+    margin = np.full(k, np.nan)
+    finite = np.isfinite(op).all(axis=(1, 2))
+    if finite.any():
+        margin[finite] = np.linalg.svd(op[finite], compute_uv=False)[:, -1]
+    return margin
+
+
+def _branch_ok(G, tol: float):
+    """Im G = (G - G^*)/2i is negative semidefinite up to tol."""
+    imag = (G - G.conj().transpose(0, 2, 1)) / 2j
+    return np.linalg.eigvalsh(imag)[:, -1] <= tol
+
+
+class _Driver:
+    """Per-point state of one ``solve_dyson`` call; ``run`` sweeps until
+    every point is certified or has spent ``max_iter`` sweeps."""
+
+    def __init__(self, energy, target: np.ndarray, opts: SolverOptions):
+        self.energy, self.target, self.opts = energy, target, opts
+        m, d = len(target), energy.d
+        self.eye = np.eye(d, dtype=np.complex128)
+        self.z = target.real + 1j * np.maximum(target.imag, energy.start_height)
+        self.G = self.eye / self.z[:, None, None]
+        self.accepted = self.G.copy()               # last certified height
+        self.accepted_height = np.full(m, np.nan)
+        self.ratio = np.full(m, DESCENT_RATIO)
+        self.height_steps = np.zeros(m, dtype=int)
+        self.iterations = np.zeros(m, dtype=int)
+        self.mode = np.full(m, _NEWTON)
+        self.residual = np.full(m, np.inf)
+        self.damping = np.ones(m)
+        self.best = np.full(m, np.inf)
+        self.stall = np.zeros(m, dtype=int)
+        self.prev_G = self.G.copy()                 # fallback step to revert to
+        self.prev_step = np.full_like(self.G, np.nan)
+
+    def run(self):
+        while self.sweep():
+            pass
+
+    def sweep(self) -> bool:
+        live = np.flatnonzero(self.mode < _DONE)
+        if live.size == 0:
+            return False
+        G, z = self.G[live], self.z[live]
+        S, Sp, ok = self.energy(G)
+        A = z[:, None, None] * self.eye - S
+        R = A @ G - self.eye
+        res = np.linalg.norm(R, axis=(1, 2))
+        res[~ok] = np.inf
+        small = res <= self.opts.tol
+        certified = small.copy()
+        certified[small] = _branch_ok(G[small], self.opts.tol)
+
+        done = certified & (z.imag == self.target[live].imag)
+        self.mode[live[done]] = _DONE
+        self.residual[live[done]] = res[done]
+        out = ~done & (self.iterations[live] >= self.opts.max_iter)
+        self.mode[live[out]] = _FAILED
+        go = ~done & ~out
+        self.iterations[live[go]] += 1
+
+        newton = go & (self.mode[live] == _NEWTON)
+        fallback = go & (self.mode[live] == _FALLBACK)
+        self._newton(live[newton], G[newton], A[newton], R[newton],
+                     Sp if Sp.ndim == 2 else Sp[newton], res[newton],
+                     certified[newton], small[newton])
+        self._fallback(live[fallback], G[fallback], A[fallback], res[fallback])
+        return True
+
+    def _newton(self, idx, G, A, R, Sp, res, certified, small):
+        if idx.size == 0:
+            return
+        height = self.z[idx].imag
+        # a certified intermediate height: accept it and descend
+        up = certified
+        fast = self.height_steps[idx[up]] <= FAST_HEIGHT_STEPS
+        self.ratio[idx[up]] = np.where(
+            fast, np.maximum(self.ratio[idx[up]] ** 2, MIN_DESCENT_RATIO),
+            self.ratio[idx[up]])
+        self.accepted[idx[up]] = G[up]
+        self.accepted_height[idx[up]] = height[up]
+        self.height_steps[idx[up]] = 0
+        new_height = np.maximum(self.target[idx[up]].imag,
+                                height[up] * self.ratio[idx[up]])
+        # set, not incremented, so the final height equals Im(target) exactly
+        self.z[idx[up]] = self.target[idx[up]].real + 1j * new_height
+        dz = 1j * (new_height - height[up])
+        A[up] += dz[:, None, None] * self.eye
+        R[up] += dz[:, None, None] * G[up]
+
+        # a failed height (too many steps, non-finite, or the wrong branch):
+        # retry closer to the last accepted height, or fall back
+        reject = ~certified & ((self.height_steps[idx] >= NEWTON_STEPS_PER_HEIGHT)
+                               | ~np.isfinite(res) | small)
+        self._shorten(idx[reject])
+
+        step = ~reject
+        if not step.any():
+            return
+        J = _newton_jacobian(A[step], G[step], Sp if Sp.ndim == 2 else Sp[step])
+        delta, solved = _batched_solve(J, -R[step].reshape(len(J), -1, 1))
+        stepped = idx[step]
+        self.G[stepped] = G[step] + delta.reshape(G[step].shape)
+        self.height_steps[stepped] += 1
+        self._to_fallback(stepped[~solved])
+
+    def _shorten(self, idx):
+        ratio = np.sqrt(self.ratio[idx])
+        stuck = np.isnan(self.accepted_height[idx]) | (ratio >= MAX_DESCENT_RATIO)
+        self._to_fallback(idx[stuck])
+        idx, ratio = idx[~stuck], ratio[~stuck]
+        self.ratio[idx] = ratio
+        self.G[idx] = self.accepted[idx]
+        self.z[idx] = self.target[idx].real + 1j * np.maximum(
+            self.target[idx].imag, self.accepted_height[idx] * ratio)
+        self.height_steps[idx] = 0
+
+    def _to_fallback(self, idx):
+        if idx.size == 0:
+            return
+        self.mode[idx] = _FALLBACK
+        self.z[idx] = self.target[idx]
+        has = ~np.isnan(self.accepted_height[idx])
+        self.G[idx] = np.where(has[:, None, None], self.accepted[idx],
+                               self.eye / self.target[idx, None, None])
+        self.damping[idx] = self.opts.initial_damping
+        self.best[idx] = np.inf
+        self.stall[idx] = 0
+        self.prev_step[idx] = np.nan
+
+    def _fallback(self, idx, G, A, res):
+        if idx.size == 0:
+            return
+        opts = self.opts
+        theta = self.damping[idx]
+        improved = res < self.best[idx] * (1 - RESIDUAL_IMPROVEMENT)
+        self.best[idx] = np.where(improved, res, np.minimum(self.best[idx], res))
+        stall = np.where(improved, 0, self.stall[idx] + 1)
+        slow = stall >= RESIDUAL_STALL_STEPS
+        theta = np.where(slow, np.maximum(theta / 2, opts.min_damping), theta)
+        self.stall[idx] = np.where(slow, 0, stall)
+
+        step, ok = _batched_solve(A, np.broadcast_to(self.eye, A.shape))
+        ok &= np.isfinite(res)
+        good = idx[ok]
+        self.prev_G[good], self.prev_step[good] = G[ok], step[ok]
+        self.G[good] = (1 - theta[ok, None, None]) * G[ok] + theta[ok, None, None] * step[ok]
+
+        # singular: retry the previous step at half the damping, or give up
+        bad = idx[~ok]
+        theta_bad = theta[~ok]
+        hopeless = (theta_bad <= opts.min_damping) | np.isnan(self.prev_step[bad, 0, 0])
+        self.mode[bad[hopeless]] = _FAILED
+        retry, t = bad[~hopeless], np.maximum(theta_bad[~hopeless] / 2, opts.min_damping)
+        self.G[retry] = ((1 - t[:, None, None]) * self.prev_G[retry]
+                         + t[:, None, None] * self.prev_step[retry])
+        theta[~ok] = np.where(hopeless, theta_bad, np.maximum(theta_bad / 2, opts.min_damping))
+        self.damping[idx] = theta
+
+    def solutions(self) -> list:
+        S, Sp, ok = self.energy(self.G)
+        R = (self.target[:, None, None] * self.eye - S) @ self.G - self.eye
+        res = np.where(ok, np.linalg.norm(R, axis=(1, 2)), np.inf)
+        converged = self.mode == _DONE
+        res[converged] = self.residual[converged]
+        margin = _stability_margin(self.G, Sp)
+        return [DysonSolution(complex(self.target[m]), self.G[m].copy(),
+                              float(res[m]), int(self.iterations[m]),
+                              bool(converged[m]), float(self.damping[m]),
+                              float(margin[m]))
+                for m in range(len(self.target))]
+
+
+def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
+    """Solve z G = I + S(G) G at every z of ``zs`` in one batched call.
+
+    ``model`` is a CovarianceMap (semicircular, S(G) = eta(G)) or an
+    EtaPair (Wishart, S(G) = eta1((I - eta2(G))^{-1})).  Returns one
+    DysonSolution per z, in order; points that miss the certificate come
+    back with converged=False and the residual of the returned G at z.
+    Each point's result does not depend on the other points in the call.
+    """
+    opts = opts or SolverOptions()
+    energy = _self_energy(model)
+    target = np.array([_require_upper_half_plane(z) for z in zs],
+                      dtype=np.complex128)
+    chunk = max(1, JACOBIAN_ENTRIES // energy.d ** 4)
+    solutions = []
+    for lo in range(0, len(target), chunk):
+        driver = _Driver(energy, target[lo:lo + chunk], opts)
+        driver.run()
+        solutions.extend(driver.solutions())
+    return solutions
+
+
 def solve_semicircular(eta: CovarianceMap, z: complex,
                        opts: SolverOptions | None = None) -> DysonSolution:
-    """Solve z G = I + eta(G) G by damped fixed-point iteration.
-
-    Convergence is declared on the equation residual
-    ||z G - I - eta(G) G||_F <= opts.tol, a certificate independent of
-    the iteration path.  On failure returns a diagnostic solution with
-    converged=False.
-    """
-    z = _require_upper_half_plane(z)
-    opts = opts or SolverOptions()
-    d = eta.d
-    eye = np.eye(d, dtype=np.complex128)
-    G = eye / z
-    theta = opts.initial_damping
-    best = np.inf
-    stall = 0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        try:
-            step = linalg.invert(z * eye - eta.apply(G))
-        except linalg.SingularMatrixError:
-            if theta <= opts.min_damping:
-                return DysonSolution(z, G, residual, iterations, False, theta)
-            theta = max(theta / 2, opts.min_damping)
-            continue
-        G = (1 - theta) * G + theta * step
-        residual = linalg.frobenius_norm(z * G - eye - eta.apply(G) @ G)
-        if residual <= opts.tol:
-            return DysonSolution(z, G, residual, iterations, True, theta)
-        if residual < best * (1 - RESIDUAL_IMPROVEMENT):
-            best = residual
-            stall = 0
-        else:
-            best = min(best, residual)
-            stall += 1
-            if stall >= RESIDUAL_STALL_STEPS:
-                theta = max(theta / 2, opts.min_damping)
-                stall = 0
-    return DysonSolution(z, G, residual, iterations, False, theta)
+    """Solve z G = I + eta(G) G at one z (a one-point ``solve_dyson``)."""
+    if not isinstance(eta, CovarianceMap):
+        raise TypeError("eta must be a CovarianceMap")
+    return solve_dyson(eta, [z], opts)[0]
 
 
 def wishart_residual(pair: EtaPair, G: np.ndarray, z: complex) -> float:
+    """||z G - I - eta1((I - eta2(G))^{-1}) G||_F (inf if the inverse fails)."""
+    G = np.asarray(G, dtype=np.complex128)[None]
+    S, _, ok = _Wishart(pair)(G)
+    if not ok[0]:
+        return float("inf")
     eye = np.eye(pair.d, dtype=np.complex128)
-    mid = linalg.invert(eye - pair.eta2.apply(G))
-    return linalg.frobenius_norm(z * G - eye - pair.eta1.apply(mid) @ G)
+    return float(np.linalg.norm((complex(z) * eye - S[0]) @ G[0] - eye))
 
 
 def solve_wishart(pair: EtaPair, z: complex,
                   opts: SolverOptions | None = None) -> DysonSolution:
-    """Solve z G = I + eta1((I - eta2(G))^{-1}) G by damped iteration.
-
-    The middle inverse is guarded: a singular (I - eta2(G)) triggers a
-    retry of the step at halved damping, then a diagnostic failure.
-    """
-    z = _require_upper_half_plane(z)
-    opts = opts or SolverOptions()
-    d = pair.d
-    eye = np.eye(d, dtype=np.complex128)
-    G = eye / z
-    prev_G = G
-    prev_step = None
-    theta = opts.initial_damping
-    best = np.inf
-    stall = 0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        try:
-            mid = linalg.invert(eye - pair.eta2.apply(G))
-            step = linalg.invert(z * eye - pair.eta1.apply(mid))
-        except linalg.SingularMatrixError:
-            if theta <= opts.min_damping or prev_step is None:
-                return DysonSolution(z, G, residual, iterations, False, theta)
-            theta = max(theta / 2, opts.min_damping)
-            G = (1 - theta) * prev_G + theta * prev_step
-            continue
-        prev_G, prev_step = G, step
-        G = (1 - theta) * G + theta * step
-        try:
-            residual = wishart_residual(pair, G, z)
-        except linalg.SingularMatrixError:
-            if theta <= opts.min_damping:
-                return DysonSolution(z, G, np.inf, iterations, False, theta)
-            theta = max(theta / 2, opts.min_damping)
-            G = (1 - theta) * prev_G + theta * prev_step
-            continue
-        if residual <= opts.tol:
-            return DysonSolution(z, G, residual, iterations, True, theta)
-        if residual < best * (1 - RESIDUAL_IMPROVEMENT):
-            best = residual
-            stall = 0
-        else:
-            best = min(best, residual)
-            stall += 1
-            if stall >= RESIDUAL_STALL_STEPS:
-                theta = max(theta / 2, opts.min_damping)
-                stall = 0
-    return DysonSolution(z, G, residual, iterations, False, theta)
+    """Solve z G = I + eta1((I - eta2(G))^{-1}) G at one z (a one-point
+    ``solve_dyson``)."""
+    if not isinstance(pair, EtaPair):
+        raise TypeError("pair must be an EtaPair")
+    return solve_dyson(pair, [z], opts)[0]
 
 
 def scalar_semicircle_cauchy(t: float, z):
@@ -235,10 +488,12 @@ def stieltjes_density(g, grid, eps: float,
     """Boundary-value density rho(x) = -Im g(x + i eps) / pi on a grid.
 
     ``g`` is either a callable z -> scalar Cauchy value or a
-    CovarianceMap (then the semicircular solver's normalized trace is
-    used).  Values are clipped to 0 from below; the clipped mass is
-    O(eps) + O(grid step^2) away from a unit integral for a probability
-    law whose support the grid covers.
+    CovarianceMap (then the whole grid is solved in one ``solve_dyson``
+    call and its normalized traces are used; the first grid point that
+    misses the certificate raises DensityEvaluationError).  Values are
+    clipped to 0 from below; the clipped mass is O(eps) + O(grid step^2)
+    away from a unit integral for a probability law whose support the
+    grid covers.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -248,16 +503,12 @@ def stieltjes_density(g, grid, eps: float,
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
     if isinstance(g, CovarianceMap):
-        eta_map = g
-
-        def g_at(z):
-            sol = solve_semicircular(eta_map, z, opts)
+        solutions = solve_dyson(g, xs + 1j * eps, opts)
+        for sol in solutions:
             if not sol.converged:
                 raise DensityEvaluationError(
-                    z.real, f"solver residual {sol.residual:.3e}")
-            return sol.trace()
-
-        values = np.array([g_at(complex(x, eps)) for x in xs])
+                    sol.z.real, f"solver residual {sol.residual:.3e}")
+        values = np.array([sol.trace() for sol in solutions])
     elif callable(g):
         try:
             values = np.asarray(g(xs + 1j * eps), dtype=np.complex128)

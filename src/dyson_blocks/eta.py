@@ -11,8 +11,9 @@ d^2 x d^2 matrix ``choi4.reshape(d*d, d*d)`` (rows indexed by (i, k),
 columns by (j, l)) is Hermitian positive semidefinite exactly when the
 map is completely positive.
 
-Constructors lower everything to the Choi tensor; the Kronecker form
-additionally keeps its structured data for cheap application.
+Constructors lower everything to the Choi tensor, and every map is
+applied through one matrix built from it, ``CovarianceMap.action``:
+vec(eta(B)) = action @ vec(B) with row-major vec(B)[i*d + j] = B[i, j].
 """
 
 from __future__ import annotations
@@ -77,34 +78,30 @@ class CovarianceMap:
     ``form`` records which constructor produced the map ("scalar", "choi",
     "kronecker", "empirical").  ``psd_projection`` is the total negative
     Choi mass clipped by empirical constructors (0 for exact ones).
+    ``action`` is the d^2 x d^2 matrix of the map on row-major vec(B),
+    ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``; it is built once
+    and read-only, so ``choi4`` must not be modified in place afterwards.
     """
 
     d: int
     choi4: np.ndarray
     form: str = "choi"
-    kron_betas: tuple | None = None
-    kron_sigma: np.ndarray | None = None
-    kron_prefactor: float | None = None
     psd_projection: float = field(default=0.0)
+    action: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.d * self.d
+        self.action = np.ascontiguousarray(
+            self.choi4.transpose(1, 3, 0, 2).reshape(n, n), dtype=np.complex128)
+        self.action.setflags(write=False)
 
     def apply(self, b) -> np.ndarray:
         b = require_square(b)
         if b.shape[0] != self.d:
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {b.shape}")
-        if self.kron_betas is not None:
-            return self._apply_kronecker(b)
-        return np.einsum("ikjl,ij->kl", self.choi4, b)
+        return (self.action @ b.reshape(-1)).reshape(self.d, self.d)
 
     __call__ = apply
-
-    def _apply_kronecker(self, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(b)
-        sig = self.kron_sigma
-        for k, bk in enumerate(self.kron_betas):
-            for l, bl in enumerate(self.kron_betas):
-                out += sig[k, l] * (bk @ b @ bl.conj().T)
-                out += np.conj(sig[k, l]) * (bk.conj().T @ b @ bl)
-        return self.kron_prefactor * out
 
     def choi_matrix(self) -> np.ndarray:
         return self.choi4.reshape(self.d * self.d, self.d * self.d)
@@ -287,10 +284,7 @@ def eta_kronecker(betas, sigma_l, prefactor: float = 1.0) -> CovarianceMap:
     direct = np.einsum("mn,mki,nlj->ikjl", sig, ops, ops.conj())
     adjoint = np.einsum("mn,mik,njl->ikjl", sig.conj(), ops.conj(), ops)
     choi4 = prefactor * (direct + adjoint)
-    return CovarianceMap(
-        d=d, choi4=choi4, form="kronecker",
-        kron_betas=tuple(ops), kron_sigma=sig, kron_prefactor=float(prefactor),
-    )
+    return CovarianceMap(d=d, choi4=choi4, form="kronecker")
 
 
 def eta_correlated_tensor(tensor: CovarianceTensor) -> CovarianceMap:

@@ -162,6 +162,17 @@ class TestDensityCommand:
         mass = np.trapezoid(table[:, 1], table[:, 0])
         assert abs(mass - 1.0) <= 2e-3
 
+    def test_density_across_both_edges(self, tmp_path):
+        data = {"command": "density", "out": str(tmp_path / "rho.csv"),
+                "eta": {"form": "flat", "d": 2, "c": 2.0},
+                "grid": {"min": -3.0, "max": 3.0, "step": 0.01},
+                "eps": 1e-4}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_OK
+        lines = (tmp_path / "rho.csv").read_text().strip().splitlines()
+        header_at = lines.index("x,rho")
+        assert len(lines) - header_at - 1 == 601
+
     def test_eta_density(self, tmp_path):
         data = {"command": "density", "out": str(tmp_path / "rho.csv"),
                 "eta": {"form": "scalar", "d": 1, "t": 1.0},

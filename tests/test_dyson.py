@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from dyson_blocks import dyson
 from dyson_blocks.dyson import (SolverOptions, cdf_from_density,
                                 circulant_mixture, mixture_cauchy,
-                                scalar_semicircle_cauchy, solve_semicircular,
-                                solve_wishart, stieltjes_density)
+                                scalar_semicircle_cauchy, solve_dyson,
+                                solve_semicircular, solve_wishart,
+                                stieltjes_density)
 from dyson_blocks.eta import (CovarianceTensor, EtaPair, eta_wishart_pair,
                               flat_map, scalar_map)
 from dyson_blocks.linalg import frobenius_norm, operator_norm
@@ -157,6 +159,59 @@ class TestSolveSemicircular:
         with pytest.raises(ValueError):
             solve_semicircular(scalar_map(1, 1.0), 2.0 - 1j)
 
+    def test_stability_margin_degenerates_at_the_edge(self):
+        # flat_map(2, 2) is the variance-2 semicircle, edges at +-2 sqrt 2
+        margins = {x: solve_semicircular(flat_map(2, 2.0), complex(x, 1e-4))
+                   .stability_margin for x in (0.0, -2.83, 2.83)}
+        assert abs(margins[0.0] - 1.0) < 1e-9
+        assert 10 * margins[2.83] <= margins[0.0]
+        assert 10 * margins[-2.83] <= margins[0.0]
+
+    def test_damped_fallback_alone_converges(self, monkeypatch):
+        # with no Newton step allowed, every point runs the damped iteration
+        monkeypatch.setattr(dyson, "NEWTON_STEPS_PER_HEIGHT", 0)
+        for z in (0.5 + 2.0j, 0.5 + 0.01j):
+            sol = solve_semicircular(flat_map(2, 1.0), z)
+            assert sol.converged and sol.residual <= 1e-11
+            assert abs(sol.trace() - scalar_semicircle_cauchy(1.0, z)) < 1e-10
+        assert sol.damping_used < 1.0
+
+
+class TestSolveDyson:
+    def test_edge_crossing_grid_matches_closed_form(self):
+        # the 601-point grid crosses both edges +-2.83 at eps = 1e-4
+        xs = np.arange(-3.0, 3.0 + 0.005, 0.01)
+        assert xs.size == 601
+        zs = xs + 1e-4j
+        sols = solve_dyson(flat_map(2, 2.0), zs)
+        assert all(sol.converged for sol in sols)
+        traces = np.array([sol.trace() for sol in sols])
+        assert np.max(np.abs(traces - scalar_semicircle_cauchy(2.0, zs))) <= 1e-9
+
+    def test_points_do_not_depend_on_the_batch(self):
+        eta = random_cp_map(rng(), 3)
+        zs = [complex(x, 0.05) for x in np.linspace(-3, 3, 13)]
+        batch = solve_dyson(eta, zs)
+        for z, sol in zip(zs, batch):
+            alone = solve_semicircular(eta, z)
+            assert np.array_equal(sol.G, alone.G)
+            assert sol.iterations == alone.iterations
+
+    def test_wishart_grid(self):
+        pair = eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1))))
+        ws = [complex(x, 1e-3) for x in np.linspace(-1.0, 5.0, 61)]
+        for w, sol in zip(ws, solve_dyson(pair, ws)):
+            assert sol.converged
+            s = np.sqrt(w * w - 4 * w)
+            exact = min([(w + s) / (2 * w), (w - s) / (2 * w)],
+                        key=lambda r: r.imag)
+            assert abs(sol.trace() - exact) < 1e-9
+
+    def test_rejects_other_models(self):
+        assert solve_dyson(scalar_map(1, 1.0), []) == []
+        with pytest.raises(TypeError):
+            solve_dyson(np.eye(2), [1j])
+
 
 class TestSolveWishart:
     def test_zero_pair(self):
@@ -176,7 +231,8 @@ class TestSolveWishart:
     def test_marchenko_pastur_closed_form(self):
         # d=1, sigma=1: z g^2 - z g + 1 = 0, the square MP law
         pair = eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1))))
-        for w in (4 + 0.01j, 2 + 1j, -1 + 0.5j, 5 + 0.2j):
+        for w in (4 + 0.01j, 2 + 1j, -1 + 0.5j, 5 + 0.2j,
+                  3.99 + 1e-5j, 4 + 1e-6j):
             sol = solve_wishart(pair, w)
             assert sol.converged
             s = np.sqrt(w * w - 4 * w)
