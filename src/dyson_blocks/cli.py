@@ -266,10 +266,18 @@ def _csv(rows, header: str, comments: list[str] | None = None) -> str:
 # command runners
 # ---------------------------------------------------------------------------
 
+def _upper_z(value, path: str) -> complex:
+    z = _complex(value, path)
+    if not z.imag > 0:
+        raise ConfigError(f"{path}: need Im z > 0, got {fmt(z.imag)}")
+    return z
+
+
 def _z_list(cfg: RunConfig):
     if "z" in cfg.data:
-        return [_complex(cfg.data["z"], "config.z")]
-    return [_complex(v, "config.z_grid") for v in cfg.data["z_grid"]]
+        return [_upper_z(cfg.data["z"], "config.z")]
+    return [_upper_z(v, f"config.z_grid[{i}]")
+            for i, v in enumerate(cfg.data["z_grid"])]
 
 
 def _run_solve(cfg: RunConfig, workers):
@@ -294,6 +302,8 @@ def _run_density(cfg: RunConfig, workers):
         raise ConfigError("config.grid: need max > min and step > 0")
     xs = np.arange(lo, hi + step / 2, step)
     eps = float(cfg.data.get("eps", 1e-4))
+    if not eps > 0:
+        raise ConfigError(f"config.eps: need eps > 0, got {fmt(eps)}")
     if "eta" in cfg.data:
         source = _eta(cfg.data["eta"], "config.eta")
         label = f"eta form={cfg.data['eta'].get('form')}"
@@ -333,10 +343,18 @@ def _run_sample(cfg: RunConfig, workers):
 
 def _run_rate(cfg: RunConfig, workers):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
-    report = experiments.rate_experiment(
-        spec, _complex(cfg.data["z"], "config.z"),
-        [int(n) for n in cfg.data["N_grid"]], int(cfg.data["trials"]),
-        seed=cfg.seed, workers=workers, opts=cfg.solver)
+    z = _complex(cfg.data["z"], "config.z")
+    threshold = experiments.rate_threshold(spec)
+    if z.imag <= threshold:
+        raise ConfigError(f"config.z: need Im z above the model threshold "
+                          f"{threshold:.3g}, got {fmt(z.imag)}")
+    try:
+        report = experiments.rate_experiment(
+            spec, z, [int(n) for n in cfg.data["N_grid"]],
+            int(cfg.data["trials"]), seed=cfg.seed, workers=workers,
+            opts=cfg.solver)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     rows = [(str(n), fmt(e), fmt(s))
             for n, e, s in zip(report.N_grid, report.errors, report.stderrs)]
     body = _csv(rows, "N,error,stderr",
@@ -368,9 +386,15 @@ def _run_universality(cfg: RunConfig, workers):
 
 
 def _run_circulant_ks(cfg: RunConfig, workers):
-    report = experiments.circulant_ks_experiment(
-        int(cfg.data["d"]), [int(n) for n in cfg.data["N_grid"]],
-        int(cfg.data["trials"]), seed=cfg.seed, workers=workers)
+    d = int(cfg.data["d"])
+    if d < 2:
+        raise ConfigError(f"config.d: circulant-ks needs d >= 2, got {d}")
+    try:
+        report = experiments.circulant_ks_experiment(
+            d, [int(n) for n in cfg.data["N_grid"]], int(cfg.data["trials"]),
+            seed=cfg.seed, workers=workers)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     rows = [(str(n), fmt(m), fmt(s))
             for n, m, s in zip(report.N_grid, report.mean_ks, report.stderr)]
     return _csv(rows, "N,mean_ks,stderr",

@@ -92,6 +92,18 @@ def _weighted_loglog_fit(ns, errs, ses):
     return float(slope), float(1.0 / np.sqrt(sxx))
 
 
+def rate_threshold(template: ModelSpec) -> float:
+    """Im z above which the rate fit is taken: ||eta||^(1/2).
+
+    For Wishart models the norm is that of eta1; the circulant mixture
+    accepts any z in the upper half-plane (threshold 0).
+    """
+    if template.model == "circulant":
+        return 0.0
+    eta = model_eta(template)
+    return (eta.eta1 if isinstance(eta, EtaPair) else eta).cp_norm() ** 0.5
+
+
 def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
                     seed: int, workers: int | None = None,
                     opts: SolverOptions | None = None) -> RateReport:
@@ -105,15 +117,12 @@ def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
     if len(ns) < MIN_FIT_POINTS or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("N_grid must be >= 3 strictly increasing values")
     z = complex(z)
+    threshold = rate_threshold(template)
+    if z.imag <= threshold:
+        raise ValueError(
+            f"Im(z)={z.imag} below the model threshold {threshold:.3g}"
+        )
     ref = analytic_trace_cauchy(template.with_n(ns[0]), z, opts)
-    eta = None
-    if template.model != "circulant":
-        eta = model_eta(template)
-        threshold = (eta.eta1 if isinstance(eta, EtaPair) else eta).cp_norm() ** 0.5
-        if z.imag <= threshold:
-            raise ValueError(
-                f"Im(z)={z.imag} below the model threshold {threshold:.3g}"
-            )
     errors = np.empty(len(ns))
     ses = np.empty(len(ns))
     for i, n in enumerate(ns):

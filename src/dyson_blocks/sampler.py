@@ -9,7 +9,7 @@ Hermitian exactly (by construction, not within tolerance).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -201,14 +201,10 @@ class ModelSpec:
             raise ValueError(f"{self.model} model needs an entry law")
 
     def with_n(self, n: int) -> "ModelSpec":
-        return ModelSpec(model=self.model, d=self.d, N=n, law=self.law,
-                         seed=self.seed, betas=self.betas, sigma_l=self.sigma_l,
-                         tensor=self.tensor)
+        return replace(self, N=n)
 
     def with_seed(self, seed: int) -> "ModelSpec":
-        return ModelSpec(model=self.model, d=self.d, N=self.N, law=self.law,
-                         seed=seed, betas=self.betas, sigma_l=self.sigma_l,
-                         tensor=self.tensor)
+        return replace(self, seed=seed)
 
 
 @dataclass
@@ -238,6 +234,25 @@ def _gaussian_factor(mat: np.ndarray) -> np.ndarray:
 
 def _standard_complex(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _hermitian_fill(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    N: int) -> np.ndarray:
+    """(N d, N d) matrix with d x d block blocks[k] at slot (rows[k], cols[k]).
+
+    The mirrored slot (cols[k], rows[k]) gets the adjoint and a diagonal
+    slot the Hermitian part (b + b^*) / 2, so the result is exactly
+    Hermitian.
+    """
+    d = blocks.shape[-1]
+    adj = blocks.conj().transpose(0, 2, 1)
+    out = np.zeros((N, d, N, d), dtype=np.complex128)
+    off = rows != cols
+    out[rows[off], :, cols[off], :] = blocks[off]
+    out[cols[off], :, rows[off], :] = adj[off]
+    diag = ~off
+    out[rows[diag], :, rows[diag], :] = (blocks[diag] + adj[diag]) / 2.0
+    return out.reshape(N * d, N * d)
 
 
 def _iid_block_grid(spec: ModelSpec, rng) -> np.ndarray:
@@ -278,18 +293,8 @@ def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
         blocks = law.draw_blocks(rng, n_blocks, d)
     else:
         blocks = law.draw(rng, n_blocks * d * d).reshape(n_blocks, d, d)
-    out = np.zeros((N, d, N, d), dtype=np.complex128)
-    k = 0
-    for i in range(N):
-        for j in range(i + 1):
-            b = blocks[k]
-            k += 1
-            if i == j:
-                out[i, :, i, :] = (b + b.conj().T) / 2.0
-            else:
-                out[i, :, j, :] = b
-                out[j, :, i, :] = b.conj().T
-    return out.reshape(N * d, N * d) / np.sqrt(N)
+    rows, cols = np.tril_indices(N)
+    return _hermitian_fill(blocks, rows, cols, N) / np.sqrt(N)
 
 
 def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -337,14 +342,18 @@ def sample_correlated_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     rows, cols = np.triu_indices(N)
     v = _standard_complex(rng, (rows.size, d * d)) @ factor.T
     blocks = v.reshape(rows.size, d, d)
-    out = np.zeros((N, d, N, d), dtype=np.complex128)
-    off = rows != cols
-    out[rows[off], :, cols[off], :] = blocks[off]
-    out[cols[off], :, rows[off], :] = blocks[off].conj().transpose(0, 2, 1)
-    diag = ~off
-    sym = (blocks[diag] + blocks[diag].conj().transpose(0, 2, 1)) / 2.0
-    out[rows[diag], :, rows[diag], :] = sym
-    return out.reshape(N * d, N * d) / np.sqrt(d * N)
+    return _hermitian_fill(blocks, rows, cols, N) / np.sqrt(d * N)
+
+
+def _circulant_wigners(spec: ModelSpec, trial: int) -> list[np.ndarray]:
+    """The d//2 + 1 independent N x N Wigner blocks W_0, W_1, ..., in draw order."""
+    N = spec.N
+    law = spec.law or ComplexGaussian(1.0)
+    rng = rng_for(spec.seed, trial)
+    rows, cols = np.tril_indices(N)
+    return [_hermitian_fill(law.draw(rng, rows.size).reshape(-1, 1, 1),
+                            rows, cols, N) / np.sqrt(N)
+            for _ in range(spec.d // 2 + 1)]
 
 
 def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -357,34 +366,36 @@ def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     if spec.model != "circulant":
         raise ValueError("spec.model must be 'circulant'")
     N, d = spec.N, spec.d
-    law = spec.law or ComplexGaussian(1.0)
-    rng = rng_for(spec.seed, trial)
-    n_independent = d // 2 + 1
-    wigners = []
-    n_blocks = N * (N + 1) // 2
-    for _ in range(n_independent):
-        entries = law.draw(rng, n_blocks)
-        w = np.zeros((N, N), dtype=np.complex128)
-        k = 0
-        for i in range(N):
-            for j in range(i + 1):
-                a = entries[k]
-                k += 1
-                if i == j:
-                    w[i, i] = (a + np.conj(a)) / 2.0
-                else:
-                    w[i, j] = a
-                    w[j, i] = np.conj(a)
-        wigners.append(w / np.sqrt(N))
-    # reflect: A^(i) = A^(d-i+2) for i = n_independent+1 .. d (1-based)
-    all_blocks = list(wigners)
-    for i in range(n_independent + 1, d + 1):
-        all_blocks.append(all_blocks[d - i + 1])
+    wigners = _circulant_wigners(spec, trial)
     out = np.zeros((d, N, d, N), dtype=np.complex128)
     for r in range(d):
         for c in range(d):
-            out[r, :, c, :] = all_blocks[(c - r) % d]
+            k = (c - r) % d
+            # reflection A^(k) = A^(d-k): W_0 .. W_{d//2} fill every block
+            out[r, :, c, :] = wigners[min(k, d - k)]
     return out.reshape(d * N, d * N) / np.sqrt(d)
+
+
+def _circulant_eigenvalues(spec: ModelSpec, trial: int) -> np.ndarray:
+    """Sorted eigenvalues of sample_circulant(spec, trial) without forming it.
+
+    The block DFT turns the circulant into diag(B_0, ..., B_{d-1}) with
+    B_j = (W_0 + sum_{k>=1} c_k cos(2 pi j k / d) W_k) / sqrt(d), where
+    c_k = 2 except c_{d/2} = 1 for even d.  B_j = B_{d-j}, so only
+    j <= d/2 is formed and 0 < j < d/2 counts twice.  Each B_j is a real
+    combination of exactly Hermitian blocks, hence exactly Hermitian.
+    """
+    d = spec.d
+    wigners = _circulant_wigners(spec, trial)
+    parts = []
+    for j in range(d // 2 + 1):
+        b = wigners[0].copy()
+        for k in range(1, d // 2 + 1):
+            c = 1.0 if 2 * k == d else 2.0
+            b += c * np.cos(2 * np.pi * j * k / d) * wigners[k]
+        ev = linalg.hermitian_eigenvalues(b / np.sqrt(d))
+        parts.extend([ev, ev] if 0 < 2 * j < d else [ev])
+    return np.sort(np.concatenate(parts))
 
 
 def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -430,13 +441,17 @@ def sample_matrix(spec: ModelSpec, trial: int = 0) -> np.ndarray:
 
 
 def spectrum(spec: ModelSpec, trial: int = 0) -> SpectrumSample:
-    """Sorted eigenvalues of one sampled matrix."""
-    mat = sample_matrix(spec, trial)
-    return SpectrumSample(
-        eigenvalues=linalg.hermitian_eigenvalues(mat),
-        spec=spec,
-        trial_index=trial,
-    )
+    """Sorted eigenvalues of one sampled matrix.
+
+    Circulant spectra come from the block DFT (d//2 + 1 eigensolves of
+    size N); every other model is solved densely.
+    """
+    if spec.model == "circulant":
+        eigenvalues = _circulant_eigenvalues(spec, trial)
+    else:
+        eigenvalues = linalg.hermitian_eigenvalues(sample_matrix(spec, trial))
+    return SpectrumSample(eigenvalues=eigenvalues, spec=spec,
+                          trial_index=trial)
 
 
 # ---------------------------------------------------------------------------

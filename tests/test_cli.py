@@ -92,6 +92,61 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    def test_solve_z_below_real_axis(self, tmp_path, capsys):
+        cfg = scalar_solve_config(tmp_path, z=[0.0, -1.0])
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config.z: need Im z > 0" in capsys.readouterr().err
+        assert not (tmp_path / "solve.csv").exists()
+
+    def test_solve_z_grid_on_real_axis(self, tmp_path, capsys):
+        data = {"command": "solve", "out": str(tmp_path / "o.csv"),
+                "eta": {"form": "scalar", "d": 1, "t": 1.0},
+                "z_grid": [[0.0, 1.0], [0.5, 0.0]]}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config.z_grid[1]:" in capsys.readouterr().err
+
+    def test_rate_z_below_model_threshold(self, tmp_path, capsys):
+        data = {"command": "rate", "out": str(tmp_path / "o.csv"),
+                "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                          "law": {"variant": "rademacher"}},
+                "z": [0.0, 0.5], "N_grid": [8, 16, 32], "trials": 4}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: config.z: need Im z above the model threshold 1" in err
+
+    def test_rate_short_grid(self, tmp_path, capsys):
+        data = {"command": "rate", "out": str(tmp_path / "o.csv"),
+                "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                          "law": {"variant": "rademacher"}},
+                "z": [0.0, 3.0], "N_grid": [8, 16], "trials": 4}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config: N_grid" in capsys.readouterr().err
+
+    def test_circulant_ks_empty_block(self, tmp_path, capsys):
+        data = {"command": "circulant-ks", "out": str(tmp_path / "o.csv"),
+                "d": 2, "N_grid": [0, 8], "trials": 3}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config: need d >= 1 and N >= 1" in capsys.readouterr().err
+
+    def test_circulant_ks_needs_two_blocks(self, tmp_path, capsys):
+        data = {"command": "circulant-ks", "out": str(tmp_path / "o.csv"),
+                "d": 1, "N_grid": [8, 16], "trials": 3}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config.d: circulant-ks needs d >= 2" in capsys.readouterr().err
+
+    def test_density_needs_positive_eps(self, tmp_path, capsys):
+        data = {"command": "density", "out": str(tmp_path / "o.csv"),
+                "eta": {"form": "scalar", "d": 1, "t": 1.0},
+                "grid": {"min": -1.0, "max": 1.0, "step": 0.5}, "eps": 0.0}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert "config error: config.eps:" in capsys.readouterr().err
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg = scalar_solve_config(tmp_path)
         assert main(["--config", cfg, "--print-config"]) == EXIT_OK

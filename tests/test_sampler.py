@@ -1,12 +1,14 @@
 import collections
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dyson_blocks.eta import CovarianceTensor
-from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, PermutationPool,
-                                  Rademacher, RealGaussian, TwoPoint,
+from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
+                                  PermutationPool, Rademacher, RealGaussian,
+                                  TwoPoint,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
                                   sample_circulant, sample_correlated_blocks,
                                   sample_exchangeable, sample_hermitized,
@@ -255,6 +257,20 @@ class TestCirculant:
                          law=RealGaussian(1.0))
         assert exact_hermitian(sample_circulant(spec))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("N", [1, 4, 30])
+    @pytest.mark.parametrize("law", [None, RealGaussian(1.0)])
+    def test_block_dft_spectrum_matches_dense(self, d, N, law):
+        # even d includes the unpaired j = d/2 Fourier block
+        spec = ModelSpec(model="circulant", d=d, N=N, seed=31, law=law)
+        for t in range(2):
+            ev = spectrum(spec, t).eigenvalues
+            m = sample_matrix(spec, t)
+            assert len(ev) == d * N
+            assert np.all(np.diff(ev) >= 0)
+            tol = 1e-12 * (1 + np.linalg.norm(m, 2))
+            assert np.max(np.abs(ev - np.linalg.eigvalsh(m))) <= tol
+
 
 class TestWishart:
     def test_zero_tensor(self):
@@ -327,6 +343,19 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError):
             ModelSpec(model="kronecker", d=2, N=4)
 
+    def test_copies_keep_fields_and_revalidate(self):
+        spec = ModelSpec(model="kronecker", d=2, N=4, seed=3,
+                         betas=(I2, E12), sigma_l=np.eye(2))
+        copy = spec.with_n(9).with_seed(5)
+        assert (copy.model, copy.d, copy.N, copy.seed) == ("kronecker", 2, 9, 5)
+        assert all(a is b for a, b in zip(copy.betas, spec.betas))
+        assert copy.sigma_l is spec.sigma_l
+        assert (spec.N, spec.seed) == (4, 3)
+        with pytest.raises(ValueError):
+            spec.with_n(0)
+        with pytest.raises(ValueError):
+            spec.with_seed(-1)
+
     def test_dispatch(self):
         spec = ModelSpec(model="circulant", d=2, N=4, seed=1)
         assert np.array_equal(sample_matrix(spec, 0), sample_circulant(spec, 0))
@@ -350,3 +379,55 @@ class TestModelSpecAndIO:
         blob = matrix_to_bytes(np.eye(2))
         with pytest.raises(ValueError):
             matrix_from_bytes(blob[:-1])
+
+
+class TestGoldenHashes:
+    """SHA-256 of the binary dump of one sampled matrix per model.
+
+    The hashes were taken from the loop-filled samplers; any change to the
+    draw order, the fill or the scaling changes them.  They assume IEEE
+    doubles and this platform's BLAS for the small factor products.
+    """
+
+    POOL = PermutationPool([I2, -I2, E12, E12.conj().T, 2 * I2,
+                            E12 + E12.conj().T])
+    SPECS = {
+        "hermitized_iid": dict(model="hermitized_iid", d=2, N=5,
+                               law=ComplexGaussian(1.0), seed=11),
+        "wigner_blocks-gaussian": dict(model="wigner_blocks", d=2, N=5,
+                                       law=ComplexGaussian(1.0), seed=12),
+        "wigner_blocks-rademacher": dict(model="wigner_blocks", d=3, N=4,
+                                         law=Rademacher(), seed=13),
+        "wigner_blocks-matrix-pool": dict(model="wigner_blocks", d=2, N=3,
+                                          law=POOL, seed=14),
+        "kronecker": dict(model="kronecker", d=2, N=5, seed=15,
+                          betas=(I2, E12),
+                          sigma_l=np.array([[1.0, 0.5], [0.5, 1.0]])),
+        "correlated_blocks": dict(model="correlated_blocks", d=2, N=5,
+                                  seed=16, tensor=delta_tensor(2)),
+        "circulant-d3": dict(model="circulant", d=3, N=5, seed=17),
+        "circulant-d4-real": dict(model="circulant", d=4, N=4, seed=18,
+                                  law=RealGaussian(1.0)),
+        "wishart_correlated": dict(model="wishart_correlated", d=2, N=5,
+                                   seed=19, tensor=delta_tensor(2)),
+    }
+    HASHES = {
+        "hermitized_iid": "fecbf9380eaf0378eae78cc693edd258a26efd6660083c88a8dbf58f22e92266",
+        "wigner_blocks-gaussian": "d65b99aa547e0f0ec5ea5d42a30b1a798990d26806b578d028b44a89610316cf",
+        "wigner_blocks-rademacher": "c6dc157e27b039c348453021a3a84ce5635574c3aae7f08527fee100955847fc",
+        "wigner_blocks-matrix-pool": "daa6495de2fd6f34a7a8028469c8e4d1e5029aa6734a5bb49d9c8a89c25838c5",
+        "kronecker": "ab782c0621968e4ced294425e6502fd3d7ecf1d766b1dd284c9ae7c3dfd005d9",
+        "correlated_blocks": "6a6956bd7f08f0b03b32534b97c6ee270826e353ed71393c54053774e5ceff20",
+        "circulant-d3": "0e1ac96491283ac06680937e7feae8c755ac9806dce633852ce69757596b2a5f",
+        "circulant-d4-real": "e30ccb87fe9aa7c31712ee4f75ef7d917b505b4fb97fbb44f04d93951c11159b",
+        "wishart_correlated": "7eccb252a583f484d2acafd245909570230141854476c2dc1f62ab603657c6a0",
+    }
+
+    def test_every_model_is_covered(self):
+        assert {v["model"] for v in self.SPECS.values()} == set(MODELS)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_matrix_hash(self, name):
+        m = sample_matrix(ModelSpec(**self.SPECS[name]), 2)
+        digest = hashlib.sha256(matrix_to_bytes(m)).hexdigest()
+        assert digest == self.HASHES[name]
