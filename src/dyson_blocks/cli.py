@@ -37,8 +37,11 @@ COMMANDS = ("solve", "density", "sample", "rate", "universality",
             "circulant-ks", "wishart")
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending key."""
+class ConfigError(Exception):
+    """Invalid configuration; the message names the offending key.
+
+    Not a ValueError, so ``except ValueError`` clauses pass it on unchanged.
+    """
 
 
 class SolverFailure(RuntimeError):
@@ -65,13 +68,33 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
-def _complex(value, path: str) -> complex:
-    def is_number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    if is_number(value):
+
+def _real(value, path: str, kind=float):
+    """A JSON number as ``kind`` (float, or int for integral values)."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not _is_number(value) or (kind is int and isinstance(value, float)):
+        raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return value
+
+
+def _reals(value, path: str, kind=float) -> list:
+    return [_real(v, f"{path}[{i}]", kind) for i, v in enumerate(_list(value, path))]
+
+
+def _complex(value, path: str) -> complex:
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(is_number, value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
@@ -80,7 +103,7 @@ def _matrix(value, path: str) -> np.ndarray:
     try:
         rows = [[_complex(v, path) for v in row] for row in value]
         return np.array(rows, dtype=np.complex128)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: expected a matrix of numbers or [re, im] pairs") from exc
 
 
@@ -88,17 +111,18 @@ def _law(obj, path: str):
     _check_keys(obj, path, ("variant",),
                 ("variance", "a", "b", "p", "values"))
     variant = obj["variant"]
+    variance = _real(obj.get("variance", 1.0), f"{path}.variance")
     try:
         if variant == "complex_gaussian":
-            return sampler.ComplexGaussian(float(obj.get("variance", 1.0)))
+            return sampler.ComplexGaussian(variance)
         if variant == "real_gaussian":
-            return sampler.RealGaussian(float(obj.get("variance", 1.0)))
+            return sampler.RealGaussian(variance)
         if variant == "rademacher":
             return sampler.Rademacher()
         if variant == "two_point":
-            return sampler.TwoPoint(float(obj["a"]), float(obj["b"]), float(obj["p"]))
+            return sampler.TwoPoint(*(_real(obj[k], f"{path}.{k}") for k in "abp"))
         if variant == "permutation_pool":
-            return sampler.PermutationPool([float(v) for v in obj["values"]])
+            return sampler.PermutationPool(_reals(obj["values"], f"{path}.values"))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc.args[0]!r} for {variant}") from exc
     except ValueError as exc:
@@ -107,11 +131,12 @@ def _law(obj, path: str):
 
 
 def _tensor(value, path: str) -> CovarianceTensor:
-    arr = np.asarray(
-        [[[[complex(_complex(v, path)) for v in kk] for kk in jj] for jj in ii]
-         for ii in value], dtype=np.complex128)
     try:
-        return CovarianceTensor(arr)
+        return CovarianceTensor(np.asarray(
+            [[[[_complex(v, path) for v in kk] for kk in jj] for jj in ii]
+             for ii in value], dtype=np.complex128))
+    except TypeError as exc:
+        raise ConfigError(f"{path}: expected a d x d x d x d nested list") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -119,11 +144,13 @@ def _tensor(value, path: str) -> CovarianceTensor:
 def _model(obj, path: str, seed: int) -> sampler.ModelSpec:
     _check_keys(obj, path, ("model", "d", "N"),
                 ("law", "betas", "sigma_l", "tensor"))
-    kwargs = dict(model=obj["model"], d=int(obj["d"]), N=int(obj["N"]), seed=seed)
+    kwargs = dict(model=obj["model"], d=_real(obj["d"], f"{path}.d", int),
+                  N=_real(obj["N"], f"{path}.N", int), seed=seed)
     if "law" in obj:
         kwargs["law"] = _law(obj["law"], f"{path}.law")
     if "betas" in obj:
-        kwargs["betas"] = tuple(_matrix(b, f"{path}.betas") for b in obj["betas"])
+        kwargs["betas"] = tuple(_matrix(b, f"{path}.betas")
+                                for b in _list(obj["betas"], f"{path}.betas"))
     if "sigma_l" in obj:
         kwargs["sigma_l"] = _matrix(obj["sigma_l"], f"{path}.sigma_l")
     if "tensor" in obj:
@@ -140,13 +167,17 @@ def _eta(obj, path: str):
     form = obj.get("form")
     try:
         if form == "scalar":
-            return scalar_map(int(obj["d"]), float(obj["t"]))
+            return scalar_map(_real(obj["d"], f"{path}.d", int),
+                              _real(obj["t"], f"{path}.t"))
         if form == "flat":
-            return flat_map(int(obj["d"]), float(obj.get("c", 1.0)))
+            return flat_map(_real(obj["d"], f"{path}.d", int),
+                            _real(obj.get("c", 1.0), f"{path}.c"))
         if form == "kronecker":
-            betas = [_matrix(b, f"{path}.betas") for b in obj["betas"]]
-            return eta_kronecker(betas, _matrix(obj["sigma_l"], f"{path}.sigma_l"),
-                                 prefactor=float(obj.get("prefactor", 1.0)))
+            betas = [_matrix(b, f"{path}.betas")
+                     for b in _list(obj["betas"], f"{path}.betas")]
+            return eta_kronecker(
+                betas, _matrix(obj["sigma_l"], f"{path}.sigma_l"),
+                prefactor=_real(obj.get("prefactor", 1.0), f"{path}.prefactor"))
         if form == "tensor":
             return eta_correlated_tensor(_tensor(obj["sigma"], f"{path}.sigma"))
         if form == "choi":
@@ -160,14 +191,10 @@ def _eta(obj, path: str):
 
 def _solver_options(obj, path: str) -> dyson.SolverOptions:
     _check_keys(obj, path, (), ("tol", "max_iter", "initial_damping", "min_damping"))
-    defaults = dyson.SolverOptions()
     try:
-        return dyson.SolverOptions(
-            tol=float(obj.get("tol", defaults.tol)),
-            max_iter=int(obj.get("max_iter", defaults.max_iter)),
-            initial_damping=float(obj.get("initial_damping", defaults.initial_damping)),
-            min_damping=float(obj.get("min_damping", defaults.min_damping)),
-        )
+        return dyson.SolverOptions(**{
+            key: _real(obj.get(key, default), f"{path}.{key}", type(default))
+            for key, default in vars(dyson.SolverOptions()).items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -211,10 +238,9 @@ class RunConfig:
         self.out = data["out"]
         if not isinstance(self.out, str) or not self.out:
             raise ConfigError("config.out: expected a nonempty path string")
-        self.seed = int(data.get("seed", 0))
-        self.threads = data.get("threads")
-        if self.threads is not None:
-            self.threads = int(self.threads)
+        self.seed = _real(data.get("seed", 0), "config.seed", int)
+        threads = data.get("threads")
+        self.threads = None if threads is None else _real(threads, "config.threads", int)
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
 
     def __eq__(self, other):
@@ -277,7 +303,7 @@ def _z_list(cfg: RunConfig):
     if "z" in cfg.data:
         return [_upper_z(cfg.data["z"], "config.z")]
     return [_upper_z(v, f"config.z_grid[{i}]")
-            for i, v in enumerate(cfg.data["z_grid"])]
+            for i, v in enumerate(_list(cfg.data["z_grid"], "config.z_grid"))]
 
 
 def _run_solve(cfg: RunConfig, workers):
@@ -296,12 +322,12 @@ def _run_solve(cfg: RunConfig, workers):
 def _run_density(cfg: RunConfig, workers):
     grid_obj = cfg.data["grid"]
     _check_keys(grid_obj, "config.grid", ("min", "max", "step"))
-    lo, hi = float(grid_obj["min"]), float(grid_obj["max"])
-    step = float(grid_obj["step"])
+    lo, hi, step = (_real(grid_obj[k], f"config.grid.{k}")
+                    for k in ("min", "max", "step"))
     if not (hi > lo and step > 0):
         raise ConfigError("config.grid: need max > min and step > 0")
     xs = np.arange(lo, hi + step / 2, step)
-    eps = float(cfg.data.get("eps", 1e-4))
+    eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
     if not eps > 0:
         raise ConfigError(f"config.eps: need eps > 0, got {fmt(eps)}")
     if "eta" in cfg.data:
@@ -310,8 +336,8 @@ def _run_density(cfg: RunConfig, workers):
     else:
         mix = cfg.data["mixture"]
         _check_keys(mix, "config.mixture", ("weights", "variances"))
-        w = [float(v) for v in mix["weights"]]
-        t = [float(v) for v in mix["variances"]]
+        w = _reals(mix["weights"], "config.mixture.weights")
+        t = _reals(mix["variances"], "config.mixture.variances")
         try:
             dyson.mixture_cauchy(w, t, 1j)
         except ValueError as exc:
@@ -328,7 +354,9 @@ def _run_density(cfg: RunConfig, workers):
 
 def _run_sample(cfg: RunConfig, workers):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
-    trial = int(cfg.data.get("trial", 0))
+    trial = _real(cfg.data.get("trial", 0), "config.trial", int)
+    if trial < 0:
+        raise ConfigError(f"config.trial: need trial >= 0, got {trial}")
     matrix = sampler.sample_matrix(spec, trial)
     if "spectrum_out" in cfg.data:
         from .linalg import hermitian_eigenvalues
@@ -350,9 +378,9 @@ def _run_rate(cfg: RunConfig, workers):
                           f"{threshold:.3g}, got {fmt(z.imag)}")
     try:
         report = experiments.rate_experiment(
-            spec, z, [int(n) for n in cfg.data["N_grid"]],
-            int(cfg.data["trials"]), seed=cfg.seed, workers=workers,
-            opts=cfg.solver)
+            spec, z, _reals(cfg.data["N_grid"], "config.N_grid", int),
+            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+            workers=workers, opts=cfg.solver)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     rows = [(str(n), fmt(e), fmt(s))
@@ -373,10 +401,11 @@ def _run_universality(cfg: RunConfig, workers):
     try:
         report = experiments.universality_experiment(
             spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
-            _complex(cfg.data["z"], "config.z"), int(cfg.data["N"]),
-            int(cfg.data["trials"]), seed=cfg.seed, workers=workers)
+            _complex(cfg.data["z"], "config.z"), _real(cfg.data["N"], "config.N", int),
+            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+            workers=workers)
     except ValueError as exc:
-        raise ConfigError(f"config.laws: {exc}") from exc
+        raise ConfigError(f"config: {exc}") from exc
     row = (fmt(report.mean_a.real), fmt(report.mean_a.imag),
            fmt(report.mean_b.real), fmt(report.mean_b.imag),
            fmt(report.se_a), fmt(report.se_b),
@@ -386,13 +415,14 @@ def _run_universality(cfg: RunConfig, workers):
 
 
 def _run_circulant_ks(cfg: RunConfig, workers):
-    d = int(cfg.data["d"])
+    d = _real(cfg.data["d"], "config.d", int)
     if d < 2:
         raise ConfigError(f"config.d: circulant-ks needs d >= 2, got {d}")
     try:
         report = experiments.circulant_ks_experiment(
-            d, [int(n) for n in cfg.data["N_grid"]], int(cfg.data["trials"]),
-            seed=cfg.seed, workers=workers)
+            d, _reals(cfg.data["N_grid"], "config.N_grid", int),
+            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+            workers=workers)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     rows = [(str(n), fmt(m), fmt(s))
@@ -407,9 +437,10 @@ def _run_wishart(cfg: RunConfig, workers):
     tensor = _tensor(cfg.data["tensor"], "config.tensor")
     try:
         report = experiments.wishart_consistency_experiment(
-            tensor, _complex(cfg.data["z"], "config.z"), int(cfg.data["N"]),
-            int(cfg.data["trials"]), seed=cfg.seed, opts=cfg.solver,
-            workers=workers)
+            tensor, _complex(cfg.data["z"], "config.z"),
+            _real(cfg.data["N"], "config.N", int),
+            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+            opts=cfg.solver, workers=workers)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     except RuntimeError as exc:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ModelSpec, SpectrumSample, spectrum
+from .sampler import ModelSpec, spectrum
 
 
 @dataclass
@@ -34,18 +34,12 @@ class EmpiricalCDF:
         return np.searchsorted(self.points, x, side="left") / self.n
 
 
-def _eigenvalues(sample) -> np.ndarray:
-    if isinstance(sample, SpectrumSample):
-        return sample.eigenvalues
-    return np.asarray(sample, dtype=float)
-
-
-def empirical_cauchy(sample, z) -> complex:
+def empirical_cauchy(eigenvalues, z) -> complex:
     """(1/n) sum_i 1/(z - lambda_i): the normalized resolvent trace."""
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must have nonzero imaginary part")
-    ev = _eigenvalues(sample)
+    ev = np.asarray(eigenvalues, dtype=float)
     return complex(np.mean(1.0 / (z - ev)))
 
 
@@ -75,6 +69,30 @@ def kolmogorov_distance(f, g) -> float:
     return float(np.max(gaps))
 
 
+def _map_trials(fn, trials: int, workers: int | None) -> list:
+    """[fn(0), ..., fn(trials - 1)] in trial order, on up to ``workers`` threads."""
+    if workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(trials)))
+    return [fn(t) for t in range(trials)]
+
+
+def trial_mean(fn, trials: int, workers: int | None = None):
+    """Mean and standard error over the trial axis of fn(0), ..., fn(trials - 1).
+
+    ``fn`` returns a real or complex scalar or 1-D array; complex data takes
+    the larger of the real and imaginary standard errors.  Fewer than 2
+    trials are rejected before any trial runs.
+    """
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    data = np.array(_map_trials(fn, trials, workers))
+    se = data.real.std(axis=0, ddof=1)
+    if np.iscomplexobj(data):
+        se = np.maximum(se, data.imag.std(axis=0, ddof=1))
+    return data.mean(axis=0), se / np.sqrt(trials)
+
+
 @dataclass
 class MeanCauchyResult:
     z: np.ndarray
@@ -84,31 +102,19 @@ class MeanCauchyResult:
 
 
 def _trial_row(spec: ModelSpec, trial: int, zs: np.ndarray) -> np.ndarray:
-    ev = spectrum(spec, trial).eigenvalues
-    return np.array([np.mean(1.0 / (z - ev)) for z in zs])
+    ev = spectrum(spec, trial)
+    return np.array([empirical_cauchy(ev, z) for z in zs])
 
 
 def mean_cauchy(spec: ModelSpec, z_list, trials: int,
                 workers: int | None = None) -> MeanCauchyResult:
     """Per-z mean and standard error of the empirical Cauchy transform.
 
-    Trials are seeded (spec.seed, trial_index) so the result is
-    deterministic for any worker count; rows are aggregated in trial
-    order.  The scalar stderr is the larger of the real and imaginary
-    standard errors.
+    Trials are seeded (spec.seed, trial) so the result is deterministic
+    for any worker count (see ``trial_mean``).
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
     zs = np.atleast_1d(np.asarray(z_list, dtype=np.complex128))
     if np.any(zs.imag == 0):
         raise ValueError("z values must have nonzero imaginary part")
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _trial_row(spec, t, zs), range(trials)))
-    else:
-        rows = [_trial_row(spec, t, zs) for t in range(trials)]
-    data = np.stack(rows)
-    mean = data.mean(axis=0)
-    se = np.maximum(data.real.std(axis=0, ddof=1),
-                    data.imag.std(axis=0, ddof=1)) / np.sqrt(trials)
+    mean, se = trial_mean(lambda t: _trial_row(spec, t, zs), trials, workers)
     return MeanCauchyResult(z=zs, mean=mean, stderr=se, trials=trials)

@@ -117,22 +117,6 @@ class CovarianceMap:
         return operator_norm(self.apply(np.eye(self.d)))
 
 
-def apply(eta: CovarianceMap, b) -> np.ndarray:
-    return eta.apply(b)
-
-
-def choi_matrix(eta: CovarianceMap) -> np.ndarray:
-    return eta.choi_matrix()
-
-
-def is_completely_positive(eta: CovarianceMap) -> bool:
-    return eta.is_completely_positive()
-
-
-def cp_norm(eta: CovarianceMap) -> float:
-    return eta.cp_norm()
-
-
 @dataclass
 class EtaPair:
     """The two covariance maps entering the Wishart fixed-point equation."""

@@ -17,7 +17,10 @@ from . import linalg
 from .dyson import (SolverOptions, circulant_mixture, mixture_cauchy,
                     cdf_from_density, solve_semicircular, solve_wishart,
                     stieltjes_density)
-from .esd import EmpiricalCDF, kolmogorov_distance, mean_cauchy
+# experiments._map_trials stays a name of the trial mapper: bench/tracer.py
+# wraps the mapper under it
+from .esd import (EmpiricalCDF, _map_trials, empirical_cauchy,
+                  kolmogorov_distance, mean_cauchy, trial_mean)
 from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
                   eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
                   eta_wishart_pair, flat_map)
@@ -175,12 +178,10 @@ def universality_experiment(template: ModelSpec, law_a, law_b, z: complex,
             f"variance mismatch: {law_a.variance!r} vs {law_b.variance!r}"
         )
     z = complex(z)
-    spec_a = ModelSpec(model=template.model, d=template.d, N=int(N), law=law_a,
-                       seed=derived_seed(seed, 0))
-    spec_b = ModelSpec(model=template.model, d=template.d, N=int(N), law=law_b,
-                       seed=derived_seed(seed, 1))
-    res_a = mean_cauchy(spec_a, [z], trials, workers=workers)
-    res_b = mean_cauchy(spec_b, [z], trials, workers=workers)
+    res_a, res_b = (
+        mean_cauchy(ModelSpec(model=template.model, d=template.d, N=int(N), law=law,
+                              seed=derived_seed(seed, arm)), [z], trials, workers=workers)
+        for arm, law in enumerate((law_a, law_b)))
     return UniversalityReport(z=z, N=int(N), trials=trials,
                               mean_a=complex(res_a.mean[0]),
                               mean_b=complex(res_b.mean[0]),
@@ -209,14 +210,6 @@ def circulant_limit_cdf(d: int, eps: float = 1e-4, step: float = 5e-4):
     return cdf_from_density(xs, rho)
 
 
-def _map_trials(fn, trials: int, workers: int | None):
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
-
-
 def circulant_ks_experiment(d: int, N_grid, trials: int, seed: int,
                             workers: int | None = None) -> CirculantKsReport:
     """Mean Kolmogorov distance of circulant ESDs to the mixture law per N."""
@@ -230,12 +223,9 @@ def circulant_ks_experiment(d: int, N_grid, trials: int, seed: int,
     for i, n in enumerate(ns):
         spec = ModelSpec(model="circulant", d=d, N=n,
                          seed=derived_seed(seed, i))
-        distances = np.array(_map_trials(
-            lambda t: kolmogorov_distance(
-                EmpiricalCDF(spectrum(spec, t).eigenvalues), cdf),
-            trials, workers))
-        means[i] = distances.mean()
-        ses[i] = distances.std(ddof=1) / np.sqrt(trials)
+        means[i], ses[i] = trial_mean(
+            lambda t: kolmogorov_distance(EmpiricalCDF(spectrum(spec, t)), cdf),
+            trials, workers)
     return CirculantKsReport(d=d, N_grid=ns, mean_ks=means, stderr=ses,
                              trials=trials, weights=weights,
                              variances=variances)
@@ -271,11 +261,10 @@ def hermitization_cauchy_pair(h: np.ndarray, z: complex):
     x = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     x[:n, n:] = h
     x[n:, :n] = h.conj().T
-    ev_x = linalg.hermitian_eigenvalues(x)
+    lhs = empirical_cauchy(linalg.hermitian_eigenvalues(x), z)
     w = h @ h.conj().T
-    ev_w = linalg.hermitian_eigenvalues((w + w.conj().T) / 2)
-    lhs = complex(np.mean(1.0 / (z - ev_x)))
-    g_w = complex(np.mean(1.0 / (z * z - ev_w)))
+    g_w = empirical_cauchy(linalg.hermitian_eigenvalues((w + w.conj().T) / 2),
+                           z * z)
     return lhs, z * g_w, g_w
 
 
@@ -297,21 +286,20 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
     spec = ModelSpec(model="wishart_correlated", d=tensor.d, N=int(N),
                      seed=seed, tensor=tensor)
 
-    def one_trial(t):
-        h = sample_wishart_factor(spec, t)
-        lhs, rhs, g_w = hermitization_cauchy_pair(h, z)
-        return abs(lhs - rhs), g_w
+    residuals = [0.0] * trials
 
-    results = _map_trials(one_trial, trials, workers)
-    residuals = np.array([r for r, _ in results])
-    mc = np.array([g for _, g in results], dtype=np.complex128)
+    def one_trial(t):
+        lhs, rhs, g_w = hermitization_cauchy_pair(sample_wishart_factor(spec, t), z)
+        residuals[t] = abs(lhs - rhs)
+        return g_w
+
+    mc_mean, mc_se = trial_mean(one_trial, trials, workers)
     pair = eta_wishart_pair(tensor)
     sol = solve_wishart(pair, z * z, opts)
     if not sol.converged:
         raise RuntimeError(f"wishart solver did not converge at z^2={z * z!r}")
-    se = max(mc.real.std(ddof=1), mc.imag.std(ddof=1)) / np.sqrt(trials)
     return WishartConsistencyReport(
-        z=z, N=int(N), trials=trials, identity_residuals=residuals,
-        solver_trace=sol.trace(), mc_mean=complex(mc.mean()),
-        mc_stderr=float(se),
+        z=z, N=int(N), trials=trials, identity_residuals=np.array(residuals),
+        solver_trace=sol.trace(), mc_mean=complex(mc_mean),
+        mc_stderr=float(mc_se),
     )

@@ -207,16 +207,16 @@ class ModelSpec:
         return replace(self, seed=seed)
 
 
-@dataclass
-class SpectrumSample:
-    eigenvalues: np.ndarray
-    spec: ModelSpec
-    trial_index: int
-
-
 def rng_for(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one (seed, trial): independent and ordered."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(trial)]))
+    """Counter-based stream for one (seed, trial): independent and ordered.
+
+    The key is uint64: numpy stores a list key holding 2^63 or more as
+    float64, which merges neighbouring seeds.
+    """
+    if trial < 0:
+        raise ValueError(f"trial index must be >= 0, got {trial}")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([int(seed), int(trial)], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,6 @@ def sample_hermitized(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     x = _iid_block_grid(spec, rng)
     m = x.transpose(0, 2, 1, 3).reshape(spec.N * spec.d, spec.N * spec.d)
     return (m + m.conj().T) / np.sqrt(2 * spec.N)
-
-
-def sample_exchangeable(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    """Hermitized map over a permutation pool (exchangeable entries)."""
-    if not isinstance(spec.law, PermutationPool):
-        raise ValueError("exchangeable sampling needs a PermutationPool law")
-    return sample_hermitized(spec, trial)
 
 
 def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -440,18 +433,15 @@ def sample_matrix(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return _SAMPLERS[spec.model](spec, trial)
 
 
-def spectrum(spec: ModelSpec, trial: int = 0) -> SpectrumSample:
+def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """Sorted eigenvalues of one sampled matrix.
 
     Circulant spectra come from the block DFT (d//2 + 1 eigensolves of
     size N); every other model is solved densely.
     """
     if spec.model == "circulant":
-        eigenvalues = _circulant_eigenvalues(spec, trial)
-    else:
-        eigenvalues = linalg.hermitian_eigenvalues(sample_matrix(spec, trial))
-    return SpectrumSample(eigenvalues=eigenvalues, spec=spec,
-                          trial_index=trial)
+        return _circulant_eigenvalues(spec, trial)
+    return linalg.hermitian_eigenvalues(sample_matrix(spec, trial))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import copy
 import json
 import os
 
 import numpy as np
+import pytest
 
 from dyson_blocks.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
                               main, parse_config)
@@ -147,6 +149,47 @@ class TestConfigValidation:
         assert main(["--config", cfg]) == EXIT_CONFIG
         assert "config error: config.eps:" in capsys.readouterr().err
 
+    WISHART = {"command": "wishart", "tensor": [[[[1.0]]]], "z": [1.0, 1.0],
+               "N": 4, "trials": 3}
+    DENSITY = {"command": "density", "eta": {"form": "scalar", "d": 1, "t": 1.0},
+               "grid": {"min": -1.0, "max": 1.0, "step": 0.5}}
+    SAMPLE = {"command": "sample",
+              "model": {"model": "hermitized_iid", "d": 2, "N": 3,
+                        "law": {"variant": "complex_gaussian"}}}
+    CIRCULANT_KS = {"command": "circulant-ks", "d": 2, "N_grid": [4, 8],
+                    "trials": 3}
+
+    @pytest.mark.parametrize("base, key, value, named", [
+        (WISHART, ("tensor",), 5, "config.tensor"),
+        (SAMPLE, ("model", "d"), "x", "config.model.d"),
+        (DENSITY, ("grid", "min"), "a", "config.grid.min"),
+        (SAMPLE, ("seed",), "abc", "config.seed"),
+        (SAMPLE, ("threads",), "x", "config.threads"),
+        (SAMPLE, ("trial",), 1.5, "config.trial"),
+        (SAMPLE, ("trial",), -1, "config.trial"),
+        (SAMPLE, ("model", "law", "variance"), [1.0], "config.model.law.variance"),
+        (CIRCULANT_KS, ("N_grid",), 8, "config.N_grid"),
+        (CIRCULANT_KS, ("N_grid",), [4, "8"], "config.N_grid[1]"),
+        (CIRCULANT_KS, ("trials",), True, "config.trials"),
+        (DENSITY, ("solver",), {"max_iter": "x"}, "config.solver.max_iter"),
+    ])
+    def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
+        data = copy.deepcopy(base)
+        data["out"] = str(tmp_path / "o")
+        node = data
+        for k in key[:-1]:
+            node = node[k]
+        node[key[-1]] = value
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert f"config error: {named}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("base", [WISHART, CIRCULANT_KS])
+    def test_single_trial_rejected(self, tmp_path, capsys, base):
+        data = dict(base, out=str(tmp_path / "o"), trials=1)
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert "need at least 2 trials" in capsys.readouterr().err
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg = scalar_solve_config(tmp_path)
         assert main(["--config", cfg, "--print-config"]) == EXIT_OK
@@ -259,12 +302,30 @@ class TestExperimentCommands:
         assert len([l for l in data_lines if l[0].isdigit()]) == 3
 
     def test_byte_identical_across_threads(self, tmp_path):
-        cfg1 = self.rate_config(tmp_path)
-        main(["--config", cfg1])
-        first = (tmp_path / "rate.csv").read_bytes()
-        main(["--config", cfg1, "--threads", "4"])
-        second = (tmp_path / "rate.csv").read_bytes()
-        assert first == second
+        # every Monte Carlo command runs its trials on the one trial mapper
+        others = {
+            "circulant-ks": {"d": 3, "N_grid": [8, 16], "trials": 5},
+            "wishart": {"tensor": [[[[1.0]]]],
+                        "z": [1.4142135623730951, 1.4142135623730951],
+                        "N": 20, "trials": 5},
+            "universality": {"model": {"model": "wigner_blocks", "d": 2, "N": 6,
+                                       "law": {"variant": "rademacher"}},
+                             "laws": [{"variant": "rademacher"},
+                                      {"variant": "complex_gaussian"}],
+                             "z": [0.5, 2.5], "N": 6, "trials": 5},
+        }
+        runs = [(self.rate_config(tmp_path), tmp_path / "rate.csv")]
+        for command, data in others.items():
+            out = tmp_path / f"{command}.csv"
+            runs.append((write_config(tmp_path, dict(data, command=command,
+                                                     out=str(out), seed=21),
+                                      name=f"{command}.json"), out))
+        for cfg, out in runs:
+            outputs = []
+            for threads in ([], ["--threads", "2"], ["--threads", "4"]):
+                assert main(["--config", cfg, *threads]) == EXIT_OK
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2], out.name
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DYSON_BLOCKS_THREADS", "2")

@@ -3,7 +3,7 @@ import pytest
 
 from dyson_blocks.dyson import scalar_semicircle_cauchy
 from dyson_blocks.esd import (EmpiricalCDF, empirical_cauchy,
-                              kolmogorov_distance, mean_cauchy)
+                              kolmogorov_distance, mean_cauchy, trial_mean)
 from dyson_blocks.linalg import invert
 from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, TwoPoint,
                                   rng_for)
@@ -172,3 +172,29 @@ class TestMeanCauchy:
                          law=ComplexGaussian(1.0), seed=5)
         with pytest.raises(ValueError):
             mean_cauchy(spec, [2j], trials=1)
+
+
+class TestTrialMean:
+    def test_real_statistic_stays_real(self):
+        mean, se = trial_mean(lambda t: float(t), 4)
+        assert not np.iscomplexobj(mean) and not np.iscomplexobj(se)
+        assert mean == 1.5
+        assert se == np.std([0.0, 1.0, 2.0, 3.0], ddof=1) / 2.0
+
+    def test_complex_stderr_is_larger_component(self):
+        # real parts spread 2 apart, imaginary parts 4 apart
+        mean, se = trial_mean(lambda t: complex(2 * t, 4 * t), 2)
+        assert mean == complex(1, 2)
+        assert se == np.std([0.0, 4.0], ddof=1) / np.sqrt(2)
+
+    def test_rows_reduce_over_the_trial_axis(self):
+        mean, se = trial_mean(lambda t: np.array([t, 10.0 * t]), 3)
+        assert mean.shape == se.shape == (2,)
+        assert np.array_equal(mean, [1.0, 10.0])
+
+    @pytest.mark.parametrize("trials", [1, 0, -1])
+    def test_rejects_fewer_than_two_trials_before_running(self, trials):
+        ran = []
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            trial_mean(ran.append, trials)
+        assert ran == []

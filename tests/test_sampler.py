@@ -11,7 +11,7 @@ from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   TwoPoint,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
                                   sample_circulant, sample_correlated_blocks,
-                                  sample_exchangeable, sample_hermitized,
+                                  sample_hermitized,
                                   sample_kronecker, sample_matrix,
                                   sample_wigner_blocks, sample_wishart,
                                   sample_wishart_factor, spectrum)
@@ -66,6 +66,30 @@ class TestEntryLaws:
     def test_pool_size_mismatch(self):
         with pytest.raises(ValueError):
             PermutationPool([1.0, -1.0]).draw(rng_for(1, 0), 3)
+
+    def test_keys_above_2_63_stay_distinct(self):
+        # a list key holding 2^63 or more becomes float64 in numpy, which
+        # maps neighbouring seeds to one stream
+        high = 2 ** 63 + 0x1234
+        draws = {rng_for(s, 0).integers(2 ** 62) for s in range(high, high + 8)}
+        assert len(draws) == 8
+        assert rng_for(high, 0).integers(2 ** 62) != rng_for(high, 1).integers(2 ** 62)
+        # keys below 2^63 keep the stream a list key gives
+        low = np.random.Generator(np.random.Philox(key=[2 ** 63 - 1, 5]))
+        assert rng_for(2 ** 63 - 1, 5).integers(2 ** 62) == low.integers(2 ** 62)
+
+    def test_derived_arm_seeds_give_distinct_spectra(self):
+        from dyson_blocks.experiments import derived_seed
+        spectra = [spectrum(ModelSpec(model="circulant", d=3, N=4,
+                                      seed=derived_seed(s, 1)), 0)
+                   for s in (1, 2, 3)]
+        assert all(derived_seed(s, 1) >= 2 ** 63 for s in (1, 2, 3))
+        assert not np.array_equal(spectra[0], spectra[1])
+        assert not np.array_equal(spectra[1], spectra[2])
+
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ValueError, match="trial"):
+            rng_for(1, -1)
 
     def test_pool_permutation_uniform(self):
         # all 24 arrangements of a size-4 pool within 3 sigma of 1/24
@@ -169,7 +193,7 @@ class TestCorrelatedBlocks:
     def test_uncorrelated_second_moment(self):
         spec = ModelSpec(model="correlated_blocks", d=2, N=64, seed=7,
                          tensor=delta_tensor(2))
-        ev = spectrum(spec, 0).eigenvalues
+        ev = spectrum(spec, 0)
         assert abs(np.mean(ev ** 2) - 1.0) < 0.1
 
     def test_zero_tensor(self):
@@ -248,7 +272,7 @@ class TestCirculant:
     def test_second_moment_matches_mixture(self):
         # sum of w_m t_m = 1 for mu_3
         spec = ModelSpec(model="circulant", d=3, N=100, seed=21)
-        second = np.mean([np.mean(spectrum(spec, t).eigenvalues ** 2)
+        second = np.mean([np.mean(spectrum(spec, t) ** 2)
                           for t in range(8)])
         assert abs(second - 1.0) < 0.05
 
@@ -264,7 +288,7 @@ class TestCirculant:
         # even d includes the unpaired j = d/2 Fourier block
         spec = ModelSpec(model="circulant", d=d, N=N, seed=31, law=law)
         for t in range(2):
-            ev = spectrum(spec, t).eigenvalues
+            ev = spectrum(spec, t)
             m = sample_matrix(spec, t)
             assert len(ev) == d * N
             assert np.all(np.diff(ev) >= 0)
@@ -288,7 +312,7 @@ class TestWishart:
     def test_mean_eigenvalue(self):
         spec = ModelSpec(model="wishart_correlated", d=1, N=300, seed=11,
                          tensor=CovarianceTensor(np.ones((1, 1, 1, 1))))
-        ev = spectrum(spec, 0).eigenvalues
+        ev = spectrum(spec, 0)
         assert abs(ev.mean() - 1.0) < 0.05
 
     def test_factor_shape_and_gram(self):
@@ -305,7 +329,7 @@ class TestExchangeable:
         n, c = 4, 0.5
         spec = ModelSpec(model="hermitized_iid", d=1, N=n,
                          law=PermutationPool([c] * (n * n)), seed=9)
-        m = sample_exchangeable(spec)
+        m = sample_hermitized(spec)
         assert np.allclose(m, 2 * c / np.sqrt(2 * n))
         assert np.linalg.matrix_rank(m) == 1
 
@@ -317,21 +341,15 @@ class TestExchangeable:
         spec = ModelSpec(model="hermitized_iid", d=1, N=3,
                          law=PermutationPool([1.0, -1.0]), seed=9)
         with pytest.raises(ValueError):
-            sample_exchangeable(spec)
+            sample_hermitized(spec)
 
     def test_matrix_pool_blocks(self):
         n = 2
         pool = PermutationPool([I2, -I2, E12, E12.conj().T])
         spec = ModelSpec(model="hermitized_iid", d=2, N=n, law=pool, seed=3)
-        m = sample_exchangeable(spec)
+        m = sample_hermitized(spec)
         assert exact_hermitian(m)
         assert m.shape == (4, 4)
-
-    def test_requires_pool_law(self):
-        spec = ModelSpec(model="hermitized_iid", d=1, N=2,
-                         law=Rademacher(), seed=9)
-        with pytest.raises(ValueError):
-            sample_exchangeable(spec)
 
 
 class TestModelSpecAndIO:
@@ -363,9 +381,9 @@ class TestModelSpecAndIO:
     def test_spectrum_sorted(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=12,
                          law=ComplexGaussian(1.0), seed=6)
-        s = spectrum(spec, 0)
-        assert np.all(np.diff(s.eigenvalues) >= 0)
-        assert s.trial_index == 0 and len(s.eigenvalues) == 24
+        ev = spectrum(spec, 0)
+        assert isinstance(ev, np.ndarray) and ev.shape == (24,)
+        assert np.all(np.diff(ev) >= 0)
 
     def test_matrix_bytes_roundtrip(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=5,
