@@ -189,12 +189,20 @@ def _eta(obj, path: str):
     raise ConfigError(f"{path}.form: unknown eta form {form!r}")
 
 
+def _seed(value, path: str) -> int:
+    seed = _real(value, path, int)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{path}: need 0 <= seed < 2^64, got {seed}")
+    return seed
+
+
 def _solver_options(obj, path: str) -> dyson.SolverOptions:
-    _check_keys(obj, path, (), ("tol", "max_iter", "initial_damping", "min_damping"))
+    defaults = vars(dyson.SolverOptions())
+    _check_keys(obj, path, (), tuple(defaults))
     try:
         return dyson.SolverOptions(**{
             key: _real(obj.get(key, default), f"{path}.{key}", type(default))
-            for key, default in vars(dyson.SolverOptions()).items()})
+            for key, default in defaults.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -238,7 +246,7 @@ class RunConfig:
         self.out = data["out"]
         if not isinstance(self.out, str) or not self.out:
             raise ConfigError("config.out: expected a nonempty path string")
-        self.seed = _real(data.get("seed", 0), "config.seed", int)
+        self.seed = _seed(data.get("seed", 0), "config.seed")
         threads = data.get("threads")
         self.threads = None if threads is None else _real(threads, "config.threads", int)
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
@@ -494,9 +502,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
-                raise ConfigError("--seed must fit in 64 bits")
-            cfg.seed = args.seed
+            cfg.seed = _seed(args.seed, "--seed")
         threads = _resolve_threads(args.threads, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

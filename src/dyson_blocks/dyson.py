@@ -19,14 +19,11 @@ Im G <= 0 (largest eigenvalue of (G - G^*)/2i at most tol).  The branch
 condition matters because Newton can converge to a root of the wrong
 branch.  Every continuation height must meet the certificate before
 the descent goes on; a height that does not is retried closer to the
-last accepted one.  A point whose first height fails, whose step cannot
-be shortened further, or whose Jacobian is singular or non-finite falls
-back, alone and inside the same driver, to the damped fixed-point
-iteration G -> (1 - theta) G + theta (z - S(G))^{-1}, restarted from its
-last accepted height.  theta halves when the residual stalls; at
-theta = 1/2 this is the averaged iteration that Helton, Rashidi Far and
-Speicher prove convergent for the semicircular equation from any G with
-Im G < 0.
+last accepted one.  A Newton step whose Jacobian is singular or
+non-finite is rejected the same way.  A point whose first height fails,
+or whose failed height cannot be shortened further, fails: it returns
+its last accepted G (or I/z if it has none) with that G's residual at
+the requested z.
 
 Also provides the scalar semicircle closed form, mixtures of semicircle
 transforms (the block-circulant limit laws), Stieltjes inversion to a
@@ -42,11 +39,6 @@ import numpy as np
 
 from .eta import CovarianceMap, EtaPair
 
-# fallback: a step must beat the best residual by this relative margin to
-# count as progress; slow 1-O(eps) contraction near the real axis
-# otherwise never triggers the damping that actually accelerates it
-RESIDUAL_STALL_STEPS = 10
-RESIDUAL_IMPROVEMENT = 1e-3
 # continuation starts where plain iteration contracts, Im z > 1.5 ||eta||^(1/2)
 START_HEIGHT_FACTOR = 1.5
 # the next height is (current height) * ratio, ratio in [MIN, MAX)
@@ -62,34 +54,32 @@ FAST_HEIGHT_STEPS = 3
 # this many entries (64 MiB of complex128)
 JACOBIAN_ENTRIES = 1 << 22
 
-_NEWTON, _FALLBACK, _DONE, _FAILED = range(4)
+_NEWTON, _DONE, _FAILED = range(3)
 
 
 @dataclass
 class SolverOptions:
     """``tol`` bounds the certificate (residual and Im G); ``max_iter``
-    bounds each point's sweeps (Newton, rejected and fallback steps
-    together); the two dampings govern the fallback iteration."""
+    bounds each point's sweeps (Newton and rejected steps together)."""
 
     tol: float = 1e-11
     max_iter: int = 20000
-    initial_damping: float = 1.0
-    min_damping: float = 1.0 / 64.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not (0 < self.min_damping <= self.initial_damping <= 1):
-            raise ValueError("need 0 < min_damping <= initial_damping <= 1")
+        if not 0 < self.tol < float("inf"):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass
 class DysonSolution:
     """One solved point.
 
-    ``iterations`` counts the driver sweeps the point took (Newton steps,
-    rejected continuation steps and fallback steps); ``damping_used`` is
-    1.0 unless the point fell back to damped iteration.
+    ``iterations`` counts the driver sweeps the point took (Newton steps
+    and rejected continuation steps).  ``damping_used`` is always 1.0,
+    since every step is a full Newton step; the field is kept for the
+    callers that read it.
     ``stability_margin`` is the smallest singular value of the stability
     operator H -> H - G S'(H) G at the returned G; it tends to 0 at a
     spectral edge as Im z -> 0.
@@ -100,7 +90,7 @@ class DysonSolution:
     residual: float
     iterations: int
     converged: bool
-    damping_used: float
+    damping_used: float = 1.0
     stability_margin: float = float("nan")
 
     def trace(self) -> complex:
@@ -209,7 +199,7 @@ def _branch_ok(G, tol: float):
 
 class _Driver:
     """Per-point state of one ``solve_dyson`` call; ``run`` sweeps until
-    every point is certified or has spent ``max_iter`` sweeps."""
+    every point is certified or has failed."""
 
     def __init__(self, energy, target: np.ndarray, opts: SolverOptions):
         self.energy, self.target, self.opts = energy, target, opts
@@ -224,11 +214,6 @@ class _Driver:
         self.iterations = np.zeros(m, dtype=int)
         self.mode = np.full(m, _NEWTON)
         self.residual = np.full(m, np.inf)
-        self.damping = np.ones(m)
-        self.best = np.full(m, np.inf)
-        self.stall = np.zeros(m, dtype=int)
-        self.prev_G = self.G.copy()                 # fallback step to revert to
-        self.prev_step = np.full_like(self.G, np.nan)
 
     def run(self):
         while self.sweep():
@@ -255,13 +240,9 @@ class _Driver:
         self.mode[live[out]] = _FAILED
         go = ~done & ~out
         self.iterations[live[go]] += 1
-
-        newton = go & (self.mode[live] == _NEWTON)
-        fallback = go & (self.mode[live] == _FALLBACK)
-        self._newton(live[newton], G[newton], A[newton], R[newton],
-                     Sp if Sp.ndim == 2 else Sp[newton], res[newton],
-                     certified[newton], small[newton])
-        self._fallback(live[fallback], G[fallback], A[fallback], res[fallback])
+        self._newton(live[go], G[go], A[go], R[go],
+                     Sp if Sp.ndim == 2 else Sp[go], res[go],
+                     certified[go], small[go])
         return True
 
     def _newton(self, idx, G, A, R, Sp, res, certified, small):
@@ -286,7 +267,7 @@ class _Driver:
         R[up] += dz[:, None, None] * G[up]
 
         # a failed height (too many steps, non-finite, or the wrong branch):
-        # retry closer to the last accepted height, or fall back
+        # retry closer to the last accepted height, or fail
         reject = ~certified & ((self.height_steps[idx] >= NEWTON_STEPS_PER_HEIGHT)
                                | ~np.isfinite(res) | small)
         self._shorten(idx[reject])
@@ -299,60 +280,25 @@ class _Driver:
         stepped = idx[step]
         self.G[stepped] = G[step] + delta.reshape(G[step].shape)
         self.height_steps[stepped] += 1
-        self._to_fallback(stepped[~solved])
+        self._shorten(stepped[~solved])
 
     def _shorten(self, idx):
+        if idx.size == 0:
+            return
         ratio = np.sqrt(self.ratio[idx])
-        stuck = np.isnan(self.accepted_height[idx]) | (ratio >= MAX_DESCENT_RATIO)
-        self._to_fallback(idx[stuck])
+        has = ~np.isnan(self.accepted_height[idx])
+        stuck = ~has | (ratio >= MAX_DESCENT_RATIO)
+        # no height to retry: fail with the last accepted G, or I/z
+        failed = idx[stuck]
+        self.mode[failed] = _FAILED
+        self.G[failed] = np.where(has[stuck, None, None], self.accepted[failed],
+                                  self.eye / self.target[failed, None, None])
         idx, ratio = idx[~stuck], ratio[~stuck]
         self.ratio[idx] = ratio
         self.G[idx] = self.accepted[idx]
         self.z[idx] = self.target[idx].real + 1j * np.maximum(
             self.target[idx].imag, self.accepted_height[idx] * ratio)
         self.height_steps[idx] = 0
-
-    def _to_fallback(self, idx):
-        if idx.size == 0:
-            return
-        self.mode[idx] = _FALLBACK
-        self.z[idx] = self.target[idx]
-        has = ~np.isnan(self.accepted_height[idx])
-        self.G[idx] = np.where(has[:, None, None], self.accepted[idx],
-                               self.eye / self.target[idx, None, None])
-        self.damping[idx] = self.opts.initial_damping
-        self.best[idx] = np.inf
-        self.stall[idx] = 0
-        self.prev_step[idx] = np.nan
-
-    def _fallback(self, idx, G, A, res):
-        if idx.size == 0:
-            return
-        opts = self.opts
-        theta = self.damping[idx]
-        improved = res < self.best[idx] * (1 - RESIDUAL_IMPROVEMENT)
-        self.best[idx] = np.where(improved, res, np.minimum(self.best[idx], res))
-        stall = np.where(improved, 0, self.stall[idx] + 1)
-        slow = stall >= RESIDUAL_STALL_STEPS
-        theta = np.where(slow, np.maximum(theta / 2, opts.min_damping), theta)
-        self.stall[idx] = np.where(slow, 0, stall)
-
-        step, ok = _batched_solve(A, np.broadcast_to(self.eye, A.shape))
-        ok &= np.isfinite(res)
-        good = idx[ok]
-        self.prev_G[good], self.prev_step[good] = G[ok], step[ok]
-        self.G[good] = (1 - theta[ok, None, None]) * G[ok] + theta[ok, None, None] * step[ok]
-
-        # singular: retry the previous step at half the damping, or give up
-        bad = idx[~ok]
-        theta_bad = theta[~ok]
-        hopeless = (theta_bad <= opts.min_damping) | np.isnan(self.prev_step[bad, 0, 0])
-        self.mode[bad[hopeless]] = _FAILED
-        retry, t = bad[~hopeless], np.maximum(theta_bad[~hopeless] / 2, opts.min_damping)
-        self.G[retry] = ((1 - t[:, None, None]) * self.prev_G[retry]
-                         + t[:, None, None] * self.prev_step[retry])
-        theta[~ok] = np.where(hopeless, theta_bad, np.maximum(theta_bad / 2, opts.min_damping))
-        self.damping[idx] = theta
 
     def solutions(self) -> list:
         S, Sp, ok = self.energy(self.G)
@@ -363,8 +309,8 @@ class _Driver:
         margin = _stability_margin(self.G, Sp)
         return [DysonSolution(complex(self.target[m]), self.G[m].copy(),
                               float(res[m]), int(self.iterations[m]),
-                              bool(converged[m]), float(self.damping[m]),
-                              float(margin[m]))
+                              bool(converged[m]),
+                              stability_margin=float(margin[m]))
                 for m in range(len(self.target))]
 
 

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
 Thin, contract-checked wrappers around numpy.linalg: Hermitian eigenvalues,
-certified inversion, Kronecker products and norms.  All functions are pure
-and safe to call concurrently.
+certified inversion and norms.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def invert(m) -> np.ndarray:
             f"inverse residual {residual:.3e} exceeds {INVERT_RESIDUAL_RTOL * n:.3e}"
         )
     return x
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; entry ((i,k),(j,l)) equals A[i,j] * B[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def frobenius_norm(m) -> float:

@@ -158,6 +158,12 @@ class TestConfigValidation:
                         "law": {"variant": "complex_gaussian"}}}
     CIRCULANT_KS = {"command": "circulant-ks", "d": 2, "N_grid": [4, 8],
                     "trials": 3}
+    SOLVE = {"command": "solve", "eta": {"form": "flat", "d": 2, "c": 1.0},
+             "z": [0.1, 1.0]}
+    RATE = {"command": "rate",
+            "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                      "law": {"variant": "rademacher"}},
+            "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4}
 
     @pytest.mark.parametrize("base, key, value, named", [
         (WISHART, ("tensor",), 5, "config.tensor"),
@@ -172,6 +178,15 @@ class TestConfigValidation:
         (CIRCULANT_KS, ("N_grid",), [4, "8"], "config.N_grid[1]"),
         (CIRCULANT_KS, ("trials",), True, "config.trials"),
         (DENSITY, ("solver",), {"max_iter": "x"}, "config.solver.max_iter"),
+        (SOLVE, ("solver",), {"max_iter": 0}, "config.solver"),
+        (SOLVE, ("solver",), {"tol": float("nan")}, "config.solver"),
+        (SOLVE, ("solver",), {"tol": float("inf")}, "config.solver"),
+        (SOLVE, ("solver",), {"min_damping": 0.5}, "config.solver"),
+        (CIRCULANT_KS, ("seed",), -1, "config.seed"),
+        (CIRCULANT_KS, ("seed",), 2 ** 64, "config.seed"),
+        (RATE, ("seed",), -1, "config.seed"),
+        (WISHART, ("seed",), 2 ** 64, "config.seed"),
+        (SAMPLE, ("seed",), -1, "config.seed"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -182,6 +197,14 @@ class TestConfigValidation:
         node[key[-1]] = value
         assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
         assert f"config error: {named}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_out_of_range(self, tmp_path, capsys, seed):
+        data = dict(self.CIRCULANT_KS, out=str(tmp_path / "o"))
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--seed", seed]) == EXIT_CONFIG
+        assert "config error: --seed: need 0 <= seed < 2^64" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("base", [WISHART, CIRCULANT_KS])

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from dyson_blocks import dyson
 from dyson_blocks.dyson import (SolverOptions, cdf_from_density,
                                 circulant_mixture, mixture_cauchy,
                                 scalar_semicircle_cauchy, solve_dyson,
                                 solve_semicircular, solve_wishart,
                                 stieltjes_density)
-from dyson_blocks.eta import (CovarianceTensor, EtaPair, eta_wishart_pair,
-                              flat_map, scalar_map)
+from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
+                              eta_wishart_pair, flat_map, scalar_map)
 from dyson_blocks.linalg import frobenius_norm, operator_norm
 
 GOLDEN_2I = 1j * (1 - np.sqrt(2))     # root of g^2 - z g + 1 at z = 2i
@@ -167,14 +166,23 @@ class TestSolveSemicircular:
         assert 10 * margins[2.83] <= margins[0.0]
         assert 10 * margins[-2.83] <= margins[0.0]
 
-    def test_damped_fallback_alone_converges(self, monkeypatch):
-        # with no Newton step allowed, every point runs the damped iteration
-        monkeypatch.setattr(dyson, "NEWTON_STEPS_PER_HEIGHT", 0)
-        for z in (0.5 + 2.0j, 0.5 + 0.01j):
-            sol = solve_semicircular(flat_map(2, 1.0), z)
-            assert sol.converged and sol.residual <= 1e-11
-            assert abs(sol.trace() - scalar_semicircle_cauchy(1.0, z)) < 1e-10
-        assert sol.damping_used < 1.0
+    def test_uncertifiable_point_fails_fast(self):
+        # eta(B) = a B a^* with a = u v^* of rank 1: ||G|| ~ 1 / Im z, and the
+        # rounding in S(G) G, about 1e-16 ||G||^2, keeps every G near the
+        # root above tol at z = 1e-5i; the point must fail, not spin to max_iter
+        gen = rng()
+        u, v = (gen.standard_normal(2) + 1j * gen.standard_normal(2)
+                for _ in range(2))
+        a = np.outer(u, v.conj())
+        eta = choi_map(np.einsum("ki,lj->ikjl", a, a.conj()))
+        opts = SolverOptions()
+        sol = solve_dyson(eta, [1e-5j], opts)[0]
+        assert sol.iterations <= 1000
+        assert np.isfinite(sol.residual) and np.isfinite(sol.G).all()
+        if sol.converged:
+            assert sol.residual <= opts.tol
+            imag = (sol.G - sol.G.conj().T) / 2j
+            assert np.linalg.eigvalsh(imag).max() <= opts.tol
 
 
 class TestSolveDyson:
@@ -335,5 +343,8 @@ class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tol=-1.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverOptions(tol=tol)
         with pytest.raises(ValueError):
-            SolverOptions(min_damping=0.9, initial_damping=0.5)
+            SolverOptions(max_iter=0)

@@ -4,7 +4,7 @@ import pytest
 from dyson_blocks import linalg
 from dyson_blocks.linalg import (HermiticityError, SingularMatrixError,
                                  frobenius_norm, hermitian_eigenvalues,
-                                 invert, kron, operator_norm)
+                                 invert, operator_norm)
 
 
 def rng():
@@ -81,38 +81,6 @@ class TestInvert:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             invert(np.ones((2, 3)))
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_unit_block_placement(self):
-        e12 = np.zeros((2, 2)); e12[0, 1] = 1
-        k = kron(e12, np.eye(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 2:4] = np.eye(2)
-        assert np.array_equal(k, expected)
-
-    def test_block_diagonal_expansion(self):
-        a = np.diag([1.0, 2.0])
-        b = np.array([[0, 1], [1, 0]], dtype=complex)
-        k = kron(a, b)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 0:2] = b
-        expected[2:4, 2:4] = 2 * b
-        assert np.array_equal(k, expected)
-
-    def test_mixed_product_and_associativity(self):
-        gen = rng()
-        a, c = (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-                for _ in range(2))
-        b, d = (gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
-                for _ in range(2))
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d),
-                           atol=1e-12)
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)),
-                           atol=1e-12)
 
 
 class TestNorms:
