@@ -196,6 +196,13 @@ def _seed(value, path: str) -> int:
     return seed
 
 
+def _threads(value, path: str) -> int:
+    threads = _real(value, path, int)
+    if threads < 1:
+        raise ConfigError(f"{path}: need threads >= 1, got {threads}")
+    return threads
+
+
 def _solver_options(obj, path: str) -> dyson.SolverOptions:
     defaults = vars(dyson.SolverOptions())
     _check_keys(obj, path, (), tuple(defaults))
@@ -248,7 +255,7 @@ class RunConfig:
             raise ConfigError("config.out: expected a nonempty path string")
         self.seed = _seed(data.get("seed", 0), "config.seed")
         threads = data.get("threads")
-        self.threads = None if threads is None else _real(threads, "config.threads", int)
+        self.threads = None if threads is None else _threads(threads, "config.threads")
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
 
     def __eq__(self, other):
@@ -474,16 +481,17 @@ _RUNNERS = {
 
 def _resolve_threads(cli_threads, cfg: RunConfig):
     if cli_threads is not None:
-        return cli_threads
+        return _threads(cli_threads, "--threads")
     if cfg.threads is not None:
         return cfg.threads
     env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV}: {env!r} is not an integer") from exc
-    return None
+    if not env:
+        return None
+    try:
+        threads = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"{THREADS_ENV}: {env!r} is not an integer") from exc
+    return _threads(threads, THREADS_ENV)
 
 
 def main(argv=None) -> int:

@@ -187,6 +187,8 @@ class TestConfigValidation:
         (RATE, ("seed",), -1, "config.seed"),
         (WISHART, ("seed",), 2 ** 64, "config.seed"),
         (SAMPLE, ("seed",), -1, "config.seed"),
+        (SAMPLE, ("threads",), -1, "config.threads"),
+        (WISHART, ("threads",), 0, "config.threads"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -205,6 +207,21 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, data)
         assert main(["--config", cfg, "--seed", seed]) == EXIT_CONFIG
         assert "config error: --seed: need 0 <= seed < 2^64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, env, named", [
+        (["--threads", "0"], None, "--threads"),
+        (["--threads", "-3"], None, "--threads"),
+        ([], "-2", "DYSON_BLOCKS_THREADS"),
+        ([], "0", "DYSON_BLOCKS_THREADS"),
+    ])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch,
+                                        argv, env, named):
+        if env is not None:
+            monkeypatch.setenv("DYSON_BLOCKS_THREADS", env)
+        data = dict(self.SAMPLE, out=str(tmp_path / "o"))
+        assert main(["--config", write_config(tmp_path, data), *argv]) == EXIT_CONFIG
+        assert f"config error: {named}: need threads >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("base", [WISHART, CIRCULANT_KS])
@@ -389,6 +406,29 @@ class TestExperimentCommands:
         values = [float(v) for v in lines[1].split(",")]
         assert header[0] == "max_identity_residual"
         assert values[0] <= 1e-9
+
+    def test_wishart_golden_across_threads(self, tmp_path):
+        # the solver and Monte Carlo strings are pinned, while the residual
+        # column depends on how the Hermitization side is factorized and is
+        # only bounded
+        tensor = [[[[1.0, 0.3], [0.3, 0.5]], [[0.3, 0.2], [0.2, 0.4]]],
+                  [[[0.3, 0.2], [0.2, 0.4]], [[0.5, 0.4], [0.4, 1.0]]]]
+        out = tmp_path / "w.csv"
+        data = {"command": "wishart", "out": str(out), "tensor": tensor,
+                "z": [1.4142135623730951, 1.4142135623730951],
+                "N": 24, "trials": 4, "seed": 8}
+        cfg = write_config(tmp_path, data)
+        golden = ("-0.03159858847124458,-0.23842328072453084,"
+                  "-0.031845834638637945,-0.23840872378367478,"
+                  "0.0001480682370253844")
+        for threads in ("1", "2"):
+            assert main(["--config", cfg, "--threads", threads]) == EXIT_OK
+            lines = out.read_text().splitlines()
+            assert lines[0] == ("max_identity_residual,solver_re,solver_im,"
+                                "mc_re,mc_im,mc_stderr")
+            residual, rest = lines[1].split(",", 1)
+            assert rest == golden
+            assert float(residual) <= 1e-9
 
 
 class TestIOFailure:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyson_blocks.dyson import mixture_cauchy, circulant_mixture
-from dyson_blocks.esd import mean_cauchy
+from dyson_blocks.esd import empirical_cauchy, mean_cauchy
 from dyson_blocks.eta import CovarianceTensor, EtaPair, eta_kronecker
 from dyson_blocks.experiments import (analytic_trace_cauchy,
                                       circulant_ks_experiment, derived_seed,
@@ -231,15 +231,47 @@ class TestWishartOracles:
         lhs, rhs, _ = hermitization_cauchy_pair(h, z)
         assert abs(lhs - rhs) <= 1e-9
 
+    # points on the ray arg z = pi/4 (Im z > 0 and Im z^2 > 0) from near 0
+    # to far out, plus one high above the axis; near the real axis the
+    # rounding grows like eps / (Im z)^2 and no tolerance in |z| alone holds
+    RAY_Z = [r * np.exp(1j * np.pi / 4) for r in (1e-3, 0.05, 0.5, 2.0, 10.0)] + [0.1 + 10j]
+
+    @staticmethod
+    def within_ray_tol(a, b, z):
+        return abs(a - b) <= 1e-13 * (1 + 1 / abs(z))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_singular_values_match_explicit_hermitization(self, d, seed):
+        gen = np.random.Generator(np.random.Philox(key=[seed, 7]))
+        f = gen.standard_normal((d * d, d * d))
+        tensor = CovarianceTensor((f @ f.T / (d * d)).reshape(d, d, d, d))
+        spec = ModelSpec(model="wishart_correlated", d=d, N=50, seed=seed,
+                         tensor=tensor)
+        h = sample_wishart_factor(spec, 0)
+        n = h.shape[0]
+        x = np.zeros((2 * n, 2 * n), dtype=complex)
+        x[:n, n:] = h
+        x[n:, :n] = h.conj().T
+        ev = np.linalg.eigvalsh(x)
+        for z in self.RAY_Z:
+            lhs, _, _ = hermitization_cauchy_pair(h, z)
+            assert self.within_ray_tol(lhs, empirical_cauchy(ev, z), z), z
+
     def test_zero_tensor_identity(self):
         tensor = CovarianceTensor(np.zeros((1, 1, 1, 1)))
         spec = ModelSpec(model="wishart_correlated", d=1, N=20, seed=4,
                          tensor=tensor)
         h = sample_wishart_factor(spec, 0)
-        z = 1 + 1j
-        lhs, rhs, _ = hermitization_cauchy_pair(h, z)
-        assert np.isclose(lhs, 1 / z)
-        assert np.isclose(rhs, 1 / z)
+        assert not h.any()
+        for z in self.RAY_Z + [1 + 1j]:
+            lhs, rhs, _ = hermitization_cauchy_pair(h, z)
+            assert self.within_ray_tol(lhs, 1 / z, z), z
+            assert self.within_ray_tol(rhs, 1 / z, z), z
+
+    def test_non_square_factor_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitization_cauchy_pair(np.ones((3, 4), dtype=complex), 1 + 1j)
 
     def test_experiment_report(self):
         report = wishart_consistency_experiment(
