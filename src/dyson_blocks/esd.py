@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ModelSpec, spectrum
+from . import linalg
+from .sampler import ModelSpec, hermitian_blocks
 
 
 @dataclass
@@ -102,16 +103,22 @@ class MeanCauchyResult:
 
 
 def _trial_row(spec: ModelSpec, trial: int, zs: np.ndarray) -> np.ndarray:
-    ev = spectrum(spec, trial)
-    return np.array([empirical_cauchy(ev, z) for z in zs])
+    """(1/n) tr (z - H)^-1 of one sample at each z: the resolvent traces of
+    its Hermitian blocks, averaged with weight size x multiplicity."""
+    traces, weights = [], []
+    for block, mult in hermitian_blocks(spec, trial):
+        traces.append(linalg.resolvent_trace(block, zs))
+        weights.append(mult * block.shape[0])
+    return np.average(traces, axis=0, weights=weights)
 
 
 def mean_cauchy(spec: ModelSpec, z_list, trials: int,
                 workers: int | None = None) -> MeanCauchyResult:
     """Per-z mean and standard error of the empirical Cauchy transform.
 
-    Trials are seeded (spec.seed, trial) so the result is deterministic
-    for any worker count (see ``trial_mean``).
+    Each trial takes resolvent traces (see ``_trial_row``), not
+    eigenvalues.  Trials are seeded (spec.seed, trial) so the result is
+    deterministic for any worker count (see ``trial_mean``).
     """
     zs = np.atleast_1d(np.asarray(z_list, dtype=np.complex128))
     if np.any(zs.imag == 0):

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
 Thin, contract-checked wrappers around numpy.linalg: Hermitian eigenvalues,
-certified inversion and norms.  All functions are pure and safe to call
-concurrently.
+resolvent traces, certified inversion and norms.  All functions are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_RTOL = 1e-12
+HERMITICITY_ROW_BLOCK = 64
 INVERT_RESIDUAL_RTOL = 1e-9
 
 
@@ -37,9 +38,11 @@ def require_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max_{ij} |M[i,j] - conj(M[j,i])|."""
+    """max_{ij} |M[i,j] - conj(M[j,i])|, one block of rows at a time."""
     a = require_square(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    k = HERMITICITY_ROW_BLOCK
+    return max((float(np.max(np.abs(a[i:i + k] - a[:, i:i + k].conj().T)))
+                for i in range(0, a.shape[0], k)), default=0.0)
 
 
 def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -47,18 +50,61 @@ def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
     return hermiticity_defect(a) <= rtol * (1.0 + frobenius_norm(a))
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Raises HermiticityError when the symmetry defect exceeds
-    1e-12 * (1 + ||M||_F).
-    """
+def require_hermitian(m) -> np.ndarray:
+    """Square complex matrix, or HermiticityError when the symmetry defect
+    exceeds 1e-12 * (1 + ||M||_F)."""
     a = require_square(m)
     if not is_hermitian(a):
         raise HermiticityError(
             f"matrix is not Hermitian within tolerance (defect {hermiticity_defect(a):.3e})"
         )
-    return np.linalg.eigvalsh(a)
+    return a
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending real eigenvalues of a Hermitian matrix (see require_hermitian)."""
+    return np.linalg.eigvalsh(require_hermitian(m))
+
+
+def _shifted(z: complex, b: np.ndarray) -> np.ndarray:
+    """z I - b."""
+    out = -b
+    out.flat[::b.shape[0] + 1] += z
+    return out
+
+
+def resolvent_trace(m, zs) -> np.ndarray:
+    """(1/n) tr (z - M)^-1 of a Hermitian M at each z, without eigenvalues.
+
+    One 2 x 2 Schur split at p = n // 2: with Y = (z - M11)^-1,
+    T = M21 Y, U = Y M12 and W = (z - M22 - T M12)^-1, the diagonal
+    blocks of (z - M)^-1 are Y + U W T and W, so
+
+        tr (z - M)^-1 = tr Y + tr W + sum_ij W_ij (T U)_ji.
+
+    Every step is a matmul or an LU inverse (Level-3 BLAS).  Y is the
+    resolvent of the Hermitian block M11 and W a block of (z - M)^-1, so
+    both are bounded by 1 / |Im z|.  Raises HermiticityError as
+    hermitian_eigenvalues does, and ValueError for an empty matrix or a
+    real z.
+    """
+    a = require_hermitian(m)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("empty matrix has no normalized trace")
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    if np.any(zs.imag == 0):
+        raise ValueError("z values must have nonzero imaginary part")
+    p = n // 2
+    m11, m12, m21, m22 = a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
+    out = np.empty(zs.shape, dtype=np.complex128)
+    for k, z in enumerate(zs):
+        y = np.linalg.inv(_shifted(z, m11))
+        t = m21 @ y
+        u = y @ m12
+        w = np.linalg.inv(_shifted(z, m22) - t @ m12)
+        out[k] = (np.trace(y) + np.trace(w) + np.sum(w * (t @ u).T)) / n
+    return out
 
 
 def invert(m) -> np.ndarray:

@@ -41,8 +41,13 @@ class ComplexGaussian:
         return 0.0
 
     def draw(self, rng, n: int) -> np.ndarray:
-        scale = np.sqrt(self.variance / 2.0)
-        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        """n real parts, then n imaginary parts, from one stream call."""
+        g = rng.standard_normal(2 * n)
+        out = np.empty(n, dtype=np.complex128)
+        out.real = g[:n]
+        out.imag = g[n:]
+        out *= np.sqrt(self.variance / 2.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class PermutationPool:
 
     Entries are exchangeable but not independent.  ``values`` holds either
     scalars (filling every scalar entry slot) or d x d matrices (filling
-    block slots).
+    block slots).  A scalar pool is also kept as one complex128 array.
     """
 
     values: tuple
@@ -113,6 +118,10 @@ class PermutationPool:
         ))
         if not self.values:
             raise ValueError("empty pool")
+        if not self.is_matrix_pool:
+            scalars = np.array([complex(v) for v in self.values])
+            scalars.flags.writeable = False
+            object.__setattr__(self, "_scalars", scalars)
 
     @property
     def is_matrix_pool(self) -> bool:
@@ -122,13 +131,13 @@ class PermutationPool:
     def mean(self) -> complex:
         if self.is_matrix_pool:
             raise ValueError("matrix pools have no scalar mean")
-        return complex(np.mean([complex(v) for v in self.values]))
+        return complex(np.mean(self._scalars))
 
     @property
     def variance(self) -> float:
         if self.is_matrix_pool:
             raise ValueError("matrix pools have no scalar variance")
-        vals = np.array([complex(v) for v in self.values])
+        vals = self._scalars
         return float(np.mean(np.abs(vals - vals.mean()) ** 2))
 
     def draw(self, rng, n: int) -> np.ndarray:
@@ -138,8 +147,7 @@ class PermutationPool:
             raise ValueError(
                 f"pool size {len(self.values)} != {n} entry draws the model consumes"
             )
-        vals = np.array([complex(v) for v in self.values])
-        return vals[rng.permutation(n)]
+        return self._scalars[rng.permutation(n)]
 
     def draw_blocks(self, rng, n: int, d: int) -> np.ndarray:
         if not self.is_matrix_pool:
@@ -268,10 +276,13 @@ def sample_hermitized(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian."""
     if spec.model != "hermitized_iid":
         raise ValueError("spec.model must be 'hermitized_iid'")
-    rng = rng_for(spec.seed, trial)
-    x = _iid_block_grid(spec, rng)
-    m = x.transpose(0, 2, 1, 3).reshape(spec.N * spec.d, spec.N * spec.d)
-    return (m + m.conj().T) / np.sqrt(2 * spec.N)
+    n = spec.N * spec.d
+    m = _iid_block_grid(spec, rng_for(spec.seed, trial))
+    m = m.transpose(0, 2, 1, 3).reshape(n, n)    # rebinding frees the grid
+    h = np.conj(m.T, order="C")
+    h += m
+    h /= np.sqrt(2 * spec.N)
+    return h
 
 
 def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -369,8 +380,9 @@ def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return out.reshape(d * N, d * N) / np.sqrt(d)
 
 
-def _circulant_eigenvalues(spec: ModelSpec, trial: int) -> np.ndarray:
-    """Sorted eigenvalues of sample_circulant(spec, trial) without forming it.
+def _circulant_blocks(spec: ModelSpec, trial: int):
+    """Yield (B_j, multiplicity) for the distinct DFT blocks of
+    sample_circulant(spec, trial), without forming the circulant.
 
     The block DFT turns the circulant into diag(B_0, ..., B_{d-1}) with
     B_j = (W_0 + sum_{k>=1} c_k cos(2 pi j k / d) W_k) / sqrt(d), where
@@ -380,15 +392,12 @@ def _circulant_eigenvalues(spec: ModelSpec, trial: int) -> np.ndarray:
     """
     d = spec.d
     wigners = _circulant_wigners(spec, trial)
-    parts = []
     for j in range(d // 2 + 1):
         b = wigners[0].copy()
         for k in range(1, d // 2 + 1):
             c = 1.0 if 2 * k == d else 2.0
             b += c * np.cos(2 * np.pi * j * k / d) * wigners[k]
-        ev = linalg.hermitian_eigenvalues(b / np.sqrt(d))
-        parts.extend([ev, ev] if 0 < 2 * j < d else [ev])
-    return np.sort(np.concatenate(parts))
+        yield b / np.sqrt(d), 2 if 0 < 2 * j < d else 1
 
 
 def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -433,15 +442,25 @@ def sample_matrix(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return _SAMPLERS[spec.model](spec, trial)
 
 
-def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    """Sorted eigenvalues of one sampled matrix.
+def hermitian_blocks(spec: ModelSpec, trial: int = 0):
+    """Yield (block, multiplicity) pairs whose direct sum, each block
+    repeated multiplicity times, is unitarily equivalent to the sample.
 
-    Circulant spectra come from the block DFT (d//2 + 1 eigensolves of
-    size N); every other model is solved densely.
+    Circulant samples yield their d//2 + 1 distinct DFT blocks of size N;
+    every other model yields its dense matrix once.
     """
     if spec.model == "circulant":
-        return _circulant_eigenvalues(spec, trial)
-    return linalg.hermitian_eigenvalues(sample_matrix(spec, trial))
+        yield from _circulant_blocks(spec, trial)
+    else:
+        yield sample_matrix(spec, trial), 1
+
+
+def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+    """Sorted eigenvalues of one sampled matrix, one eigensolve per block."""
+    parts = []
+    for block, mult in hermitian_blocks(spec, trial):
+        parts += [linalg.hermitian_eigenvalues(block)] * mult
+    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -353,13 +353,19 @@ class TestExperimentCommands:
                              "laws": [{"variant": "rademacher"},
                                       {"variant": "complex_gaussian"}],
                              "z": [0.5, 2.5], "N": 6, "trials": 5},
+            # n = d N reaches 256: resolvent-trace matmuls large enough for
+            # a multithreaded BLAS to split them
+            "rate-n256": {"command": "rate",
+                          "model": {"model": "hermitized_iid", "d": 2, "N": 8,
+                                    "law": {"variant": "complex_gaussian"}},
+                          "z": [0.0, 3.0], "N_grid": [32, 64, 128], "trials": 3},
         }
         runs = [(self.rate_config(tmp_path), tmp_path / "rate.csv")]
-        for command, data in others.items():
-            out = tmp_path / f"{command}.csv"
-            runs.append((write_config(tmp_path, dict(data, command=command,
-                                                     out=str(out), seed=21),
-                                      name=f"{command}.json"), out))
+        for name, data in others.items():
+            out = tmp_path / f"{name}.csv"
+            runs.append((write_config(tmp_path, dict(data, out=str(out), seed=21,
+                                                     command=data.get("command", name)),
+                                      name=f"{name}.json"), out))
         for cfg, out in runs:
             outputs = []
             for threads in ([], ["--threads", "2"], ["--threads", "4"]):

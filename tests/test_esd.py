@@ -4,9 +4,9 @@ import pytest
 from dyson_blocks.dyson import scalar_semicircle_cauchy
 from dyson_blocks.esd import (EmpiricalCDF, empirical_cauchy,
                               kolmogorov_distance, mean_cauchy, trial_mean)
-from dyson_blocks.linalg import invert
-from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, TwoPoint,
-                                  rng_for)
+from dyson_blocks.linalg import invert, resolvent_trace
+from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, Rademacher,
+                                  TwoPoint, rng_for, sample_matrix, spectrum)
 
 
 class TestEmpiricalCauchy:
@@ -29,7 +29,6 @@ class TestEmpiricalCauchy:
 
     def test_resolvent_trace_identity_every_model(self):
         from dyson_blocks.eta import CovarianceTensor
-        from dyson_blocks.sampler import sample_matrix
         delta = CovarianceTensor(np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2)))
         specs = [
             ModelSpec(model="hermitized_iid", d=2, N=8,
@@ -172,6 +171,40 @@ class TestMeanCauchy:
                          law=ComplexGaussian(1.0), seed=5)
         with pytest.raises(ValueError):
             mean_cauchy(spec, [2j], trials=1)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(model="circulant", d=3, N=8, seed=5),
+        ModelSpec(model="circulant", d=4, N=7, seed=6),
+        ModelSpec(model="wigner_blocks", d=3, N=6, law=Rademacher(), seed=7),
+    ], ids=["circulant-d3", "circulant-d4", "wigner_blocks"])
+    def test_matches_eigenvalue_route(self, spec):
+        zs = [2j, 0.3 + 0.05j]
+        res = mean_cauchy(spec, zs, trials=4)
+        mean, se = trial_mean(
+            lambda t: np.array([empirical_cauchy(spectrum(spec, t), z)
+                                for z in zs]), 4)
+        assert np.allclose(res.mean, mean, rtol=0, atol=1e-13 / 0.05 ** 2)
+        assert np.allclose(res.stderr, se, rtol=0, atol=1e-13 / 0.05 ** 2)
+
+
+class TestResolventTraceOfSamples:
+    """linalg.resolvent_trace on sampled matrices up to n = 512."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(model="wigner_blocks", d=3, N=N, law=Rademacher(), seed=N)
+        for N in (1, 2, 17, 170)
+    ] + [
+        ModelSpec(model="hermitized_iid", d=2, N=N,
+                  law=ComplexGaussian(1.0), seed=N)
+        for N in (1, 3, 64, 256)
+    ], ids=lambda s: f"{s.model}-n{s.d * s.N}")
+    def test_matches_eigenvalues(self, spec):
+        m = sample_matrix(spec, 1)
+        ev = np.linalg.eigvalsh(m)
+        zs = [3j, 0.5 + 0.1j, 1.9 + 1e-4j, -0.7 + 1e-6j]
+        for z, got in zip(zs, resolvent_trace(m, zs)):
+            tol = 1e-13 * max(1.0, z.imag ** -2)
+            assert abs(got - np.mean(1.0 / (z - ev))) <= tol, z
 
 
 class TestTrialMean:

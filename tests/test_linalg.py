@@ -4,7 +4,8 @@ import pytest
 from dyson_blocks import linalg
 from dyson_blocks.linalg import (HermiticityError, SingularMatrixError,
                                  frobenius_norm, hermitian_eigenvalues,
-                                 invert, operator_norm)
+                                 hermiticity_defect, invert, is_hermitian,
+                                 operator_norm, resolvent_trace)
 
 
 def rng():
@@ -47,6 +48,85 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def resolvent_tol(z):
+    return 1e-13 * max(1.0, abs(z.imag) ** -2)
+
+
+def assert_matches_eigenvalues(m, zs):
+    ev = np.linalg.eigvalsh(m)
+    got = resolvent_trace(m, zs)
+    assert got.shape == (len(zs),)
+    for z, g in zip(zs, got):
+        assert abs(g - np.mean(1.0 / (z - ev))) <= resolvent_tol(z), (len(m), z)
+
+
+# Im z from far above the spectrum down to 1e-6, at the edge and in the
+# bulk, and one z below the real axis
+Z_LIST = [3j, 0.4 + 1j, -1.5 + 0.1j, 0.2 + 1e-3j, 1.0 + 1e-6j, 2 - 0.5j, 50j]
+
+
+class TestResolventTrace:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129])
+    def test_matches_eigenvalues(self, n):
+        m = random_hermitian(n, rng()) / np.sqrt(n)
+        assert_matches_eigenvalues(m, Z_LIST)
+
+    def test_one_by_one(self):
+        assert resolvent_trace(np.array([[2.0]]), [2 + 1j])[0] == 1 / 1j
+
+    def test_z_near_the_axis_on_an_eigenvalue(self):
+        m = np.diag([-1.0, 0.0, 0.5, 1.0]).astype(complex)
+        z = 0.5 + 1e-6j
+        assert_matches_eigenvalues(m, [z])
+        assert abs(resolvent_trace(m, [z])[0].imag) > 1e5
+
+    def test_several_z_match_one_call_each(self):
+        m = random_hermitian(40, rng()) / np.sqrt(40)
+        together = resolvent_trace(m, Z_LIST)
+        apart = [resolvent_trace(m, [z])[0] for z in Z_LIST]
+        assert np.array_equal(together, apart)
+
+    def test_scalar_z(self):
+        m = random_hermitian(5, rng())
+        assert resolvent_trace(m, 2j).shape == (1,)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(HermiticityError):
+            resolvent_trace(np.array([[0, 1], [0, 0]], dtype=complex), [1j])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            resolvent_trace(np.ones((2, 3)), [1j])
+
+    def test_rejects_real_z_and_empty_matrix(self):
+        with pytest.raises(ValueError):
+            resolvent_trace(np.eye(2), [1j, 0.5])
+        with pytest.raises(ValueError):
+            resolvent_trace(np.zeros((0, 0)), [1j])
+
+
+class TestHermiticityDefect:
+    def test_matches_dense_difference(self):
+        gen = rng()
+        for n in (1, 63, 64, 65, 150):
+            a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+            assert hermiticity_defect(a) == np.max(np.abs(a - a.conj().T))
+
+    def test_empty(self):
+        assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+
+    def test_perturbed_entry_in_last_row_block(self):
+        # rows 128-149 form the last, partial block of 64 rows
+        n = 150
+        m = random_hermitian(n, rng())
+        assert hermiticity_defect(m) == 0.0
+        m[149, 3] += 1e-6
+        assert hermiticity_defect(m) == abs(m[149, 3] - m[3, 149].conj())
+        assert not is_hermitian(m)
+        with pytest.raises(HermiticityError):
+            resolvent_trace(m, [1j])
 
 
 class TestInvert:

@@ -8,7 +8,7 @@ import pytest
 from dyson_blocks.eta import CovarianceTensor
 from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   PermutationPool, Rademacher, RealGaussian,
-                                  TwoPoint,
+                                  TwoPoint, hermitian_blocks,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
                                   sample_circulant, sample_correlated_blocks,
                                   sample_hermitized,
@@ -62,6 +62,8 @@ class TestEntryLaws:
         assert pool.variance == 1.0
         drawn = pool.draw(rng_for(1, 0), 4)
         assert sorted(drawn.real.tolist()) == [-1.0, -1.0, 1.0, 1.0]
+        drawn[:] = 7.0      # a draw is a copy, never a view of the pool
+        assert sorted(pool.draw(rng_for(1, 0), 4).real.tolist()) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_pool_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -296,6 +298,26 @@ class TestCirculant:
             assert np.max(np.abs(ev - np.linalg.eigvalsh(m))) <= tol
 
 
+class TestHermitianBlocks:
+    @pytest.mark.parametrize("d, mults", [(2, [1, 1]), (3, [1, 2]),
+                                          (4, [1, 2, 1]), (5, [1, 2, 2])])
+    def test_circulant_dft_blocks(self, d, mults):
+        spec = ModelSpec(model="circulant", d=d, N=6, seed=8)
+        blocks = list(hermitian_blocks(spec, 1))
+        assert [mult for _, mult in blocks] == mults
+        assert all(b.shape == (6, 6) and exact_hermitian(b) for b, _ in blocks)
+        ev = np.concatenate([np.linalg.eigvalsh(b) for b, mult in blocks
+                             for _ in range(mult)])
+        assert np.array_equal(np.sort(ev), spectrum(spec, 1))
+
+    def test_dense_models_yield_the_sample_once(self):
+        spec = ModelSpec(model="wigner_blocks", d=2, N=5, law=Rademacher(),
+                         seed=4)
+        [(block, mult)] = hermitian_blocks(spec, 2)
+        assert mult == 1
+        assert np.array_equal(block, sample_matrix(spec, 2))
+
+
 class TestWishart:
     def test_zero_tensor(self):
         spec = ModelSpec(model="wishart_correlated", d=1, N=10, seed=3,
@@ -409,9 +431,12 @@ class TestGoldenHashes:
 
     POOL = PermutationPool([I2, -I2, E12, E12.conj().T, 2 * I2,
                             E12 + E12.conj().T])
+    SCALAR_POOL = PermutationPool([(-1) ** k * (1 + k % 4) / 2 for k in range(36)])
     SPECS = {
         "hermitized_iid": dict(model="hermitized_iid", d=2, N=5,
                                law=ComplexGaussian(1.0), seed=11),
+        "hermitized_iid-scalar-pool": dict(model="hermitized_iid", d=2, N=3,
+                                           law=SCALAR_POOL, seed=20),
         "wigner_blocks-gaussian": dict(model="wigner_blocks", d=2, N=5,
                                        law=ComplexGaussian(1.0), seed=12),
         "wigner_blocks-rademacher": dict(model="wigner_blocks", d=3, N=4,
@@ -431,6 +456,7 @@ class TestGoldenHashes:
     }
     HASHES = {
         "hermitized_iid": "fecbf9380eaf0378eae78cc693edd258a26efd6660083c88a8dbf58f22e92266",
+        "hermitized_iid-scalar-pool": "d1b2907b56ce7b69c9b769b2efe9ad59e683208c593d4c18b380999685bdd76b",
         "wigner_blocks-gaussian": "d65b99aa547e0f0ec5ea5d42a30b1a798990d26806b578d028b44a89610316cf",
         "wigner_blocks-rademacher": "c6dc157e27b039c348453021a3a84ce5635574c3aae7f08527fee100955847fc",
         "wigner_blocks-matrix-pool": "daa6495de2fd6f34a7a8028469c8e4d1e5029aa6734a5bb49d9c8a89c25838c5",
