@@ -19,8 +19,8 @@ from .dyson import (SolverOptions, circulant_mixture, mixture_cauchy,
                     stieltjes_density)
 # experiments._map_trials stays a name of the trial mapper: bench/tracer.py
 # wraps the mapper under it
-from .esd import (EmpiricalCDF, _map_trials, empirical_cauchy,
-                  kolmogorov_distance, mean_cauchy, trial_mean)
+from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
+                  mean_cauchy, trial_mean)
 from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
                   eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
                   eta_wishart_pair, flat_map)
@@ -253,22 +253,23 @@ class WishartConsistencyReport:
 def hermitization_cauchy_pair(h: np.ndarray, z: complex):
     """Both sides of the Schur identity for one sampled square factor H.
 
-    Returns (trace Cauchy of the Hermitization [[0, H], [H^*, 0]] at z,
+    Returns (trace Cauchy of the Hermitization X = [[0, H], [H^*, 0]] at z,
              z * trace Cauchy of H H^* at z^2,
-             empirical Cauchy of H H^* at z^2).
+             trace Cauchy of H H^* at z^2).
 
-    The Hermitization's spectrum is exactly +-sigma(H), so its side comes
-    from the singular values of H without assembling the 2n x 2n matrix;
-    the H H^* side comes from a Hermitian eigensolve.  The residual of the
-    identity thus compares two independent factorizations of H.
+    No spectrum is computed.  The diagonal blocks of (z - X)^-1 are
+    z (z^2 - H H^*)^-1 and z (z^2 - H^* H)^-1, so the Hermitization's side
+    is z (g_W + g_V) / 2 with g_W, g_V the resolvent traces
+    (linalg.resolvent_trace) of the Gram matrices W = H H^* and V = H^* H
+    at z^2.  The residual of the identity is |z| |g_V - g_W| / 2: it
+    compares two independent factorizations, of H H^* and of H^* H.
     """
     h = linalg.require_square(h)
-    sv = np.linalg.svd(h, compute_uv=False)
-    lhs = empirical_cauchy(np.concatenate([-sv, sv]), z)
-    w = h @ h.conj().T
-    g_w = empirical_cauchy(linalg.hermitian_eigenvalues((w + w.conj().T) / 2),
-                           z * z)
-    return lhs, z * g_w, g_w
+    z = complex(z)
+    hc = h.conj().T
+    g_w = complex(linalg.resolvent_trace(h @ hc, z * z)[0])
+    g_v = complex(linalg.resolvent_trace(hc @ h, z * z)[0])
+    return z * (g_w + g_v) / 2, z * g_w, g_w
 
 
 def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,

@@ -100,66 +100,68 @@ class TwoPoint:
         return np.where(u < self.p, self.a, self.b).astype(np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationPool:
     """A fixed pool consumed whole by a uniformly random permutation.
 
-    Entries are exchangeable but not independent.  ``values`` holds either
-    scalars (filling every scalar entry slot) or d x d matrices (filling
-    block slots).  A scalar pool is also kept as one complex128 array.
+    Entries are exchangeable but not independent.  ``values`` is one
+    read-only complex128 array: shape (n,) for a pool of scalars (filling
+    every scalar entry slot) or (n, d, d) for a pool of d x d matrices
+    (filling block slots).
     """
 
-    values: tuple
+    values: np.ndarray
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(
-            v if np.ndim(v) == 0 else np.asarray(v, dtype=np.complex128)
-            for v in values
-        ))
-        if not self.values:
+        vals = np.array(values, dtype=np.complex128)
+        if vals.size == 0:
             raise ValueError("empty pool")
-        if not self.is_matrix_pool:
-            scalars = np.array([complex(v) for v in self.values])
-            scalars.flags.writeable = False
-            object.__setattr__(self, "_scalars", scalars)
+        square_blocks = vals.ndim == 3 and vals.shape[1] == vals.shape[2]
+        if vals.ndim != 1 and not square_blocks:
+            raise ValueError(
+                f"pool must hold scalars or square matrices, got shape {vals.shape}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other):
+        return (isinstance(other, PermutationPool)
+                and np.array_equal(self.values, other.values))
 
     @property
     def is_matrix_pool(self) -> bool:
-        return np.ndim(self.values[0]) != 0
+        return self.values.ndim == 3
 
     @property
     def mean(self) -> complex:
         if self.is_matrix_pool:
             raise ValueError("matrix pools have no scalar mean")
-        return complex(np.mean(self._scalars))
+        return complex(np.mean(self.values))
 
     @property
     def variance(self) -> float:
         if self.is_matrix_pool:
             raise ValueError("matrix pools have no scalar variance")
-        vals = self._scalars
+        vals = self.values
         return float(np.mean(np.abs(vals - vals.mean()) ** 2))
+
+    def _permuted(self, rng, n: int, slots: str) -> np.ndarray:
+        if n != len(self.values):
+            raise ValueError(
+                f"pool size {len(self.values)} != {n} {slots} draws the model consumes"
+            )
+        return self.values[rng.permutation(n)]
 
     def draw(self, rng, n: int) -> np.ndarray:
         if self.is_matrix_pool:
             raise ValueError("matrix pools fill block slots, not scalar slots")
-        if n != len(self.values):
-            raise ValueError(
-                f"pool size {len(self.values)} != {n} entry draws the model consumes"
-            )
-        return self._scalars[rng.permutation(n)]
+        return self._permuted(rng, n, "entry")
 
     def draw_blocks(self, rng, n: int, d: int) -> np.ndarray:
         if not self.is_matrix_pool:
             raise ValueError("scalar pool cannot fill block slots")
-        if n != len(self.values):
-            raise ValueError(
-                f"pool size {len(self.values)} != {n} block draws the model consumes"
-            )
-        mats = [np.asarray(v) for v in self.values]
-        if any(m.shape != (d, d) for m in mats):
+        if self.values.shape[1:] != (d, d):
             raise ValueError(f"pool blocks must be {d}x{d}")
-        return np.stack(mats)[rng.permutation(n)]
+        return self._permuted(rng, n, "block")
 
 
 EntryLaw = ComplexGaussian | RealGaussian | Rademacher | TwoPoint | PermutationPool

@@ -348,6 +348,9 @@ class TestExperimentCommands:
             "wishart": {"tensor": [[[[1.0]]]],
                         "z": [1.4142135623730951, 1.4142135623730951],
                         "N": 20, "trials": 5},
+            # Gram matrices and resolvent traces at n = 256
+            "wishart-n256": {"command": "wishart", "tensor": [[[[1.0]]]],
+                             "z": [2.0, 0.0025], "N": 256, "trials": 3},
             "universality": {"model": {"model": "wigner_blocks", "d": 2, "N": 6,
                                        "law": {"variant": "rademacher"}},
                              "laws": [{"variant": "rademacher"},
@@ -415,7 +418,7 @@ class TestExperimentCommands:
 
     def test_wishart_golden_across_threads(self, tmp_path):
         # the solver and Monte Carlo strings are pinned, while the residual
-        # column depends on how the Hermitization side is factorized and is
+        # column depends on how the two Gram resolvent traces round and is
         # only bounded
         tensor = [[[[1.0, 0.3], [0.3, 0.5]], [[0.3, 0.2], [0.2, 0.4]]],
                   [[[0.3, 0.2], [0.2, 0.4]], [[0.5, 0.4], [0.4, 1.0]]]]
@@ -425,8 +428,8 @@ class TestExperimentCommands:
                 "N": 24, "trials": 4, "seed": 8}
         cfg = write_config(tmp_path, data)
         golden = ("-0.03159858847124458,-0.23842328072453084,"
-                  "-0.031845834638637945,-0.23840872378367478,"
-                  "0.0001480682370253844")
+                  "-0.03184583463863794,-0.2384087237836748,"
+                  "0.00014806823702538392")
         for threads in ("1", "2"):
             assert main(["--config", cfg, "--threads", threads]) == EXIT_OK
             lines = out.read_text().splitlines()

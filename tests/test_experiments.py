@@ -240,6 +240,8 @@ class TestWishartOracles:
     def within_ray_tol(a, b, z):
         return abs(a - b) <= 1e-13 * (1 + 1 / abs(z))
 
+    # the Hermitization side averages z / (z^2 - sigma^2) over the singular
+    # values sigma of H, taken from the resolvent traces of H H^* and H^* H
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_singular_values_match_explicit_hermitization(self, d, seed):
@@ -257,6 +259,50 @@ class TestWishartOracles:
         for z in self.RAY_Z:
             lhs, _, _ = hermitization_cauchy_pair(h, z)
             assert self.within_ray_tol(lhs, empirical_cauchy(ev, z), z), z
+
+    # z^2 from far above the axis down to the edge of the support at 4
+    GRAM_W = [10j, 1 + 1j, 0.5 + 0.01j, 4 + 0.5j, 4 + 0.01j]
+
+    @pytest.mark.parametrize("d,N", [(1, 50), (1, 400), (2, 25), (2, 200)])
+    def test_gram_trace_matches_eigenvalues(self, d, N):
+        gen = np.random.Generator(np.random.Philox(key=[N, 11]))
+        f = gen.standard_normal((d * d, d * d))
+        tensor = CovarianceTensor((f @ f.T / (d * d)).reshape(d, d, d, d))
+        spec = ModelSpec(model="wishart_correlated", d=d, N=N, seed=5,
+                         tensor=tensor)
+        h = sample_wishart_factor(spec, 0)
+        ev = np.linalg.eigvalsh(h @ h.conj().T)
+        for w in self.GRAM_W:
+            z = np.sqrt(w)
+            _, rhs, g_w = hermitization_cauchy_pair(h, z)
+            want = empirical_cauchy(ev, w)
+            assert abs(g_w - want) <= 1e-13 * max(1.0, w.imag ** -2), w
+            assert rhs == z * g_w
+
+    def test_no_spectrum_per_trial(self, monkeypatch):
+        # the Monte Carlo side needs neither an SVD nor an eigensolve of the
+        # sample (the sampler's eigh of the d^2 x d^2 covariance stays); the
+        # solver, which takes singular values for its stability margin, is
+        # solved beforehand and stubbed
+        from dyson_blocks import experiments, linalg
+        from dyson_blocks.dyson import solve_wishart
+        from dyson_blocks.eta import eta_wishart_pair
+        tensor = CovarianceTensor(np.ones((1, 1, 1, 1)))
+        z = complex(np.sqrt(4 + 0.01j))
+        sol = solve_wishart(eta_wishart_pair(tensor), z * z)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectrum computed in a Wishart trial")
+
+        monkeypatch.setattr(experiments, "solve_wishart", lambda *a, **k: sol)
+        for name in ("svd", "eigvalsh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", forbidden)
+        for workers in (None, 2):
+            report = wishart_consistency_experiment(
+                tensor, z=z, N=64, trials=3, seed=12, workers=workers)
+            assert report.max_identity_residual <= 1e-9
+            assert report.solver_trace == sol.trace()
 
     def test_zero_tensor_identity(self):
         tensor = CovarianceTensor(np.zeros((1, 1, 1, 1)))

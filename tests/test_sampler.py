@@ -365,6 +365,33 @@ class TestExchangeable:
         with pytest.raises(ValueError):
             sample_hermitized(spec)
 
+    def test_pool_is_one_read_only_array(self):
+        values = [1.0, -1.0, 2.0, -2.0]
+        scalar = PermutationPool(values)
+        values[0] = 9.0
+        assert scalar.values.shape == (4,) and scalar.values.dtype == np.complex128
+        assert scalar.values[0] == 1.0 and not scalar.values.flags.writeable
+        assert len(scalar.values) == 4 and not scalar.is_matrix_pool
+        matrix = PermutationPool([I2, -I2, E12])
+        assert matrix.values.shape == (3, 2, 2) and matrix.is_matrix_pool
+        assert not matrix.values.flags.writeable
+        assert matrix == PermutationPool(np.stack([I2, -I2, E12]))
+        assert matrix != PermutationPool([I2, -I2, -E12])
+        assert scalar != matrix
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]], [np.ones((2, 3))],
+                                        [I2, np.eye(3)]])
+    def test_pool_shape_rejected(self, values):
+        with pytest.raises(ValueError):
+            PermutationPool(values)
+
+    def test_matrix_pool_block_size_checked(self):
+        pool = PermutationPool([I2, -I2])
+        with pytest.raises(ValueError, match="3x3"):
+            pool.draw_blocks(rng_for(1, 0), 2, 3)
+        with pytest.raises(ValueError, match="pool size"):
+            pool.draw_blocks(rng_for(1, 0), 3, 2)
+
     def test_matrix_pool_blocks(self):
         n = 2
         pool = PermutationPool([I2, -I2, E12, E12.conj().T])
