@@ -370,9 +370,12 @@ def _run_density(cfg: RunConfig, workers):
 def _run_sample(cfg: RunConfig, workers):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
     trial = _real(cfg.data.get("trial", 0), "config.trial", int)
-    if trial < 0:
-        raise ConfigError(f"config.trial: need trial >= 0, got {trial}")
-    matrix = sampler.sample_matrix(spec, trial)
+    if not 0 <= trial < 2 ** 64:
+        raise ConfigError(f"config.trial: need 0 <= trial < 2^64, got {trial}")
+    try:
+        matrix = sampler.sample_matrix(spec, trial)
+    except ValueError as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
     if "spectrum_out" in cfg.data:
         from .linalg import hermitian_eigenvalues
         rows = [(str(i), fmt(v))

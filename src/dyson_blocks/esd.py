@@ -78,16 +78,30 @@ def _map_trials(fn, trials: int, workers: int | None) -> list:
     return [fn(t) for t in range(trials)]
 
 
-def trial_mean(fn, trials: int, workers: int | None = None):
-    """Mean and standard error over the trial axis of fn(0), ..., fn(trials - 1).
+def trial_mean(draw, trials: int, workers: int | None = None, reduce=None):
+    """Mean and standard error over the trial axis of
+    reduce(draw(0)), ..., reduce(draw(trials - 1)).
 
-    ``fn`` returns a real or complex scalar or 1-D array; complex data takes
-    the larger of the real and imaginary standard errors.  Fewer than 2
-    trials are rejected before any trial runs.
+    Each trial has two stages.  ``draw(t)`` makes the trial's sample; up to
+    ``workers`` draws run at once, on pool threads.  ``reduce`` (default:
+    the identity) turns a sample into a real or complex scalar or 1-D
+    array; it runs on the calling thread, in trial order, so its linear
+    algebra never competes with another trial's for the BLAS threads.
+    Trials go in chunks of ``workers``, so at most that many samples are
+    alive at once.  Complex data takes the larger of the real and
+    imaginary standard errors.  Fewer than 2 trials are rejected before
+    any trial runs.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    data = np.array(_map_trials(fn, trials, workers))
+    chunk = max(workers or 1, 1)
+    reduce = reduce or (lambda sample: sample)
+    data = []
+    for start in range(0, trials, chunk):
+        # the chunk's samples die with the mapped list, before the next draws
+        data += map(reduce, _map_trials(lambda i: draw(start + i),
+                                        min(chunk, trials - start), workers))
+    data = np.array(data)
     se = data.real.std(axis=0, ddof=1)
     if np.iscomplexobj(data):
         se = np.maximum(se, data.imag.std(axis=0, ddof=1))
@@ -102,11 +116,12 @@ class MeanCauchyResult:
     trials: int
 
 
-def _trial_row(spec: ModelSpec, trial: int, zs: np.ndarray) -> np.ndarray:
-    """(1/n) tr (z - H)^-1 of one sample at each z: the resolvent traces of
-    its Hermitian blocks, averaged with weight size x multiplicity."""
+def _trial_row(blocks, zs: np.ndarray) -> np.ndarray:
+    """(1/n) tr (z - H)^-1 of one sample at each z, from its
+    ``hermitian_blocks`` list: the resolvent traces of the blocks, averaged
+    with weight size x multiplicity.  The reduce stage of ``mean_cauchy``."""
     traces, weights = [], []
-    for block, mult in hermitian_blocks(spec, trial):
+    for block, mult in blocks:
         traces.append(linalg.resolvent_trace(block, zs))
         weights.append(mult * block.shape[0])
     return np.average(traces, axis=0, weights=weights)
@@ -116,12 +131,14 @@ def mean_cauchy(spec: ModelSpec, z_list, trials: int,
                 workers: int | None = None) -> MeanCauchyResult:
     """Per-z mean and standard error of the empirical Cauchy transform.
 
-    Each trial takes resolvent traces (see ``_trial_row``), not
-    eigenvalues.  Trials are seeded (spec.seed, trial) so the result is
-    deterministic for any worker count (see ``trial_mean``).
+    Each trial draws the sample's Hermitian blocks, then takes their
+    resolvent traces (see ``_trial_row``), not eigenvalues.  Trials are
+    seeded (spec.seed, trial) so the result is deterministic for any
+    worker count (see ``trial_mean``).
     """
     zs = np.atleast_1d(np.asarray(z_list, dtype=np.complex128))
     if np.any(zs.imag == 0):
         raise ValueError("z values must have nonzero imaginary part")
-    mean, se = trial_mean(lambda t: _trial_row(spec, t, zs), trials, workers)
+    mean, se = trial_mean(lambda t: list(hermitian_blocks(spec, t)), trials,
+                          workers, reduce=lambda blocks: _trial_row(blocks, zs))
     return MeanCauchyResult(z=zs, mean=mean, stderr=se, trials=trials)

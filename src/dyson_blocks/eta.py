@@ -166,6 +166,8 @@ def _project_psd(choi4: np.ndarray) -> tuple[np.ndarray, float]:
 
 def scalar_map(d: int, t: float) -> CovarianceMap:
     """eta(B) = t * B, the scalar semicircular covariance."""
+    if d < 1:
+        raise ValueError(f"scalar covariance requires d >= 1, got {d}")
     if t < 0:
         raise ValueError("scalar covariance requires t >= 0")
     eye = np.eye(d, dtype=np.complex128)
@@ -176,6 +178,10 @@ def scalar_map(d: int, t: float) -> CovarianceMap:
 
 def flat_map(d: int, c: float = 1.0) -> CovarianceMap:
     """eta(B) = c * tr(B)/d * I; the limit map of flat-variance block models."""
+    if d < 1:
+        raise ValueError(f"flat covariance requires d >= 1, got {d}")
+    if c < 0:
+        raise ValueError("flat covariance requires c >= 0")
     eye = np.eye(d, dtype=np.complex128)
     choi4 = (c / d) * np.einsum("ij,kl->ikjl", eye, eye)
     return CovarianceMap(d=d, choi4=choi4, form="choi")

@@ -24,8 +24,8 @@ from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
 from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
                   eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
                   eta_wishart_pair, flat_map)
-from .sampler import (ModelSpec, PermutationPool, sample_wishart_factor,
-                      spectrum)
+from .sampler import (ModelSpec, PermutationPool, block_spectrum,
+                      hermitian_blocks, sample_wishart_factor)
 
 SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio stride for per-arm sub-seeds
 RATE_FILTER_SE_FACTOR = 3.0
@@ -224,8 +224,9 @@ def circulant_ks_experiment(d: int, N_grid, trials: int, seed: int,
         spec = ModelSpec(model="circulant", d=d, N=n,
                          seed=derived_seed(seed, i))
         means[i], ses[i] = trial_mean(
-            lambda t: kolmogorov_distance(EmpiricalCDF(spectrum(spec, t)), cdf),
-            trials, workers)
+            lambda t: list(hermitian_blocks(spec, t)), trials, workers,
+            reduce=lambda blocks: kolmogorov_distance(
+                EmpiricalCDF(block_spectrum(blocks)), cdf))
     return CirculantKsReport(d=d, N_grid=ns, mean_ks=means, stderr=ses,
                              trials=trials, weights=weights,
                              variances=variances)
@@ -290,14 +291,15 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
     spec = ModelSpec(model="wishart_correlated", d=tensor.d, N=int(N),
                      seed=seed, tensor=tensor)
 
-    residuals = [0.0] * trials
+    residuals = []
 
-    def one_trial(t):
-        lhs, rhs, g_w = hermitization_cauchy_pair(sample_wishart_factor(spec, t), z)
-        residuals[t] = abs(lhs - rhs)
+    def reduce(h):
+        lhs, rhs, g_w = hermitization_cauchy_pair(h, z)
+        residuals.append(abs(lhs - rhs))
         return g_w
 
-    mc_mean, mc_se = trial_mean(one_trial, trials, workers)
+    mc_mean, mc_se = trial_mean(lambda t: sample_wishart_factor(spec, t),
+                                trials, workers, reduce=reduce)
     pair = eta_wishart_pair(tensor)
     sol = solve_wishart(pair, z * z, opts)
     if not sol.converged:

@@ -223,8 +223,8 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
     The key is uint64: numpy stores a list key holding 2^63 or more as
     float64, which merges neighbouring seeds.
     """
-    if trial < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
+    if not 0 <= trial < 2 ** 64:
+        raise ValueError(f"trial index must be in [0, 2^64), got {trial}")
     return np.random.Generator(np.random.Philox(
         key=np.array([int(seed), int(trial)], dtype=np.uint64)))
 
@@ -457,12 +457,18 @@ def hermitian_blocks(spec: ModelSpec, trial: int = 0):
         yield sample_matrix(spec, trial), 1
 
 
-def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    """Sorted eigenvalues of one sampled matrix, one eigensolve per block."""
+def block_spectrum(blocks) -> np.ndarray:
+    """Sorted eigenvalues of the direct sum given by ``hermitian_blocks``
+    (block, multiplicity) pairs, one eigensolve per block."""
     parts = []
-    for block, mult in hermitian_blocks(spec, trial):
+    for block, mult in blocks:
         parts += [linalg.hermitian_eigenvalues(block)] * mult
     return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+
+
+def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+    """Sorted eigenvalues of one sampled matrix, one eigensolve per block."""
+    return block_spectrum(hermitian_blocks(spec, trial))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,17 @@ class TestConfigValidation:
         (SAMPLE, ("seed",), -1, "config.seed"),
         (SAMPLE, ("threads",), -1, "config.threads"),
         (WISHART, ("threads",), 0, "config.threads"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 0}, "config.eta"),
+        (SOLVE, ("eta",), {"form": "scalar", "d": 0, "t": 1.0}, "config.eta"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 2, "c": -1.0}, "config.eta"),
+        (DENSITY, ("eta",), {"form": "flat", "d": 0}, "config.eta"),
+        (DENSITY, ("eta",), {"form": "scalar", "d": 0, "t": 1.0}, "config.eta"),
+        (DENSITY, ("eta",), {"form": "flat", "d": 2, "c": -1.0}, "config.eta"),
+        (SAMPLE, ("trial",), 2 ** 64, "config.trial"),
+        (SAMPLE, ("trial",), 10 ** 30, "config.trial"),
+        # 3 pool values for the 36 entry draws of a d = 2, N = 3 sample
+        (SAMPLE, ("model", "law"),
+         {"variant": "permutation_pool", "values": [1.0, -1.0, 1.0]}, "config.model"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -371,10 +382,11 @@ class TestExperimentCommands:
                                       name=f"{name}.json"), out))
         for cfg, out in runs:
             outputs = []
-            for threads in ([], ["--threads", "2"], ["--threads", "4"]):
+            for threads in ([], ["--threads", "2"], ["--threads", "3"],
+                            ["--threads", "4"]):
                 assert main(["--config", cfg, *threads]) == EXIT_OK
                 outputs.append(out.read_bytes())
-            assert outputs[0] == outputs[1] == outputs[2], out.name
+            assert len(set(outputs)) == 1, out.name
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DYSON_BLOCKS_THREADS", "2")

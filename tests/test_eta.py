@@ -44,6 +44,20 @@ class TestApply:
         with pytest.raises(ValueError):
             scalar_map(2, 1.0).apply(np.eye(3))
 
+    @pytest.mark.parametrize("make", [
+        lambda: scalar_map(0, 1.0),
+        lambda: scalar_map(-1, 1.0),
+        lambda: flat_map(0),
+        lambda: flat_map(-2, 1.0),
+        lambda: flat_map(2, -0.5),
+    ], ids=["scalar-d0", "scalar-d-1", "flat-d0", "flat-d-2", "flat-c<0"])
+    def test_degenerate_map_rejected(self, make):
+        with pytest.raises(ValueError, match="covariance requires"):
+            make()
+
+    def test_zero_flat_map_allowed(self):
+        assert np.allclose(flat_map(2, 0.0).apply(I2), 0)
+
 
 class TestIidBlocks:
     def test_plus_minus_identity(self):

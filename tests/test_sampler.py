@@ -80,6 +80,14 @@ class TestEntryLaws:
         low = np.random.Generator(np.random.Philox(key=[2 ** 63 - 1, 5]))
         assert rng_for(2 ** 63 - 1, 5).integers(2 ** 62) == low.integers(2 ** 62)
 
+    @pytest.mark.parametrize("trial", [-1, 2 ** 64, 10 ** 30])
+    def test_trial_outside_64_bits_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial index"):
+            rng_for(1, trial)
+
+    def test_largest_trial_accepted(self):
+        assert rng_for(1, 2 ** 64 - 1).integers(2 ** 62) != rng_for(1, 0).integers(2 ** 62)
+
     def test_derived_arm_seeds_give_distinct_spectra(self):
         from dyson_blocks.experiments import derived_seed
         spectra = [spectrum(ModelSpec(model="circulant", d=3, N=4,
