@@ -28,16 +28,37 @@ CP_EIGENVALUE_TOL = -1e-10
 SYMMETRY_RTOL = 1e-12
 
 
-def _pair_matrix(sigma4: np.ndarray) -> np.ndarray:
-    """Reshape sigma(i,j;k,l) to the d^2 x d^2 matrix over index pairs."""
-    d = sigma4.shape[0]
-    return sigma4.reshape(d * d, d * d)
+def psd_factor(mat: np.ndarray, not_hermitian: str, not_psd: str) -> np.ndarray:
+    """F = U diag(sqrt(max(lambda, 0))) from eigh(mat), so F F^* = mat.
+
+    The one validity test of a covariance matrix: with s = 1 + ||mat||_F,
+    ValueError(not_hermitian) unless max|mat - mat^*| <= SYMMETRY_RTOL * s
+    (so NaN entries fail) and ValueError(not_psd) unless
+    lambda_min >= CP_EIGENVALUE_TOL * s.
+    """
+    scale = 1.0 + frobenius_norm(mat)
+    if not np.max(np.abs(mat - mat.conj().T)) <= SYMMETRY_RTOL * scale:
+        raise ValueError(not_hermitian)
+    w, u = np.linalg.eigh(mat)
+    if not w.min() >= CP_EIGENVALUE_TOL * scale:
+        raise ValueError(not_psd)
+    return u @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
+def sigma_l_factor(sigma_l, L: int) -> np.ndarray:
+    """psd_factor of the Kronecker weights sigma_l, which must be L x L."""
+    sig = as_matrix(sigma_l)
+    if sig.shape != (L, L):
+        raise ValueError(f"sigma_l must be {L}x{L}, got {sig.shape}")
+    return psd_factor(sig, "sigma_l must be Hermitian",
+                      "sigma_l must be positive semidefinite")
 
 
 class CovarianceTensor:
     """Fourth-order covariance data sigma(i,j;k,l) for block models.
 
-    Invariants checked at construction:
+    Invariants checked at construction by psd_factor, which also makes
+    ``factor`` (F F^* = Sigma), the Gaussian factor every draw reuses:
       * Hermitian pair symmetry  sigma(i,j;k,l) = conj(sigma(k,l;i,j))
       * the d^2 x d^2 matrix Sigma[(i,j),(k,l)] is positive semidefinite
     """
@@ -48,15 +69,10 @@ class CovarianceTensor:
             raise ValueError(f"expected a (d,d,d,d) tensor, got shape {sigma.shape}")
         self.d = sigma.shape[0]
         self.sigma = sigma
-        mat = _pair_matrix(sigma)
-        scale = 1.0 + frobenius_norm(mat)
-        if np.max(np.abs(mat - mat.conj().T)) > SYMMETRY_RTOL * scale:
-            raise ValueError("tensor violates sigma(i,j;k,l) = conj(sigma(k,l;i,j))")
-        if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < CP_EIGENVALUE_TOL * scale:
-            raise ValueError("tensor pair matrix Sigma[(ij),(kl)] is not PSD")
-
-    def matrix(self) -> np.ndarray:
-        return _pair_matrix(self.sigma)
+        self.factor = psd_factor(
+            sigma.reshape(self.d ** 2, self.d ** 2),
+            "tensor violates sigma(i,j;k,l) = conj(sigma(k,l;i,j))",
+            "tensor pair matrix Sigma[(ij),(kl)] is not PSD")
 
     @property
     def is_real(self) -> bool:
@@ -67,7 +83,7 @@ class CovarianceTensor:
         """sigma(i,j;k,l) = sigma(l,k;j,i): blocks distributed like their adjoints."""
         return bool(
             np.max(np.abs(self.sigma - self.sigma.transpose(3, 2, 1, 0)))
-            <= SYMMETRY_RTOL * (1.0 + frobenius_norm(self.matrix()))
+            <= SYMMETRY_RTOL * (1.0 + frobenius_norm(self.sigma))
         )
 
 
@@ -138,14 +154,11 @@ def _conjugation_choi(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("m,mki,mlj->ikjl", weights, ops, ops.conj())
 
 
-def _as_op_stack(mats, d: int | None = None) -> np.ndarray:
+def _as_op_stack(mats) -> np.ndarray:
     arr = [require_square(m) for m in mats]
     if not arr:
         raise ValueError("empty sample list")
-    dd = arr[0].shape[0]
-    if d is not None and dd != d:
-        raise ValueError(f"expected {d}x{d} matrices, got {dd}x{dd}")
-    if any(m.shape[0] != dd for m in arr):
+    if any(m.shape != arr[0].shape for m in arr):
         raise ValueError("samples have mismatched dimensions")
     return np.stack(arr)
 
@@ -187,7 +200,7 @@ def flat_map(d: int, c: float = 1.0) -> CovarianceMap:
     return CovarianceMap(d=d, choi4=choi4, form="choi")
 
 
-def choi_map(choi, d: int | None = None, form: str = "choi") -> CovarianceMap:
+def choi_map(choi) -> CovarianceMap:
     """Wrap an explicit Choi tensor (d,d,d,d) or matrix (d^2,d^2)."""
     arr = np.asarray(choi, dtype=np.complex128)
     if arr.ndim == 2:
@@ -202,11 +215,31 @@ def choi_map(choi, d: int | None = None, form: str = "choi") -> CovarianceMap:
             raise ValueError(f"Choi tensor shape {arr.shape} is not (d,d,d,d)")
     else:
         raise ValueError("Choi data must be a matrix or a rank-4 tensor")
-    return CovarianceMap(d=d, choi4=arr, form=form)
+    return CovarianceMap(d=d, choi4=arr)
 
 
 def _centered(stack: np.ndarray) -> np.ndarray:
     return stack - stack.mean(axis=0)
+
+
+def _entry_cov(samples, entry_cov) -> np.ndarray | None:
+    """entry_cov as a (d,d,d,d) array, or None if exactly samples is given."""
+    if (samples is None) == (entry_cov is None):
+        raise ValueError("provide exactly one of samples / entry_cov")
+    if entry_cov is None:
+        return None
+    gamma = np.asarray(entry_cov, dtype=np.complex128)
+    if gamma.ndim != 4 or len(set(gamma.shape)) != 1:
+        raise ValueError("entry_cov must be a (d,d,d,d) tensor")
+    return gamma
+
+
+def _sampled_map(ops: np.ndarray) -> CovarianceMap:
+    """Empirical map B -> mean_m a_m B a_m^* over an op stack, PSD-projected."""
+    m = ops.shape[0]
+    choi4, clipped = _project_psd(_conjugation_choi(ops, np.full(m, 1.0 / m)))
+    return CovarianceMap(d=ops.shape[1], choi4=choi4, form="empirical",
+                         psd_projection=clipped)
 
 
 def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
@@ -217,19 +250,11 @@ def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
     d x d draws) or from the exact ``entry_cov`` tensor
     Gamma[k,i,l,j] = Cov(a_{ki}, conj(a_{lj})).
     """
-    if (samples is None) == (entry_cov is None):
-        raise ValueError("provide exactly one of samples / entry_cov")
-    if samples is not None:
+    gamma = _entry_cov(samples, entry_cov)
+    if gamma is None:
         stack = _centered(_as_op_stack(samples))
-        m = stack.shape[0]
-        w = np.full(2 * m, 1.0 / (2 * m))
-        ops = np.concatenate([stack, stack.conj().transpose(0, 2, 1)])
-        choi4, clipped = _project_psd(_conjugation_choi(ops, w))
-        return CovarianceMap(d=stack.shape[1], choi4=choi4, form="empirical",
-                             psd_projection=clipped)
-    gamma = np.asarray(entry_cov, dtype=np.complex128)
-    if gamma.ndim != 4 or len(set(gamma.shape)) != 1:
-        raise ValueError("entry_cov must be a (d,d,d,d) tensor")
+        return _sampled_map(
+            np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
     plus = gamma.transpose(1, 0, 3, 2)          # choi of E[Abar B Abar^*]
     minus = gamma.conj()                        # choi of E[Abar^* B Abar]
     return CovarianceMap(d=gamma.shape[0], choi4=(plus + minus) / 2, form="choi")
@@ -237,19 +262,9 @@ def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
 
 def eta_wigner_blocks(samples=None, entry_cov=None) -> CovarianceMap:
     """Single-conjugation covariance eta(B) = E[Abar B Abar^*] (Wigner fill)."""
-    if (samples is None) == (entry_cov is None):
-        raise ValueError("provide exactly one of samples / entry_cov")
-    if samples is not None:
-        stack = _centered(_as_op_stack(samples))
-        m = stack.shape[0]
-        choi4, clipped = _project_psd(
-            _conjugation_choi(stack, np.full(m, 1.0 / m))
-        )
-        return CovarianceMap(d=stack.shape[1], choi4=choi4, form="empirical",
-                             psd_projection=clipped)
-    gamma = np.asarray(entry_cov, dtype=np.complex128)
-    if gamma.ndim != 4 or len(set(gamma.shape)) != 1:
-        raise ValueError("entry_cov must be a (d,d,d,d) tensor")
+    gamma = _entry_cov(samples, entry_cov)
+    if gamma is None:
+        return _sampled_map(_centered(_as_op_stack(samples)))
     return CovarianceMap(d=gamma.shape[0], choi4=gamma.transpose(1, 0, 3, 2),
                          form="choi")
 
@@ -263,14 +278,8 @@ def eta_kronecker(betas, sigma_l, prefactor: float = 1.0) -> CovarianceMap:
     """
     ops = _as_op_stack(betas)
     L, d = ops.shape[0], ops.shape[1]
+    sigma_l_factor(sigma_l, L)
     sig = as_matrix(sigma_l)
-    if sig.shape != (L, L):
-        raise ValueError(f"sigma_l must be {L}x{L}, got {sig.shape}")
-    scale = 1.0 + frobenius_norm(sig)
-    if np.max(np.abs(sig - sig.conj().T)) > SYMMETRY_RTOL * scale:
-        raise ValueError("sigma_l must be Hermitian")
-    if np.linalg.eigvalsh((sig + sig.conj().T) / 2).min() < CP_EIGENVALUE_TOL * scale:
-        raise ValueError("sigma_l must be positive semidefinite")
     direct = np.einsum("mn,mki,nlj->ikjl", sig, ops, ops.conj())
     adjoint = np.einsum("mn,mik,njl->ikjl", sig.conj(), ops.conj(), ops)
     choi4 = prefactor * (direct + adjoint)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .eta import CovarianceTensor
+from .eta import CovarianceTensor, sigma_l_factor
 
 MODELS = (
     "hermitized_iid",
@@ -31,14 +31,23 @@ MODELS = (
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComplexGaussian:
-    """Circular complex Gaussian, E x = 0, E x^2 = 0, E|x|^2 = variance."""
+class _Gaussian:
+    """Centered Gaussian law with E|x|^2 = variance, finite and >= 0."""
 
     variance: float = 1.0
+
+    def __post_init__(self):
+        if not 0 <= self.variance < np.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance!r}")
 
     @property
     def mean(self) -> complex:
         return 0.0
+
+
+@dataclass(frozen=True)
+class ComplexGaussian(_Gaussian):
+    """Circular complex Gaussian, E x = 0, E x^2 = 0, E|x|^2 = variance."""
 
     def draw(self, rng, n: int) -> np.ndarray:
         """n real parts, then n imaginary parts, from one stream call."""
@@ -51,13 +60,7 @@ class ComplexGaussian:
 
 
 @dataclass(frozen=True)
-class RealGaussian:
-    variance: float = 1.0
-
-    @property
-    def mean(self) -> complex:
-        return 0.0
-
+class RealGaussian(_Gaussian):
     def draw(self, rng, n: int) -> np.ndarray:
         return np.sqrt(self.variance) * rng.standard_normal(n).astype(np.complex128)
 
@@ -173,7 +176,12 @@ EntryLaw = ComplexGaussian | RealGaussian | Rademacher | TwoPoint | PermutationP
 
 @dataclass
 class ModelSpec:
-    """Full description of one block random-matrix model."""
+    """Full description of one block random-matrix model.
+
+    Every input a draw relies on is checked here, once; a draw re-checks
+    nothing.  The Gaussian factor of sigma_l, ``sigma_factor``, is made
+    here too; a tensor's is ``tensor.factor``, made by CovarianceTensor.
+    """
 
     model: str
     d: int
@@ -183,6 +191,8 @@ class ModelSpec:
     betas: tuple | None = None          # kronecker
     sigma_l: np.ndarray | None = None   # kronecker
     tensor: CovarianceTensor | None = None  # correlated_blocks / wishart
+    sigma_factor: np.ndarray | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -198,6 +208,7 @@ class ModelSpec:
             if any(b.shape[0] != self.d for b in self.betas):
                 raise ValueError("betas must be d x d")
             self.sigma_l = linalg.as_matrix(self.sigma_l)
+            self.sigma_factor = sigma_l_factor(self.sigma_l, len(self.betas))
         if self.model in ("correlated_blocks", "wishart_correlated"):
             if self.tensor is None:
                 raise ValueError(f"{self.model} model needs a covariance tensor")
@@ -205,6 +216,11 @@ class ModelSpec:
                 self.tensor = CovarianceTensor(self.tensor)
             if self.tensor.d != self.d:
                 raise ValueError("tensor dimension does not match d")
+            if self.model == "correlated_blocks" and not self.tensor.has_adjoint_symmetry:
+                raise ValueError(
+                    "correlated-blocks tensor needs sigma(i,j;k,l) = sigma(l,k;j,i)")
+            if self.model == "wishart_correlated" and not self.tensor.is_real:
+                raise ValueError("wishart tensor must be real-valued")
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
         if self.model in ("hermitized_iid", "wigner_blocks") and self.law is None:
@@ -233,15 +249,6 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _gaussian_factor(mat: np.ndarray) -> np.ndarray:
-    """Factor F with F F^dag = mat for Hermitian PSD mat (rank-deficient ok)."""
-    w, u = np.linalg.eigh(mat)
-    scale = 1.0 + float(np.max(np.abs(w), initial=0.0))
-    if w.min() < -1e-10 * scale:
-        raise ValueError("covariance matrix is not positive semidefinite")
-    return u @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-
-
 def _standard_complex(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
@@ -265,25 +272,24 @@ def _hermitian_fill(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return out.reshape(N * d, N * d)
 
 
-def _iid_block_grid(spec: ModelSpec, rng) -> np.ndarray:
-    """(N, N, d, d) grid of raw blocks drawn in row-major slot order."""
-    N, d = spec.N, spec.d
-    law = spec.law
+def _raw_blocks(law: EntryLaw, rng, n: int, d: int) -> np.ndarray:
+    """(n, d, d) raw blocks in slot order: a matrix pool fills whole
+    blocks, any other law fills them entry by entry."""
     if isinstance(law, PermutationPool) and law.is_matrix_pool:
-        return law.draw_blocks(rng, N * N, d).reshape(N, N, d, d)
-    return law.draw(rng, N * N * d * d).reshape(N, N, d, d)
+        return law.draw_blocks(rng, n, d)
+    return law.draw(rng, n * d * d).reshape(n, d, d)
 
 
 def sample_hermitized(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian."""
     if spec.model != "hermitized_iid":
         raise ValueError("spec.model must be 'hermitized_iid'")
-    n = spec.N * spec.d
-    m = _iid_block_grid(spec, rng_for(spec.seed, trial))
-    m = m.transpose(0, 2, 1, 3).reshape(n, n)    # rebinding frees the grid
+    N, d = spec.N, spec.d
+    m = _raw_blocks(spec.law, rng_for(spec.seed, trial), N * N, d)
+    m = m.reshape(N, N, d, d).transpose(0, 2, 1, 3).reshape(N * d, N * d)  # frees the draw
     h = np.conj(m.T, order="C")
     h += m
-    h /= np.sqrt(2 * spec.N)
+    h /= np.sqrt(2 * N)
     return h
 
 
@@ -293,12 +299,7 @@ def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
         raise ValueError("spec.model must be 'wigner_blocks'")
     N, d = spec.N, spec.d
     rng = rng_for(spec.seed, trial)
-    n_blocks = N * (N + 1) // 2
-    law = spec.law
-    if isinstance(law, PermutationPool) and law.is_matrix_pool:
-        blocks = law.draw_blocks(rng, n_blocks, d)
-    else:
-        blocks = law.draw(rng, n_blocks * d * d).reshape(n_blocks, d, d)
+    blocks = _raw_blocks(spec.law, rng, N * (N + 1) // 2, d)
     rows, cols = np.tril_indices(N)
     return _hermitian_fill(blocks, rows, cols, N) / np.sqrt(N)
 
@@ -314,9 +315,8 @@ def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
         raise ValueError("spec.model must be 'kronecker'")
     N = spec.N
     L = len(spec.betas)
-    factor = _gaussian_factor(spec.sigma_l)
     rng = rng_for(spec.seed, trial)
-    y = _standard_complex(rng, (N, N, L)) @ factor.T
+    y = _standard_complex(rng, (N, N, L)) @ spec.sigma_factor.T
     out = np.zeros((spec.d * N, spec.d * N), dtype=np.complex128)
     for k in range(L):
         yk = y[:, :, k] / np.sqrt(N)
@@ -337,16 +337,10 @@ def sample_correlated_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """
     if spec.model != "correlated_blocks":
         raise ValueError("spec.model must be 'correlated_blocks'")
-    tensor = spec.tensor
-    if not tensor.has_adjoint_symmetry:
-        raise ValueError(
-            "correlated-blocks tensor needs sigma(i,j;k,l) = sigma(l,k;j,i)"
-        )
     N, d = spec.N, spec.d
-    factor = _gaussian_factor(tensor.matrix())
     rng = rng_for(spec.seed, trial)
     rows, cols = np.triu_indices(N)
-    v = _standard_complex(rng, (rows.size, d * d)) @ factor.T
+    v = _standard_complex(rng, (rows.size, d * d)) @ spec.tensor.factor.T
     blocks = v.reshape(rows.size, d, d)
     return _hermitian_fill(blocks, rows, cols, N) / np.sqrt(d * N)
 
@@ -412,13 +406,9 @@ def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """
     if spec.model != "wishart_correlated":
         raise ValueError("spec.model must be 'wishart_correlated'")
-    tensor = spec.tensor
-    if not tensor.is_real:
-        raise ValueError("wishart tensor must be real-valued")
     N, d = spec.N, spec.d
-    factor = _gaussian_factor(tensor.matrix())
     rng = rng_for(spec.seed, trial)
-    v = _standard_complex(rng, (N * N, d * d)) @ factor.T
+    v = _standard_complex(rng, (N * N, d * d)) @ spec.tensor.factor.T
     grid = v.reshape(N, N, d, d)
     return grid.transpose(0, 2, 1, 3).reshape(N * d, N * d) / np.sqrt(d * N)
 

@@ -16,6 +16,12 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+def pair_tensor(mat):
+    """d = 2 config tensor sigma[i][j][k][l] = mat[2i + j, 2k + l], as [re, im] pairs."""
+    m = np.asarray(mat, dtype=np.complex128).reshape(2, 2, 2, 2)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
 def scalar_solve_config(tmp_path, out_name="solve.csv", **extra):
     data = {"command": "solve", "out": str(tmp_path / out_name),
             "eta": {"form": "scalar", "d": 1, "t": 1.0}, "z": [0.0, 2.0]}
@@ -164,6 +170,13 @@ class TestConfigValidation:
             "model": {"model": "hermitized_iid", "d": 1, "N": 8,
                       "law": {"variant": "rademacher"}},
             "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4}
+    KRONECKER = {"model": "kronecker", "d": 2, "N": 8,
+                 "betas": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]}
+    # real PSD, but sigma(0,1;0,1) = 1 != sigma(1,0;1,0) = 0
+    NOT_ADJOINT = pair_tensor(np.diag([1.0, 1.0, 0.0, 1.0]))
+    # Hermitian PSD with Sigma[0,1] = 0.5i
+    COMPLEX = pair_tensor([[1, 0.5j, 0, 0], [-0.5j, 1, 0, 0],
+                           [0, 0, 1, 0], [0, 0, 0, 1]])
 
     @pytest.mark.parametrize("base, key, value, named", [
         (WISHART, ("tensor",), 5, "config.tensor"),
@@ -200,6 +213,20 @@ class TestConfigValidation:
         # 3 pool values for the 36 entry draws of a d = 2, N = 3 sample
         (SAMPLE, ("model", "law"),
          {"variant": "permutation_pool", "values": [1.0, -1.0, 1.0]}, "config.model"),
+        # invalid model data: ModelSpec rejects it before rate builds the
+        # limit map
+        (RATE, ("model",), dict(KRONECKER, sigma_l=[[1.0, 3.0], [3.0, 1.0]]),
+         "config.model"),
+        (RATE, ("model",), dict(KRONECKER, betas=KRONECKER["betas"][:1],
+                                sigma_l=[[1.0, 0.0], [0.0, 1.0]]), "config.model"),
+        (RATE, ("model",), {"model": "correlated_blocks", "d": 2, "N": 8,
+                            "tensor": NOT_ADJOINT}, "config.model"),
+        (RATE, ("model",), {"model": "wishart_correlated", "d": 2, "N": 8,
+                            "tensor": COMPLEX}, "config.model"),
+        (RATE, ("model", "law"), {"variant": "complex_gaussian", "variance": -1.0},
+         "config.model.law"),
+        (SAMPLE, ("model", "law"), {"variant": "real_gaussian", "variance": -1.0},
+         "config.model.law"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -427,6 +454,16 @@ class TestExperimentCommands:
         values = [float(v) for v in lines[1].split(",")]
         assert header[0] == "max_identity_residual"
         assert values[0] <= 1e-9
+
+    def test_wishart_psd_within_tolerance(self, tmp_path):
+        # lambda_min = -1.5e-8 is inside -1e-10 * (1 + ||Sigma||_F); the
+        # tensor check and the sampler factor share that one tolerance
+        data = {"command": "wishart", "out": str(tmp_path / "w.csv"),
+                "tensor": pair_tensor(np.diag([100.0, 100.0, 100.0, -1.5e-8])),
+                "z": [1.4142135623730951, 1.4142135623730951],
+                "N": 6, "trials": 2, "seed": 3}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert (tmp_path / "w.csv").exists()
 
     def test_wishart_golden_across_threads(self, tmp_path):
         # the solver and Monte Carlo strings are pinned, while the residual

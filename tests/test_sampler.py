@@ -186,17 +186,29 @@ class TestKronecker:
         rho = 0.5
         sigma = np.array([[1.0, rho], [rho, 1.0]])
         factor_spec = self.base_spec(sigma, N=100, seed=8)
-        from dyson_blocks.sampler import _gaussian_factor, _standard_complex
-        fac = _gaussian_factor(factor_spec.sigma_l)
-        draws = _standard_complex(rng_for(8, 0), (100_000, 2)) @ fac.T
+        from dyson_blocks.sampler import _standard_complex
+        draws = (_standard_complex(rng_for(8, 0), (100_000, 2))
+                 @ factor_spec.sigma_factor.T)
         cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
         assert abs(cross - rho) <= 3 / np.sqrt(100_000)
         assert abs(np.mean(np.abs(draws[:, 0]) ** 2) - 1.0) <= 3 * 2 / np.sqrt(100_000)
 
     def test_rejects_non_psd_sigma(self):
-        spec = self.base_spec(np.array([[1.0, 3.0], [3.0, 1.0]]))
         with pytest.raises(ValueError):
-            sample_kronecker(spec)
+            self.base_spec(np.array([[1.0, 3.0], [3.0, 1.0]]))
+
+    def test_rejects_non_hermitian_sigma(self):
+        # eigh reads one triangle only, so unchecked this draws like sigma_l = I
+        with pytest.raises(ValueError, match="sigma_l must be Hermitian"):
+            self.base_spec(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="sigma_l must be Hermitian"):
+            self.base_spec(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_rejects_sigma_of_wrong_size(self):
+        with pytest.raises(ValueError, match="sigma_l must be 2x2"):
+            self.base_spec(np.eye(3))
 
 
 class TestCorrelatedBlocks:
@@ -251,10 +263,9 @@ class TestCorrelatedBlocks:
         gen = np.random.Generator(np.random.Philox(key=[11, 0]))
         f = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         tensor = CovarianceTensor((f @ f.conj().T).reshape(2, 2, 2, 2))
-        spec = ModelSpec(model="correlated_blocks", d=2, N=8, seed=1,
-                         tensor=tensor)
         with pytest.raises(ValueError):
-            sample_correlated_blocks(spec)
+            ModelSpec(model="correlated_blocks", d=2, N=8, seed=1,
+                      tensor=tensor)
 
 
 class TestCirculant:
@@ -418,6 +429,19 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError):
             ModelSpec(model="kronecker", d=2, N=4)
 
+    def test_wishart_tensor_must_be_real(self):
+        sig = np.eye(4, dtype=np.complex128)
+        sig[0, 1], sig[1, 0] = 0.5j, -0.5j
+        with pytest.raises(ValueError, match="wishart tensor must be real-valued"):
+            ModelSpec(model="wishart_correlated", d=2, N=4,
+                      tensor=CovarianceTensor(sig.reshape(2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("law", [ComplexGaussian, RealGaussian])
+    @pytest.mark.parametrize("variance", [-1.0, np.inf, np.nan])
+    def test_gaussian_laws_reject_bad_variance(self, law, variance):
+        with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+            law(variance)
+
     def test_copies_keep_fields_and_revalidate(self):
         spec = ModelSpec(model="kronecker", d=2, N=4, seed=3,
                          betas=(I2, E12), sigma_l=np.eye(2))
@@ -510,3 +534,17 @@ class TestGoldenHashes:
         m = sample_matrix(ModelSpec(**self.SPECS[name]), 2)
         digest = hashlib.sha256(matrix_to_bytes(m)).hexdigest()
         assert digest == self.HASHES[name]
+
+    def test_draws_run_no_eigensolver(self, monkeypatch):
+        # the Gaussian factors are made when the specs are built, not per draw
+        names = ("kronecker", "correlated_blocks", "wishart_correlated")
+        specs = {name: ModelSpec(**self.SPECS[name]) for name in names}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolver called during a draw")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for name, spec in specs.items():
+            digest = hashlib.sha256(matrix_to_bytes(sample_matrix(spec, 2))).hexdigest()
+            assert digest == self.HASHES[name]
