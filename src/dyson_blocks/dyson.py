@@ -1,20 +1,24 @@
 """Solvers for operator-valued Dyson equations.
 
-Both equations are solved as z G = I + S(G) G for a self-energy S:
+One equation is solved, the semicircular one
 
-    semicircular:  S(G) = eta(G)
-    Wishart:       S(G) = eta1((I - eta2(G))^{-1})
+    z G = I + eta(G) G,
 
 by one driver, ``solve_dyson``, that takes a whole stack of z points at
-once.  Each point is reached by continuation in Im z: it starts at a
-height where plain iteration contracts (Im z > 1.5 ||eta||^(1/2) in the
-semicircular case) and descends geometrically to the requested z,
-taking Newton steps on R(G) = (z - S(G)) G - I at every height.  Maps
-act through their d^2 x d^2 ``CovarianceMap.action`` matrices, and the
-Newton systems of all points are solved in one batched
+once.  The Wishart equation w G = I + eta1((I - eta2(G))^{-1}) G is this
+equation for its Hermitization (``EtaPair.hermitization``, the 2d x 2d
+map B -> diag(eta1(B_22), eta2(B_11))) at z = sqrt(w): the root there is
+diag(z G_W(w), z G_V(w)), and G_W(w) is its top-left block over z.
+
+Each point is reached by continuation in Im z: it starts at a height
+where plain iteration contracts (Im z > 1.5 ||eta||^(1/2)) and descends
+geometrically to the requested z, taking Newton steps on
+R(G) = (z - eta(G)) G - I at every height.  The map acts through its
+d^2 x d^2 ``CovarianceMap.action`` matrix, which is also the derivative
+of eta, and the Newton systems of all points are solved in one batched
 ``np.linalg.solve``.
 
-Certificate: a point converges when ||z G - I - S(G) G||_F <= tol and
+Certificate: a point converges when ||z G - I - eta(G) G||_F <= tol and
 Im G <= 0 (largest eigenvalue of (G - G^*)/2i at most tol).  The branch
 condition matters because Newton can converge to a root of the wrong
 branch.  Every continuation height must meet the certificate before
@@ -32,7 +36,7 @@ density table, and density-to-CDF conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,8 +85,12 @@ class DysonSolution:
     since every step is a full Newton step; the field is kept for the
     callers that read it.
     ``stability_margin`` is the smallest singular value of the stability
-    operator H -> H - G S'(H) G at the returned G; it tends to 0 at a
+    operator H -> H - G eta(H) G at the returned G; it tends to 0 at a
     spectral edge as Im z -> 0.
+
+    For a Wishart point, ``z`` is w and ``G`` is G_W(w), while
+    ``residual``, ``iterations``, ``converged`` and ``stability_margin``
+    are those of the Hermitized equation, solved at sqrt(w) on M_2(M_d).
     """
 
     z: complex
@@ -114,8 +122,7 @@ def _batched_solve(a: np.ndarray, b: np.ndarray):
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        x = np.full(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                    + b.shape[-2:], np.nan, dtype=np.complex128)
+        x = np.full(b.shape, np.nan, dtype=np.complex128)
         for m in range(len(x)):
             try:
                 x[m] = np.linalg.solve(a[m:m + 1], b[m:m + 1])[0]
@@ -124,64 +131,20 @@ def _batched_solve(a: np.ndarray, b: np.ndarray):
     return x, np.isfinite(x).all(axis=(-2, -1))
 
 
-class _Semicircular:
-    """S(G) = eta(G); its derivative S' is the action matrix, shared by
-    all points (a 2-D S' below stands for the same matrix at every point)."""
-
-    def __init__(self, eta: CovarianceMap):
-        self.d = eta.d
-        self.action = eta.action
-        self.start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
-
-    def __call__(self, G):
-        k, d = len(G), self.d
-        S = (self.action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
-        return S, self.action, np.ones(k, bool)
-
-
-class _Wishart:
-    """S(G) = eta1(K) with K = (I - eta2(G))^{-1}; S' = E1 kron(K, K^T) E2."""
-
-    def __init__(self, pair: EtaPair):
-        self.d = pair.d
-        self.action1, self.action2 = pair.eta1.action, pair.eta2.action
-        n1, n2 = pair.eta1.cp_norm(), pair.eta2.cp_norm()
-        # ||eta2(G)|| <= 1/2 and ||G||^2 ||S'|| < 1 for ||G|| <= 1 / Im z
-        self.start_height = max(2.0 * n2, 2.0 * START_HEIGHT_FACTOR * np.sqrt(n1 * n2))
-
-    def __call__(self, G):
-        k, d = len(G), self.d
-        eye = np.eye(d, dtype=np.complex128)
-        X = eye - (self.action2 @ G.reshape(k, d * d, 1)).reshape(k, d, d)
-        K, ok = _batched_solve(X, np.broadcast_to(eye, X.shape))
-        S = (self.action1 @ K.reshape(k, d * d, 1)).reshape(k, d, d)
-        kron = np.einsum("mij,mlk->mikjl", K, K).reshape(k, d * d, d * d)
-        return S, self.action1 @ kron @ self.action2, ok
-
-
-def _self_energy(model):
-    if isinstance(model, CovarianceMap):
-        return _Semicircular(model)
-    if isinstance(model, EtaPair):
-        return _Wishart(model)
-    raise TypeError("model must be a CovarianceMap (semicircular) or an "
-                    "EtaPair (Wishart)")
-
-
-def _newton_jacobian(A, G, Sp):
-    """d^2 x d^2 Jacobians kron(A, I) - kron(I, G^T) S' of R = A G - I."""
+def _newton_jacobian(A, G, action):
+    """d^2 x d^2 Jacobians kron(A, I) - kron(I, G^T) action of R = A G - I."""
     k, d = G.shape[0], G.shape[1]
     eye = np.eye(d, dtype=np.complex128)
     left = np.einsum("mij,kl->mikjl", A, eye).reshape(k, d * d, d * d)
-    # (kron(I, G^T) S')[(i,k), n] = sum_l G[l,k] S'[(i,l), n]
-    right = G.transpose(0, 2, 1)[:, None] @ Sp.reshape(Sp.shape[:-2] + (d, d, d * d))
+    # (kron(I, G^T) action)[(i,k), n] = sum_l G[l,k] action[(i,l), n]
+    right = G.transpose(0, 2, 1)[:, None] @ action.reshape(d, d, d * d)
     return left - right.reshape(k, d * d, d * d)
 
 
-def _stability_margin(G, Sp):
-    """Smallest singular value of I - kron(G, G^T) S', i.e. H -> H - G S'(H) G."""
+def _stability_margin(G, action):
+    """Smallest singular value of I - kron(G, G^T) action: H -> H - G eta(H) G."""
     k, d = G.shape[0], G.shape[1]
-    cols = np.moveaxis(Sp.reshape(Sp.shape[:-2] + (d, d, d * d)), -1, -3)  # S'(e_n)
+    cols = np.moveaxis(action.reshape(d, d, d * d), -1, 0)  # eta(e_n)
     gsg = (G[:, None] @ cols @ G[:, None]).transpose(0, 2, 3, 1)
     op = np.eye(d * d) - gsg.reshape(k, d * d, d * d)
     margin = np.full(k, np.nan)
@@ -201,11 +164,12 @@ class _Driver:
     """Per-point state of one ``solve_dyson`` call; ``run`` sweeps until
     every point is certified or has failed."""
 
-    def __init__(self, energy, target: np.ndarray, opts: SolverOptions):
-        self.energy, self.target, self.opts = energy, target, opts
-        m, d = len(target), energy.d
+    def __init__(self, eta: CovarianceMap, target: np.ndarray, opts: SolverOptions):
+        self.action, self.target, self.opts = eta.action, target, opts
+        m, d = len(target), eta.d
         self.eye = np.eye(d, dtype=np.complex128)
-        self.z = target.real + 1j * np.maximum(target.imag, energy.start_height)
+        start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
+        self.z = target.real + 1j * np.maximum(target.imag, start_height)
         self.G = self.eye / self.z[:, None, None]
         self.accepted = self.G.copy()               # last certified height
         self.accepted_height = np.full(m, np.nan)
@@ -219,16 +183,18 @@ class _Driver:
         while self.sweep():
             pass
 
+    def _eta(self, G):
+        k, d = G.shape[0], G.shape[1]
+        return (self.action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
+
     def sweep(self) -> bool:
         live = np.flatnonzero(self.mode < _DONE)
         if live.size == 0:
             return False
         G, z = self.G[live], self.z[live]
-        S, Sp, ok = self.energy(G)
-        A = z[:, None, None] * self.eye - S
+        A = z[:, None, None] * self.eye - self._eta(G)
         R = A @ G - self.eye
         res = np.linalg.norm(R, axis=(1, 2))
-        res[~ok] = np.inf
         small = res <= self.opts.tol
         certified = small.copy()
         certified[small] = _branch_ok(G[small], self.opts.tol)
@@ -240,12 +206,11 @@ class _Driver:
         self.mode[live[out]] = _FAILED
         go = ~done & ~out
         self.iterations[live[go]] += 1
-        self._newton(live[go], G[go], A[go], R[go],
-                     Sp if Sp.ndim == 2 else Sp[go], res[go],
+        self._newton(live[go], G[go], A[go], R[go], res[go],
                      certified[go], small[go])
         return True
 
-    def _newton(self, idx, G, A, R, Sp, res, certified, small):
+    def _newton(self, idx, G, A, R, res, certified, small):
         if idx.size == 0:
             return
         height = self.z[idx].imag
@@ -275,7 +240,7 @@ class _Driver:
         step = ~reject
         if not step.any():
             return
-        J = _newton_jacobian(A[step], G[step], Sp if Sp.ndim == 2 else Sp[step])
+        J = _newton_jacobian(A[step], G[step], self.action)
         delta, solved = _batched_solve(J, -R[step].reshape(len(J), -1, 1))
         stepped = idx[step]
         self.G[stepped] = G[step] + delta.reshape(G[step].shape)
@@ -301,12 +266,11 @@ class _Driver:
         self.height_steps[idx] = 0
 
     def solutions(self) -> list:
-        S, Sp, ok = self.energy(self.G)
-        R = (self.target[:, None, None] * self.eye - S) @ self.G - self.eye
-        res = np.where(ok, np.linalg.norm(R, axis=(1, 2)), np.inf)
+        A = self.target[:, None, None] * self.eye - self._eta(self.G)
+        res = np.linalg.norm(A @ self.G - self.eye, axis=(1, 2))
         converged = self.mode == _DONE
         res[converged] = self.residual[converged]
-        margin = _stability_margin(self.G, Sp)
+        margin = _stability_margin(self.G, self.action)
         return [DysonSolution(complex(self.target[m]), self.G[m].copy(),
                               float(res[m]), int(self.iterations[m]),
                               bool(converged[m]),
@@ -315,22 +279,30 @@ class _Driver:
 
 
 def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
-    """Solve z G = I + S(G) G at every z of ``zs`` in one batched call.
+    """Solve the Dyson equation at every z of ``zs`` in one batched call.
 
-    ``model`` is a CovarianceMap (semicircular, S(G) = eta(G)) or an
-    EtaPair (Wishart, S(G) = eta1((I - eta2(G))^{-1})).  Returns one
+    ``model`` is a CovarianceMap (semicircular, z G = I + eta(G) G) or an
+    EtaPair (Wishart, z G = I + eta1((I - eta2(G))^{-1}) G, solved as its
+    Hermitization at sqrt(z); see DysonSolution).  Returns one
     DysonSolution per z, in order; points that miss the certificate come
     back with converged=False and the residual of the returned G at z.
     Each point's result does not depend on the other points in the call.
     """
     opts = opts or SolverOptions()
-    energy = _self_energy(model)
     target = np.array([_require_upper_half_plane(z) for z in zs],
                       dtype=np.complex128)
-    chunk = max(1, JACOBIAN_ENTRIES // energy.d ** 4)
+    if isinstance(model, EtaPair):
+        d = model.d
+        return [replace(sol, z=complex(w), G=sol.G[:d, :d] / sol.z)
+                for w, sol in zip(target, solve_dyson(model.hermitization(),
+                                                      np.sqrt(target), opts))]
+    if not isinstance(model, CovarianceMap):
+        raise TypeError("model must be a CovarianceMap (semicircular) or an "
+                        "EtaPair (Wishart)")
+    chunk = max(1, JACOBIAN_ENTRIES // model.d ** 4)
     solutions = []
     for lo in range(0, len(target), chunk):
-        driver = _Driver(energy, target[lo:lo + chunk], opts)
+        driver = _Driver(model, target[lo:lo + chunk], opts)
         driver.run()
         solutions.extend(driver.solutions())
     return solutions
@@ -344,20 +316,10 @@ def solve_semicircular(eta: CovarianceMap, z: complex,
     return solve_dyson(eta, [z], opts)[0]
 
 
-def wishart_residual(pair: EtaPair, G: np.ndarray, z: complex) -> float:
-    """||z G - I - eta1((I - eta2(G))^{-1}) G||_F (inf if the inverse fails)."""
-    G = np.asarray(G, dtype=np.complex128)[None]
-    S, _, ok = _Wishart(pair)(G)
-    if not ok[0]:
-        return float("inf")
-    eye = np.eye(pair.d, dtype=np.complex128)
-    return float(np.linalg.norm((complex(z) * eye - S[0]) @ G[0] - eye))
-
-
 def solve_wishart(pair: EtaPair, z: complex,
                   opts: SolverOptions | None = None) -> DysonSolution:
     """Solve z G = I + eta1((I - eta2(G))^{-1}) G at one z (a one-point
-    ``solve_dyson``)."""
+    ``solve_dyson`` of the Hermitization at sqrt(z))."""
     if not isinstance(pair, EtaPair):
         raise TypeError("pair must be an EtaPair")
     return solve_dyson(pair, [z], opts)[0]
@@ -433,7 +395,8 @@ def stieltjes_density(g, grid, eps: float,
                       opts: SolverOptions | None = None):
     """Boundary-value density rho(x) = -Im g(x + i eps) / pi on a grid.
 
-    ``g`` is either a callable z -> scalar Cauchy value or a
+    ``g`` is either a vectorised callable, called once on the array of
+    grid points x + i eps and returning one Cauchy value per point, or a
     CovarianceMap (then the whole grid is solved in one ``solve_dyson``
     call and its normalized traces are used; the first grid point that
     misses the certificate raises DensityEvaluationError).  Values are
@@ -456,12 +419,10 @@ def stieltjes_density(g, grid, eps: float,
                     sol.z.real, f"solver residual {sol.residual:.3e}")
         values = np.array([sol.trace() for sol in solutions])
     elif callable(g):
-        try:
-            values = np.asarray(g(xs + 1j * eps), dtype=np.complex128)
-            if values.shape != xs.shape:
-                raise TypeError
-        except TypeError:
-            values = np.array([complex(g(complex(x, eps))) for x in xs])
+        values = np.asarray(g(xs + 1j * eps), dtype=np.complex128)
+        if values.shape != xs.shape:
+            raise ValueError(f"g returned shape {values.shape} for a grid of "
+                             f"shape {xs.shape}")
     else:
         raise TypeError("g must be callable or a CovarianceMap")
     rho = np.clip(-values.imag / np.pi, 0.0, None)

@@ -148,6 +148,21 @@ class EtaPair:
     def d(self) -> int:
         return self.eta1.d
 
+    def hermitization(self) -> CovarianceMap:
+        """The 2d x 2d map B -> diag(eta1(B_22), eta2(B_11)) on M_2(M_d).
+
+        It is the block-diagonal part of the covariance of the
+        Hermitization [[0, H], [H^*, 0]]; its semicircular root at z is
+        diag(z G_W(z^2), z G_V(z^2)), so the Wishart equation is this map's
+        semicircular equation at z = sqrt(w).  Completely positive when
+        eta1 and eta2 are.
+        """
+        d = self.d
+        choi = np.zeros((2, d) * 4, dtype=np.complex128)
+        choi[1, :, 0, :, 1, :, 0, :] = self.eta1.choi4
+        choi[0, :, 1, :, 0, :, 1, :] = self.eta2.choi4
+        return CovarianceMap(d=2 * d, choi4=choi.reshape((2 * d,) * 4))
+
 
 def _conjugation_choi(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Choi tensor of B -> sum_m w_m a_m B a_m^*."""

@@ -88,6 +88,13 @@ class TwoPoint:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must be a probability")
+        try:
+            finite = np.isfinite([self.a, self.b, self.variance]).all()
+        except OverflowError:       # the float square of |a - m| >~ 1e154
+            finite = False
+        if not finite:
+            raise ValueError(f"a, b and the variance must be finite, got "
+                             f"a={self.a!r}, b={self.b!r}")
 
     @property
     def mean(self) -> complex:
@@ -366,14 +373,11 @@ def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     if spec.model != "circulant":
         raise ValueError("spec.model must be 'circulant'")
     N, d = spec.N, spec.d
-    wigners = _circulant_wigners(spec, trial)
-    out = np.zeros((d, N, d, N), dtype=np.complex128)
-    for r in range(d):
-        for c in range(d):
-            k = (c - r) % d
-            # reflection A^(k) = A^(d-k): W_0 .. W_{d//2} fill every block
-            out[r, :, c, :] = wigners[min(k, d - k)]
-    return out.reshape(d * N, d * N) / np.sqrt(d)
+    wigners = np.stack(_circulant_wigners(spec, trial)) / np.sqrt(d)
+    k = (np.arange(d) - np.arange(d)[:, None]) % d    # k[r, c] = (c - r) mod d
+    # reflection A^(k) = A^(d-k): W_0 .. W_{d//2} fill every block
+    out = wigners[np.minimum(k, d - k)].transpose(0, 2, 1, 3)
+    return out.reshape(d * N, d * N)
 
 
 def _circulant_blocks(spec: ModelSpec, trial: int):

@@ -174,6 +174,7 @@ class TestConfigValidation:
                  "betas": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]}
     # real PSD, but sigma(0,1;0,1) = 1 != sigma(1,0;1,0) = 0
     NOT_ADJOINT = pair_tensor(np.diag([1.0, 1.0, 0.0, 1.0]))
+    TWO_POINT_HUGE = {"variant": "two_point", "a": 1e300, "b": -1e300, "p": 0.5}
     # Hermitian PSD with Sigma[0,1] = 0.5i
     COMPLEX = pair_tensor([[1, 0.5j, 0, 0], [-0.5j, 1, 0, 0],
                            [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -227,6 +228,9 @@ class TestConfigValidation:
          "config.model.law"),
         (SAMPLE, ("model", "law"), {"variant": "real_gaussian", "variance": -1.0},
          "config.model.law"),
+        # the variance of this law overflows a float
+        (RATE, ("model", "law"), TWO_POINT_HUGE, "config.model.law"),
+        (SAMPLE, ("model", "law"), TWO_POINT_HUGE, "config.model.law"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -476,7 +480,7 @@ class TestExperimentCommands:
                 "z": [1.4142135623730951, 1.4142135623730951],
                 "N": 24, "trials": 4, "seed": 8}
         cfg = write_config(tmp_path, data)
-        golden = ("-0.03159858847124458,-0.23842328072453084,"
+        golden = ("-0.03159858847124457,-0.23842328072453087,"
                   "-0.03184583463863794,-0.2384087237836748,"
                   "0.00014806823702538392")
         for threads in ("1", "2"):

@@ -250,12 +250,41 @@ class TestSolveWishart:
             assert w.imag * sol.trace().imag < 0
 
     def test_residual_certificate(self):
-        pair = eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1))))
-        z = 3 + 0.5j
-        sol = solve_wishart(pair, z)
-        assert sol.converged
-        from dyson_blocks.dyson import wishart_residual
-        assert abs(wishart_residual(pair, sol.G, z) - sol.residual) <= 1e-13
+        # the Wishart residual, computed here from the Choi tensors, of the
+        # G_W that the Hermitized solve returns; MP and random real tensors
+        def apply(eta, b):
+            return np.einsum("ikjl,ij->kl", eta.choi4, b)
+
+        gen = rng()
+        tensors = [np.ones((1, 1, 1, 1))]
+        for d in (2, 3):
+            m = gen.standard_normal((d * d, d * d))
+            tensors.append((m @ m.T / d ** 2).reshape(d, d, d, d))
+        for tensor in tensors:
+            pair = eta_wishart_pair(CovarianceTensor(tensor))
+            eye = np.eye(pair.d)
+            for w in (3 + 0.5j, 4 + 0.01j, 0.5 + 0.01j, 4 + 1e-6j, 1e-6j,
+                      -1 + 0.5j):
+                sol = solve_wishart(pair, w)
+                assert sol.converged and sol.z == w
+                G = sol.G
+                K = np.linalg.inv(eye - apply(pair.eta2, G))
+                assert np.linalg.norm(
+                    w * G - eye - apply(pair.eta1, K) @ G) <= 1e-10
+                assert np.linalg.eigvalsh((G - G.conj().T) / 2j).max() <= 0
+
+    def test_hermitized_root_is_block_diagonal(self):
+        # G_W(w) is the top-left block over z of the Hermitized root at
+        # z = sqrt(w), whose off-diagonal blocks stay exactly 0
+        m = rng().standard_normal((9, 9))
+        pair = eta_wishart_pair(CovarianceTensor((m @ m.T / 9).reshape(3, 3, 3, 3)))
+        ws = [4 + 0.01j, 0.5 + 0.01j, -1 + 0.5j, 1e-6j]
+        herm = solve_dyson(pair.hermitization(), np.sqrt(ws))
+        for w, h, sol in zip(ws, herm, solve_dyson(pair, ws)):
+            assert h.converged and h.z.imag > 0
+            assert not h.G[:3, 3:].any() and not h.G[3:, :3].any()
+            assert sol.z == w and np.array_equal(sol.G, h.G[:3, :3] / h.z)
+            assert (sol.residual, sol.iterations) == (h.residual, h.iterations)
 
     def test_rejects_lower_half_plane(self):
         pair = EtaPair(scalar_map(1, 0.0), scalar_map(1, 0.0))
@@ -297,6 +326,26 @@ class TestStieltjesDensity:
             stieltjes_density(lambda z: 1 / z, np.array([1.0, 0.5]), 1e-4)
         with pytest.raises(ValueError):
             stieltjes_density(lambda z: 1 / z, np.array([0.0, 1.0]), 0.0)
+
+    def test_calls_g_once_on_the_grid(self):
+        calls = []
+
+        def g(z):
+            calls.append(z)
+            return scalar_semicircle_cauchy(1.0, z)
+
+        xs, rho = stieltjes_density(g, np.linspace(-1.0, 1.0, 5), 1e-3)
+        assert len(calls) == 1 and calls[0].shape == (5,)
+        assert np.array_equal(rho, np.clip(-g(xs + 1e-3j).imag / np.pi, 0, None))
+
+    def test_errors_of_g_propagate(self):
+        def g(z):
+            raise TypeError("raised inside g")
+
+        with pytest.raises(TypeError, match="raised inside g"):
+            stieltjes_density(g, np.array([0.0, 1.0]), 1e-3)
+        with pytest.raises(ValueError, match="shape"):
+            stieltjes_density(lambda z: 1 / z[0], np.array([0.0, 1.0]), 1e-3)
 
     def test_solver_failure_names_offending_point(self):
         from dyson_blocks.dyson import DensityEvaluationError

@@ -293,6 +293,44 @@ class TestWishartPair:
             eta_wishart_pair(CovarianceTensor(sig))
 
 
+class TestHermitization:
+    @staticmethod
+    def pairs():
+        gen = rng()
+        for d in (1, 2, 3):
+            ops = [random_b(gen, d) for _ in range(3)]
+            yield EtaPair(eta_iid_blocks(samples=ops),
+                          eta_wigner_blocks(samples=ops[:2]))
+        m = gen.standard_normal((4, 4))
+        yield eta_wishart_pair(CovarianceTensor((m @ m.T).reshape(2, 2, 2, 2)))
+
+    def test_block_diagonal_map(self):
+        # B -> diag(eta1(B_22), eta2(B_11)) on random 2d x 2d matrices
+        gen = rng()
+        for pair in self.pairs():
+            d = pair.d
+            herm = pair.hermitization()
+            assert herm.d == 2 * d
+            for _ in range(3):
+                b = random_b(gen, 2 * d)
+                want = np.zeros((2 * d, 2 * d), dtype=complex)
+                want[:d, :d] = pair.eta1(b[d:, d:])
+                want[d:, d:] = pair.eta2(b[:d, :d])
+                assert np.allclose(herm(b), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_completely_positive_with_the_pair(self):
+        for pair in self.pairs():
+            assert pair.eta1.is_completely_positive()
+            assert pair.eta2.is_completely_positive()
+            assert pair.hermitization().is_completely_positive()
+        not_cp = choi_map(np.diag([1.0, -0.5, 0.0, 1.0]))
+        assert not not_cp.is_completely_positive()
+        for pair in (EtaPair(not_cp, scalar_map(2, 1.0)),
+                     EtaPair(scalar_map(2, 1.0), not_cp)):
+            assert not pair.hermitization().is_completely_positive()
+
+
 class TestChoiAndNorms:
     def test_scalar_choi_is_scaled_entangled_projector(self):
         t, d = 0.8, 3

@@ -56,6 +56,17 @@ class TestEntryLaws:
         with pytest.raises(ValueError):
             TwoPoint(1.0, -1.0, 1.5)
 
+    @pytest.mark.parametrize("a, b", [
+        (float("inf"), 0.0), (0.0, float("nan")),
+        (1e300, -1e300),        # finite values whose variance overflows
+    ])
+    def test_two_point_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            TwoPoint(a, b, 0.5)
+
+    def test_two_point_accepts_large_finite_variance(self):
+        assert np.isclose(TwoPoint(1e150, -1e150, 0.5).variance, 1e300)
+
     def test_pool_statistics(self):
         pool = PermutationPool([1.0, -1.0, 1.0, -1.0])
         assert pool.mean == 0.0
@@ -276,6 +287,20 @@ class TestCirculant:
         assert np.array_equal(m[0, :, 0, :], m[1, :, 1, :])
         assert np.array_equal(m[0, :, 1, :], m[1, :, 0, :])
         assert not np.array_equal(m[0, :, 0, :], m[0, :, 1, :])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_block_loop(self, d):
+        # reference: block (r, c) holds W_min(k, d - k), k = (c - r) mod d
+        from dyson_blocks.sampler import _circulant_wigners
+        spec = ModelSpec(model="circulant", d=d, N=4, seed=12)
+        wigners = _circulant_wigners(spec, 1)
+        ref = np.zeros((d, 4, d, 4), dtype=np.complex128)
+        for r in range(d):
+            for c in range(d):
+                k = (c - r) % d
+                ref[r, :, c, :] = wigners[min(k, d - k)]
+        assert np.array_equal(sample_circulant(spec, 1),
+                              ref.reshape(4 * d, 4 * d) / np.sqrt(d))
 
     def test_shift_invariance(self):
         d = 4
