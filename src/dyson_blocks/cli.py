@@ -68,6 +68,18 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
+def _variant(obj, path: str, key: str, keys: dict) -> str:
+    """obj[key], a variant named in ``keys``, once obj is checked to hold
+    exactly that variant's keys: keys[name] = (required, optional)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    name = obj.get(key)
+    if not isinstance(name, str) or name not in keys:
+        raise ConfigError(f"{path}.{key}: expected one of {list(keys)}, got {name!r}")
+    _check_keys(obj, path, (key,) + keys[name][0], keys[name][1])
+    return name
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -107,10 +119,27 @@ def _matrix(value, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: expected a matrix of numbers or [re, im] pairs") from exc
 
 
+def _matrices(value, path: str) -> tuple:
+    return tuple(_matrix(m, path) for m in _list(value, path))
+
+
+# (required, optional) keys of each variant of a config object
+_LAW_KEYS = {"complex_gaussian": ((), ("variance",)), "real_gaussian": ((), ("variance",)),
+             "rademacher": ((), ()), "two_point": (("a", "b", "p"), ()),
+             "permutation_pool": (("values",), ())}
+_MODEL_KEYS = {"hermitized_iid": (("d", "N", "law"), ()),
+               "wigner_blocks": (("d", "N", "law"), ()),
+               "kronecker": (("d", "N", "betas", "sigma_l"), ()),
+               "correlated_blocks": (("d", "N", "tensor"), ()),
+               "circulant": (("d", "N"), ("law",)),
+               "wishart_correlated": (("d", "N", "tensor"), ())}
+_ETA_KEYS = {"scalar": (("d", "t"), ()), "flat": (("d",), ("c",)),
+             "kronecker": (("betas", "sigma_l"), ()), "tensor": (("sigma",), ()),
+             "choi": (("matrix",), ())}
+
+
 def _law(obj, path: str):
-    _check_keys(obj, path, ("variant",),
-                ("variance", "a", "b", "p", "values"))
-    variant = obj["variant"]
+    variant = _variant(obj, path, "variant", _LAW_KEYS)
     variance = _real(obj.get("variance", 1.0), f"{path}.variance")
     try:
         if variant == "complex_gaussian":
@@ -121,13 +150,9 @@ def _law(obj, path: str):
             return sampler.Rademacher()
         if variant == "two_point":
             return sampler.TwoPoint(*(_real(obj[k], f"{path}.{k}") for k in "abp"))
-        if variant == "permutation_pool":
-            return sampler.PermutationPool(_reals(obj["values"], f"{path}.values"))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r} for {variant}") from exc
+        return sampler.PermutationPool(_reals(obj["values"], f"{path}.values"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.variant: unknown entry law {variant!r}")
 
 
 def _tensor(value, path: str) -> CovarianceTensor:
@@ -142,19 +167,13 @@ def _tensor(value, path: str) -> CovarianceTensor:
 
 
 def _model(obj, path: str, seed: int) -> sampler.ModelSpec:
-    _check_keys(obj, path, ("model", "d", "N"),
-                ("law", "betas", "sigma_l", "tensor"))
+    _variant(obj, path, "model", _MODEL_KEYS)
     kwargs = dict(model=obj["model"], d=_real(obj["d"], f"{path}.d", int),
                   N=_real(obj["N"], f"{path}.N", int), seed=seed)
-    if "law" in obj:
-        kwargs["law"] = _law(obj["law"], f"{path}.law")
-    if "betas" in obj:
-        kwargs["betas"] = tuple(_matrix(b, f"{path}.betas")
-                                for b in _list(obj["betas"], f"{path}.betas"))
-    if "sigma_l" in obj:
-        kwargs["sigma_l"] = _matrix(obj["sigma_l"], f"{path}.sigma_l")
-    if "tensor" in obj:
-        kwargs["tensor"] = _tensor(obj["tensor"], f"{path}.tensor")
+    for key, parse in (("law", _law), ("betas", _matrices),
+                       ("sigma_l", _matrix), ("tensor", _tensor)):
+        if key in obj:
+            kwargs[key] = parse(obj[key], f"{path}.{key}")
     try:
         return sampler.ModelSpec(**kwargs)
     except ValueError as exc:
@@ -162,9 +181,7 @@ def _model(obj, path: str, seed: int) -> sampler.ModelSpec:
 
 
 def _eta(obj, path: str):
-    _check_keys(obj, path, ("form",),
-                ("d", "t", "c", "betas", "sigma_l", "prefactor", "sigma", "matrix"))
-    form = obj.get("form")
+    form = _variant(obj, path, "form", _ETA_KEYS)
     try:
         if form == "scalar":
             return scalar_map(_real(obj["d"], f"{path}.d", int),
@@ -173,20 +190,17 @@ def _eta(obj, path: str):
             return flat_map(_real(obj["d"], f"{path}.d", int),
                             _real(obj.get("c", 1.0), f"{path}.c"))
         if form == "kronecker":
-            betas = [_matrix(b, f"{path}.betas")
-                     for b in _list(obj["betas"], f"{path}.betas")]
-            return eta_kronecker(
-                betas, _matrix(obj["sigma_l"], f"{path}.sigma_l"),
-                prefactor=_real(obj.get("prefactor", 1.0), f"{path}.prefactor"))
+            return eta_kronecker(_matrices(obj["betas"], f"{path}.betas"),
+                                 _matrix(obj["sigma_l"], f"{path}.sigma_l"))
         if form == "tensor":
             return eta_correlated_tensor(_tensor(obj["sigma"], f"{path}.sigma"))
-        if form == "choi":
-            return choi_map(_matrix(obj["matrix"], f"{path}.matrix"))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc.args[0]!r} for form {form!r}") from exc
+        eta = choi_map(_matrix(obj["matrix"], f"{path}.matrix"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.form: unknown eta form {form!r}")
+    if not eta.is_completely_positive():
+        raise ConfigError(f"{path}: the Choi matrix is not Hermitian positive "
+                          "semidefinite, so the map is not completely positive")
+    return eta
 
 
 def _seed(value, path: str) -> int:
@@ -482,9 +496,7 @@ _RUNNERS = {
 }
 
 
-def _resolve_threads(cli_threads, cfg: RunConfig):
-    if cli_threads is not None:
-        return _threads(cli_threads, "--threads")
+def _resolve_threads(cfg: RunConfig):
     if cfg.threads is not None:
         return cfg.threads
     env = os.environ.get(THREADS_ENV)
@@ -512,9 +524,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        # the overrides are written into the config, so --print-config echoes them
         if args.seed is not None:
-            cfg.seed = _seed(args.seed, "--seed")
-        threads = _resolve_threads(args.threads, cfg)
+            cfg.seed = cfg.data["seed"] = _seed(args.seed, "--seed")
+        if args.threads is not None:
+            cfg.threads = cfg.data["threads"] = _threads(args.threads, "--threads")
+        if args.out:
+            cfg.out = cfg.data["out"] = args.out
+        threads = _resolve_threads(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -523,7 +540,6 @@ def main(argv=None) -> int:
         print(cfg.canonical_json())
         return EXIT_OK
 
-    out_path = args.out or cfg.out
     try:
         payload = _RUNNERS[cfg.command](cfg, threads)
     except ConfigError as exc:
@@ -537,7 +553,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        atomic_write(out_path, payload)
+        atomic_write(cfg.out, payload)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -89,23 +89,20 @@ class CovarianceTensor:
 
 @dataclass
 class CovarianceMap:
-    """A linear map on d x d matrices held as its Choi tensor.
+    """A linear map on d x d matrices held as its Choi tensor (d, d, d, d).
 
-    ``form`` records which constructor produced the map ("scalar", "choi",
-    "kronecker", "empirical").  ``psd_projection`` is the total negative
-    Choi mass clipped by empirical constructors (0 for exact ones).
-    ``action`` is the d^2 x d^2 matrix of the map on row-major vec(B),
-    ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``; it is built once
-    and read-only, so ``choi4`` must not be modified in place afterwards.
+    The tensor is the whole map: ``d`` is its side and ``action``, the
+    d^2 x d^2 matrix of the map on row-major vec(B),
+    ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``, is built from it
+    once and read-only, so ``choi4`` must not be modified in place afterwards.
     """
 
-    d: int
     choi4: np.ndarray
-    form: str = "choi"
-    psd_projection: float = field(default=0.0)
+    d: int = field(init=False)
     action: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.d = self.choi4.shape[0]
         n = self.d * self.d
         self.action = np.ascontiguousarray(
             self.choi4.transpose(1, 3, 0, 2).reshape(n, n), dtype=np.complex128)
@@ -122,11 +119,13 @@ class CovarianceMap:
     def choi_matrix(self) -> np.ndarray:
         return self.choi4.reshape(self.d * self.d, self.d * self.d)
 
-    def is_completely_positive(self, tol: float = CP_EIGENVALUE_TOL) -> bool:
-        c = self.choi_matrix()
-        if np.max(np.abs(c - c.conj().T)) > 1e-10 * (1.0 + frobenius_norm(c)):
+    def is_completely_positive(self) -> bool:
+        """Choi's theorem under psd_factor's test of the Choi matrix."""
+        try:
+            psd_factor(self.choi_matrix(), "", "")
+        except ValueError:
             return False
-        return bool(np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= tol)
+        return True
 
     def cp_norm(self) -> float:
         """||eta|| = ||eta(I)||_op, valid for completely positive maps."""
@@ -161,7 +160,7 @@ class EtaPair:
         choi = np.zeros((2, d) * 4, dtype=np.complex128)
         choi[1, :, 0, :, 1, :, 0, :] = self.eta1.choi4
         choi[0, :, 1, :, 0, :, 1, :] = self.eta2.choi4
-        return CovarianceMap(d=2 * d, choi4=choi.reshape((2 * d,) * 4))
+        return CovarianceMap(choi.reshape((2 * d,) * 4))
 
 
 def _conjugation_choi(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -178,20 +177,6 @@ def _as_op_stack(mats) -> np.ndarray:
     return np.stack(arr)
 
 
-def _project_psd(choi4: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip negative Choi eigenvalues to zero; return clipped mass."""
-    d = choi4.shape[0]
-    c = choi4.reshape(d * d, d * d)
-    c = (c + c.conj().T) / 2
-    w, u = np.linalg.eigh(c)
-    clipped = float(np.sum(np.abs(w[w < 0])))
-    if clipped == 0.0:
-        return choi4, 0.0
-    w = np.clip(w, 0.0, None)
-    c = (u * w) @ u.conj().T
-    return c.reshape(d, d, d, d), clipped
-
-
 def scalar_map(d: int, t: float) -> CovarianceMap:
     """eta(B) = t * B, the scalar semicircular covariance."""
     if d < 1:
@@ -200,8 +185,7 @@ def scalar_map(d: int, t: float) -> CovarianceMap:
         raise ValueError("scalar covariance requires t >= 0")
     eye = np.eye(d, dtype=np.complex128)
     # choi4[i,k,j,l] = t * delta_ik * delta_jl
-    choi4 = t * np.einsum("ik,jl->ikjl", eye, eye)
-    return CovarianceMap(d=d, choi4=choi4, form="scalar")
+    return CovarianceMap(t * np.einsum("ik,jl->ikjl", eye, eye))
 
 
 def flat_map(d: int, c: float = 1.0) -> CovarianceMap:
@@ -211,8 +195,7 @@ def flat_map(d: int, c: float = 1.0) -> CovarianceMap:
     if c < 0:
         raise ValueError("flat covariance requires c >= 0")
     eye = np.eye(d, dtype=np.complex128)
-    choi4 = (c / d) * np.einsum("ij,kl->ikjl", eye, eye)
-    return CovarianceMap(d=d, choi4=choi4, form="choi")
+    return CovarianceMap((c / d) * np.einsum("ij,kl->ikjl", eye, eye))
 
 
 def choi_map(choi) -> CovarianceMap:
@@ -230,7 +213,7 @@ def choi_map(choi) -> CovarianceMap:
             raise ValueError(f"Choi tensor shape {arr.shape} is not (d,d,d,d)")
     else:
         raise ValueError("Choi data must be a matrix or a rank-4 tensor")
-    return CovarianceMap(d=d, choi4=arr)
+    return CovarianceMap(arr)
 
 
 def _centered(stack: np.ndarray) -> np.ndarray:
@@ -250,11 +233,13 @@ def _entry_cov(samples, entry_cov) -> np.ndarray | None:
 
 
 def _sampled_map(ops: np.ndarray) -> CovarianceMap:
-    """Empirical map B -> mean_m a_m B a_m^* over an op stack, PSD-projected."""
+    """Empirical map B -> mean_m a_m B a_m^* over an op stack.
+
+    A sum of conjugations is completely positive by construction, so its
+    Choi tensor is used exactly as built.
+    """
     m = ops.shape[0]
-    choi4, clipped = _project_psd(_conjugation_choi(ops, np.full(m, 1.0 / m)))
-    return CovarianceMap(d=ops.shape[1], choi4=choi4, form="empirical",
-                         psd_projection=clipped)
+    return CovarianceMap(_conjugation_choi(ops, np.full(m, 1.0 / m)))
 
 
 def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
@@ -272,7 +257,7 @@ def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
             np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
     plus = gamma.transpose(1, 0, 3, 2)          # choi of E[Abar B Abar^*]
     minus = gamma.conj()                        # choi of E[Abar^* B Abar]
-    return CovarianceMap(d=gamma.shape[0], choi4=(plus + minus) / 2, form="choi")
+    return CovarianceMap((plus + minus) / 2)
 
 
 def eta_wigner_blocks(samples=None, entry_cov=None) -> CovarianceMap:
@@ -280,25 +265,22 @@ def eta_wigner_blocks(samples=None, entry_cov=None) -> CovarianceMap:
     gamma = _entry_cov(samples, entry_cov)
     if gamma is None:
         return _sampled_map(_centered(_as_op_stack(samples)))
-    return CovarianceMap(d=gamma.shape[0], choi4=gamma.transpose(1, 0, 3, 2),
-                         form="choi")
+    return CovarianceMap(gamma.transpose(1, 0, 3, 2))
 
 
-def eta_kronecker(betas, sigma_l, prefactor: float = 1.0) -> CovarianceMap:
-    """eta(B) = prefactor * sum_kl sigma(k,l) b_k B b_l^* + conj(sigma(k,l)) b_k^* B b_l.
+def eta_kronecker(betas, sigma_l) -> CovarianceMap:
+    """eta(B) = sum_kl sigma(k,l) b_k B b_l^* + conj(sigma(k,l)) b_k^* B b_l.
 
-    The default prefactor 1 is the normalization reproduced by the Monte
-    Carlo oracle for the Kronecker sampling model; pass 1/L^2 to recover
-    the alternative convention.
+    This normalization is the one the Monte Carlo oracle reproduces for the
+    Kronecker sampling model.  eta is linear in sigma_l, so another
+    convention (say 1/L^2) is ``sigma_l`` scaled by it.
     """
     ops = _as_op_stack(betas)
-    L, d = ops.shape[0], ops.shape[1]
-    sigma_l_factor(sigma_l, L)
+    sigma_l_factor(sigma_l, ops.shape[0])
     sig = as_matrix(sigma_l)
     direct = np.einsum("mn,mki,nlj->ikjl", sig, ops, ops.conj())
     adjoint = np.einsum("mn,mik,njl->ikjl", sig.conj(), ops.conj(), ops)
-    choi4 = prefactor * (direct + adjoint)
-    return CovarianceMap(d=d, choi4=choi4, form="kronecker")
+    return CovarianceMap(direct + adjoint)
 
 
 def eta_correlated_tensor(tensor: CovarianceTensor) -> CovarianceMap:
@@ -316,8 +298,7 @@ def eta_correlated_tensor(tensor: CovarianceTensor) -> CovarianceMap:
         raise ValueError(
             "correlated-blocks tensor needs sigma(i,j;k,l) = sigma(l,k;j,i)"
         )
-    choi4 = tensor.sigma.transpose(1, 0, 3, 2) / tensor.d
-    return CovarianceMap(d=tensor.d, choi4=choi4, form="choi")
+    return CovarianceMap(tensor.sigma.transpose(1, 0, 3, 2) / tensor.d)
 
 
 def eta_exchangeable_pool(pool) -> CovarianceMap:
@@ -352,7 +333,6 @@ def eta_wishart_pair(tensor: CovarianceTensor) -> EtaPair:
     if not tensor.is_real:
         raise ValueError("wishart tensor must be real-valued")
     d = tensor.d
-    eta1 = CovarianceMap(d=d, choi4=tensor.sigma.transpose(1, 0, 3, 2) / d,
-                         form="choi")
-    eta2 = CovarianceMap(d=d, choi4=tensor.sigma / d, form="choi")
+    eta1 = CovarianceMap(tensor.sigma.transpose(1, 0, 3, 2) / d)
+    eta2 = CovarianceMap(tensor.sigma / d)
     return EtaPair(eta1=eta1, eta2=eta2)

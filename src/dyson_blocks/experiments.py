@@ -46,7 +46,7 @@ def model_eta(spec: ModelSpec) -> CovarianceMap | EtaPair:
         # eta(B) = v * tr(B) * I regardless of the fill pattern
         return flat_map(spec.d, spec.law.variance * spec.d)
     if spec.model == "kronecker":
-        return eta_kronecker(spec.betas, spec.sigma_l, prefactor=1.0)
+        return eta_kronecker(spec.betas, spec.sigma_l)
     if spec.model == "correlated_blocks":
         return eta_correlated_tensor(spec.tensor)
     if spec.model == "wishart_correlated":

@@ -312,24 +312,23 @@ def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
 
 
 def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    """X = sum_k beta_k (x) Y_k + beta_k^* (x) Y_k^* with jointly Gaussian Y_k.
+    """X = M + M^* with M = sum_k beta_k (x) Y_k and jointly Gaussian Y_k.
 
     Entry vectors (y^(1)..y^(L)) are i.i.d. across positions with
     Cov(y^(k), conj y^(l)) = sigma_l[k, l] and zero pseudo-covariance,
     realized as a deterministic factor applied to standard complex draws.
+    Adding the adjoint once, after the sum, makes X exactly Hermitian.
     """
     if spec.model != "kronecker":
         raise ValueError("spec.model must be 'kronecker'")
     N = spec.N
-    L = len(spec.betas)
     rng = rng_for(spec.seed, trial)
-    y = _standard_complex(rng, (N, N, L)) @ spec.sigma_factor.T
-    out = np.zeros((spec.d * N, spec.d * N), dtype=np.complex128)
-    for k in range(L):
-        yk = y[:, :, k] / np.sqrt(N)
-        out += np.kron(spec.betas[k], yk)
-        out += np.kron(spec.betas[k].conj().T, yk.conj().T)
-    return out
+    y = _standard_complex(rng, (N, N, len(spec.betas))) @ spec.sigma_factor.T
+    m = np.zeros((spec.d * N, spec.d * N), dtype=np.complex128)
+    for k, beta in enumerate(spec.betas):
+        m += np.kron(beta, y[:, :, k] / np.sqrt(N))
+    m += m.conj().T
+    return m
 
 
 def sample_correlated_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:

@@ -178,6 +178,7 @@ class TestConfigValidation:
     # Hermitian PSD with Sigma[0,1] = 0.5i
     COMPLEX = pair_tensor([[1, 0.5j, 0, 0], [-0.5j, 1, 0, 0],
                            [0, 0, 1, 0], [0, 0, 0, 1]])
+    NOT_CP_CHOI = np.diag([1.0, -1.0, -1.0, 1.0]).tolist()
 
     @pytest.mark.parametrize("base, key, value, named", [
         (WISHART, ("tensor",), 5, "config.tensor"),
@@ -231,6 +232,19 @@ class TestConfigValidation:
         # the variance of this law overflows a float
         (RATE, ("model", "law"), TWO_POINT_HUGE, "config.model.law"),
         (SAMPLE, ("model", "law"), TWO_POINT_HUGE, "config.model.law"),
+        # a key that the object's variant does not take
+        (SAMPLE, ("model", "law"), {"variant": "rademacher", "variance": 4.0},
+         "config.model.law"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 2, "t": 1.0}, "config.eta"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 2, "prefactor": 0.25}, "config.eta"),
+        (SOLVE, ("eta",), {"form": "kronecker", "betas": KRONECKER["betas"],
+                           "sigma_l": [[1.0, 0.0], [0.0, 1.0]], "prefactor": 0.25},
+         "config.eta"),
+        (SAMPLE, ("model",), dict(SAMPLE["model"], betas=KRONECKER["betas"],
+                                  sigma_l=[[1.0, 0.0], [0.0, 1.0]]), "config.model"),
+        # a Choi matrix that is not PSD: the map is not completely positive
+        (SOLVE, ("eta",), {"form": "choi", "matrix": NOT_CP_CHOI}, "config.eta"),
+        (DENSITY, ("eta",), {"form": "choi", "matrix": NOT_CP_CHOI}, "config.eta"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -279,6 +293,24 @@ class TestConfigValidation:
         echo_path = tmp_path / "echo.json"
         echo_path.write_text(echoed)
         assert parse_config(str(echo_path)) == parse_config(cfg)
+
+        # the echo carries the command-line overrides, so running it is the
+        # same run as the one with the flags
+        data = dict(self.SAMPLE, out=str(tmp_path / "m.bin"))
+        cfg = write_config(tmp_path, data)
+        other = tmp_path / "other.bin"
+        flags = ["--seed", "7", "--out", str(other), "--threads", "2"]
+        assert main(["--config", cfg, *flags, "--print-config"]) == EXIT_OK
+        echo_path.write_text(capsys.readouterr().out)
+        assert parse_config(str(echo_path)).data == dict(
+            data, seed=7, out=str(other), threads=2)
+        assert main(["--config", cfg, *flags]) == EXIT_OK
+        flagged = other.read_bytes()
+        other.unlink()
+        assert main(["--config", str(echo_path)]) == EXIT_OK
+        assert other.read_bytes() == flagged
+        assert main(["--config", cfg]) == EXIT_OK
+        assert (tmp_path / "m.bin").read_bytes() != flagged
 
 
 class TestSampleCommand:

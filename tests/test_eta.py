@@ -124,11 +124,16 @@ class TestKronecker:
         b = random_b(rng())
         assert np.allclose(m.apply(b), 2 * b)
 
-    def test_prefactor(self):
-        b = random_b(rng())
-        full = eta_kronecker([E12], [[1.0]]).apply(b)
-        quarter = eta_kronecker([E12], [[1.0]], prefactor=0.25).apply(b)
-        assert np.allclose(quarter, full / 4)
+    def test_sigma_l_scale(self):
+        # eta is linear in sigma_l: a normalization prefactor is a scaled sigma_l
+        gen = rng()
+        betas = [random_b(gen), random_b(gen)]
+        sig = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 0.8]])
+        full = eta_kronecker(betas, sig)
+        quarter = eta_kronecker(betas, sig / 4)
+        assert np.allclose(quarter.choi4, full.choi4 / 4, rtol=1e-15, atol=0)
+        b = random_b(gen)
+        assert np.allclose(quarter.apply(b), full.apply(b) / 4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -142,7 +147,7 @@ class TestKronecker:
         gen = rng()
         betas = [random_b(gen), random_b(gen)]
         sig = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 0.8]])
-        m = eta_kronecker(betas, sig, prefactor=0.7)
+        m = eta_kronecker(betas, 0.7 * sig)
         plain = choi_map(m.choi4)
         for _ in range(20):
             b = random_b(gen)
@@ -363,8 +368,8 @@ class TestChoiAndNorms:
         ]
         pair = eta_wishart_pair(CovarianceTensor(delta_tensor(2)))
         maps.extend([pair.eta1, pair.eta2])
-        for m in maps:
-            assert m.is_completely_positive(), m.form
+        for i, m in enumerate(maps):
+            assert m.is_completely_positive(), i
 
     def test_linearity_and_adjoint(self):
         gen = rng()
@@ -395,16 +400,24 @@ class TestChoiAndNorms:
         with pytest.raises(ValueError):
             EtaPair(scalar_map(2, 1.0), scalar_map(3, 1.0))
 
-    def test_empirical_projection_recorded(self):
+    def test_empirical_maps_run_no_eigensolver(self, monkeypatch):
+        # a sum of conjugations is CP by construction: an empirical map is
+        # its conjugation Choi tensor as built, with no PSD projection
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
         gen = rng()
-        m = eta_iid_blocks(samples=[random_b(gen) for _ in range(4)])
-        # sums of conjugations are PSD up to roundoff only
-        assert 0.0 <= m.psd_projection <= 1e-12
-        assert m.is_completely_positive()
-        from dyson_blocks.eta import _project_psd
-        bad = m.choi4.copy()
-        bad[0, 0, 0, 0] -= 10.0       # drive one eigenvalue negative
-        projected, clipped = _project_psd(bad)
-        assert clipped > 1.0
-        c = projected.reshape(m.d * m.d, m.d * m.d)
-        assert np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -1e-12
+        cases = [(d, n) for d in (1, 2, 3, 4) for n in (1, 2, 7, 60)]
+        samples = [[random_b(gen, d) for _ in range(n)] for d, n in cases]
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "eigvalsh"):
+                patch.setattr(np.linalg, name, refuse)
+            maps = [build(samples=s) for s in samples
+                    for build in (eta_iid_blocks, eta_wigner_blocks)]
+            maps.append(eta_exchangeable_pool([1.0, -1.0, 0.5, -0.5]))
+        for m in maps:
+            assert m.is_completely_positive()
+        from dyson_blocks.eta import _conjugation_choi
+        stack = np.stack(samples[-1]) - np.mean(samples[-1], axis=0)
+        assert np.array_equal(
+            maps[-2].choi4, _conjugation_choi(stack, np.full(60, 1 / 60)))

@@ -53,7 +53,8 @@ class TestModelEta:
     def test_kronecker_and_wishart_dispatch(self):
         spec = ModelSpec(model="kronecker", d=2, N=4, seed=0,
                          betas=(I2, E12), sigma_l=np.eye(2))
-        assert model_eta(spec).form == "kronecker"
+        assert np.array_equal(model_eta(spec).choi4,
+                              eta_kronecker(spec.betas, spec.sigma_l).choi4)
         spec_w = ModelSpec(model="wishart_correlated", d=2, N=4, seed=0,
                            tensor=delta_tensor(2))
         assert isinstance(model_eta(spec_w), EtaPair)
@@ -151,10 +152,10 @@ class TestUniversality:
 
 
 class TestKroneckerNormalizationOracle:
-    def test_prefactor_one_matches_sampling(self):
-        # the open normalization question: solver output under prefactor 1
+    def test_unit_normalization_matches_sampling(self):
+        # the normalization question: the solver output of eta_kronecker
         # matches sampled spectra at (d=2, L=2, N=256); the 1/L^2 variant
-        # is hundreds of standard errors away
+        # (sigma_l scaled by it) is hundreds of standard errors away
         d, L, N = 2, 2, 256
         betas = (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex), E12)
         sigma_l = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -163,9 +164,9 @@ class TestKroneckerNormalizationOracle:
                          betas=betas, sigma_l=sigma_l)
         mc = mean_cauchy(spec, [z], trials=24)
         from dyson_blocks.dyson import solve_semicircular
-        g_one = solve_semicircular(eta_kronecker(betas, sigma_l, 1.0), z).trace()
+        g_one = solve_semicircular(eta_kronecker(betas, sigma_l), z).trace()
         g_quarter = solve_semicircular(
-            eta_kronecker(betas, sigma_l, 1.0 / L ** 2), z).trace()
+            eta_kronecker(betas, sigma_l / L ** 2), z).trace()
         se = mc.stderr[0]
         assert abs(mc.mean[0] - g_one) <= 3 * se
         assert abs(mc.mean[0] - g_quarter) > 10 * se

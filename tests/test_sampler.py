@@ -191,6 +191,16 @@ class TestKronecker:
 
     def test_exactly_hermitian(self):
         assert exact_hermitian(sample_kronecker(self.base_spec(np.eye(2)), 4))
+        # generic betas overlap, so the adjoint terms must not be summed one
+        # by one beside the direct ones
+        gen = np.random.Generator(np.random.Philox(key=[183, 1]))
+        for L in (2, 3):
+            betas = tuple(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+                          for _ in range(L))
+            spec = ModelSpec(model="kronecker", d=2, N=16, seed=5, betas=betas,
+                             sigma_l=np.eye(L))
+            for trial in range(4):
+                assert exact_hermitian(sample_kronecker(spec, trial))
 
     def test_cross_covariance(self):
         # Cov(y1, conj y2) = 0.5 within 3 standard errors over 1e5 draws
