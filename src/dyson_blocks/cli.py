@@ -4,10 +4,14 @@ Reads a JSON config (nested key-value sections with brace/quote notation),
 dispatches to the solver / sampler / experiment operations and writes
 machine-readable outputs atomically (temp file + rename).
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 output I/O failure.  Numeric CSV fields use shortest-roundtrip decimal
-formatting so reruns diff bit-faithfully.  Complex numbers in configs are
-[re, im] pairs; matrices are nested lists of numbers or pairs.
+Each command is one row of ``_COMMANDS``: its runner and its required and
+optional config keys.  Runners raise; ``main`` alone turns an exception
+into an exit code: 0 success, 2 config error (``ConfigError``, or a
+``ValueError`` from the library), 3 solver non-convergence
+(``dyson.SolverFailure``), 4 output I/O failure (``OSError``).  Numeric
+CSV fields use shortest-roundtrip decimal formatting so reruns diff
+bit-faithfully.  Complex numbers in configs are [re, im] pairs; matrices
+are nested lists of numbers or pairs.
 
 See README.md for the full schema of every command.
 """
@@ -33,19 +37,12 @@ EXIT_IO = 4
 
 THREADS_ENV = "DYSON_BLOCKS_THREADS"
 
-COMMANDS = ("solve", "density", "sample", "rate", "universality",
-            "circulant-ks", "wishart")
-
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key.
 
     Not a ValueError, so ``except ValueError`` clauses pass it on unchanged.
     """
-
-
-class SolverFailure(RuntimeError):
-    pass
 
 
 def fmt(x) -> str:
@@ -217,6 +214,12 @@ def _threads(value, path: str) -> int:
     return threads
 
 
+def _out(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a nonempty path string")
+    return value
+
+
 def _solver_options(obj, path: str) -> dyson.SolverOptions:
     defaults = vars(dyson.SolverOptions())
     _check_keys(obj, path, (), tuple(defaults))
@@ -228,45 +231,20 @@ def _solver_options(obj, path: str) -> dyson.SolverOptions:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_COMMAND_KEYS = {
-    "solve": (("eta",), ("z", "z_grid")),
-    "density": (("grid",), ("eta", "mixture", "eps")),
-    "sample": (("model",), ("trial", "spectrum_out")),
-    "rate": (("model", "z", "N_grid", "trials"), ()),
-    "universality": (("model", "laws", "z", "N", "trials"), ()),
-    "circulant-ks": (("d", "N_grid", "trials"), ()),
-    "wishart": (("tensor", "z", "N", "trials"), ()),
-}
-
-
 class RunConfig:
     """Normalized configuration; equal iff the normalized JSON trees match."""
 
     def __init__(self, data: dict):
-        _check_keys(data, "config", ("command", "out"),
-                    ("seed", "threads", "solver") + tuple(
-                        k for req, opt in _COMMAND_KEYS.values() for k in req + opt))
-        command = data["command"]
-        if command not in COMMANDS:
-            raise ConfigError(f"config.command: unknown command {command!r}")
-        required, optional = _COMMAND_KEYS[command]
-        allowed = set(required) | set(optional) | {"command", "out", "seed",
-                                                   "threads", "solver"}
-        for key in data:
-            if key not in allowed:
-                raise ConfigError(f"config: key {key!r} not valid for command {command!r}")
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"config: missing required key {key!r} for {command!r}")
+        command = _variant(data, "config", "command", {
+            name: (("out",) + required, ("seed", "threads", "solver") + optional)
+            for name, (_, required, optional) in _COMMANDS.items()})
         if command == "solve" and "z" not in data and "z_grid" not in data:
             raise ConfigError("config: solve needs 'z' or 'z_grid'")
         if command == "density" and "eta" not in data and "mixture" not in data:
             raise ConfigError("config: density needs 'eta' or 'mixture'")
         self.data = data
         self.command = command
-        self.out = data["out"]
-        if not isinstance(self.out, str) or not self.out:
-            raise ConfigError("config.out: expected a nonempty path string")
+        self.out = _out(data["out"], "config.out")
         self.seed = _seed(data.get("seed", 0), "config.seed")
         threads = data.get("threads")
         self.threads = None if threads is None else _threads(threads, "config.threads")
@@ -283,7 +261,7 @@ def parse_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -341,7 +319,7 @@ def _run_solve(cfg: RunConfig, workers):
     rows = []
     for z, sol in zip(zs, dyson.solve_dyson(eta, zs, cfg.solver)):
         if not sol.converged:
-            raise SolverFailure(
+            raise dyson.SolverFailure(
                 f"solver failed at z={z!r} (residual {sol.residual:.3e})")
         g = sol.trace()
         rows.append((fmt(z.real), fmt(z.imag), fmt(g.real), fmt(g.imag)))
@@ -373,10 +351,7 @@ def _run_density(cfg: RunConfig, workers):
             raise ConfigError(f"config.mixture: {exc}") from exc
         source = lambda z: dyson.mixture_cauchy(w, t, z)
         label = f"mixture weights={w} variances={t}"
-    try:
-        xs, rho = dyson.stieltjes_density(source, xs, eps, cfg.solver)
-    except dyson.DensityEvaluationError as exc:
-        raise SolverFailure(str(exc)) from exc
+    xs, rho = dyson.stieltjes_density(source, xs, eps, cfg.solver)
     rows = [(fmt(x), fmt(r)) for x, r in zip(xs, rho)]
     return _csv(rows, "x,rho", comments=[label, f"eps={fmt(eps)}"])
 
@@ -408,13 +383,10 @@ def _run_rate(cfg: RunConfig, workers):
     if z.imag <= threshold:
         raise ConfigError(f"config.z: need Im z above the model threshold "
                           f"{threshold:.3g}, got {fmt(z.imag)}")
-    try:
-        report = experiments.rate_experiment(
-            spec, z, _reals(cfg.data["N_grid"], "config.N_grid", int),
-            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-            workers=workers, opts=cfg.solver)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    report = experiments.rate_experiment(
+        spec, z, _reals(cfg.data["N_grid"], "config.N_grid", int),
+        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+        workers=workers, opts=cfg.solver)
     rows = [(str(n), fmt(e), fmt(s))
             for n, e, s in zip(report.N_grid, report.errors, report.stderrs)]
     body = _csv(rows, "N,error,stderr",
@@ -430,14 +402,11 @@ def _run_universality(cfg: RunConfig, workers):
     if not isinstance(laws, list) or len(laws) != 2:
         raise ConfigError("config.laws: expected exactly two entry laws")
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
-    try:
-        report = experiments.universality_experiment(
-            spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
-            _complex(cfg.data["z"], "config.z"), _real(cfg.data["N"], "config.N", int),
-            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-            workers=workers)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    report = experiments.universality_experiment(
+        spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
+        _complex(cfg.data["z"], "config.z"), _real(cfg.data["N"], "config.N", int),
+        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+        workers=workers)
     row = (fmt(report.mean_a.real), fmt(report.mean_a.imag),
            fmt(report.mean_b.real), fmt(report.mean_b.imag),
            fmt(report.se_a), fmt(report.se_b),
@@ -450,13 +419,10 @@ def _run_circulant_ks(cfg: RunConfig, workers):
     d = _real(cfg.data["d"], "config.d", int)
     if d < 2:
         raise ConfigError(f"config.d: circulant-ks needs d >= 2, got {d}")
-    try:
-        report = experiments.circulant_ks_experiment(
-            d, _reals(cfg.data["N_grid"], "config.N_grid", int),
-            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-            workers=workers)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    report = experiments.circulant_ks_experiment(
+        d, _reals(cfg.data["N_grid"], "config.N_grid", int),
+        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+        workers=workers)
     rows = [(str(n), fmt(m), fmt(s))
             for n, m, s in zip(report.N_grid, report.mean_ks, report.stderr)]
     return _csv(rows, "N,mean_ks,stderr",
@@ -467,16 +433,11 @@ def _run_circulant_ks(cfg: RunConfig, workers):
 
 def _run_wishart(cfg: RunConfig, workers):
     tensor = _tensor(cfg.data["tensor"], "config.tensor")
-    try:
-        report = experiments.wishart_consistency_experiment(
-            tensor, _complex(cfg.data["z"], "config.z"),
-            _real(cfg.data["N"], "config.N", int),
-            _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-            opts=cfg.solver, workers=workers)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    except RuntimeError as exc:
-        raise SolverFailure(str(exc)) from exc
+    report = experiments.wishart_consistency_experiment(
+        tensor, _complex(cfg.data["z"], "config.z"),
+        _real(cfg.data["N"], "config.N", int),
+        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
+        opts=cfg.solver, workers=workers)
     row = (fmt(report.max_identity_residual),
            fmt(report.solver_trace.real), fmt(report.solver_trace.imag),
            fmt(report.mc_mean.real), fmt(report.mc_mean.imag),
@@ -485,14 +446,16 @@ def _run_wishart(cfg: RunConfig, workers):
                 "max_identity_residual,solver_re,solver_im,mc_re,mc_im,mc_stderr")
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "density": _run_density,
-    "sample": _run_sample,
-    "rate": _run_rate,
-    "universality": _run_universality,
-    "circulant-ks": _run_circulant_ks,
-    "wishart": _run_wishart,
+# name: (runner, required keys, optional keys); every command also takes
+# "out" (required) and "seed", "threads", "solver" (optional)
+_COMMANDS = {
+    "solve": (_run_solve, ("eta",), ("z", "z_grid")),
+    "density": (_run_density, ("grid",), ("eta", "mixture", "eps")),
+    "sample": (_run_sample, ("model",), ("trial", "spectrum_out")),
+    "rate": (_run_rate, ("model", "z", "N_grid", "trials"), ()),
+    "universality": (_run_universality, ("model", "laws", "z", "N", "trials"), ()),
+    "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), ()),
+    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ()),
 }
 
 
@@ -509,6 +472,24 @@ def _resolve_threads(cfg: RunConfig):
     return _threads(threads, THREADS_ENV)
 
 
+def _run(args) -> int:
+    cfg = parse_config(args.config)
+    # the overrides are written into the config, so --print-config echoes them
+    if args.seed is not None:
+        cfg.seed = cfg.data["seed"] = _seed(args.seed, "--seed")
+    if args.threads is not None:
+        cfg.threads = cfg.data["threads"] = _threads(args.threads, "--threads")
+    if args.out is not None:
+        cfg.out = cfg.data["out"] = _out(args.out, "--out")
+    threads = _resolve_threads(cfg)
+    if args.print_config:
+        print(cfg.canonical_json())
+        return EXIT_OK
+    payload = _COMMANDS[cfg.command][0](cfg, threads)
+    atomic_write(cfg.out, payload)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dyson-blocks",
@@ -521,43 +502,20 @@ def main(argv=None) -> int:
     parser.add_argument("--print-config", action="store_true",
                         help="echo the parsed config as canonical JSON and exit")
     args = parser.parse_args(argv)
-
     try:
-        cfg = parse_config(args.config)
-        # the overrides are written into the config, so --print-config echoes them
-        if args.seed is not None:
-            cfg.seed = cfg.data["seed"] = _seed(args.seed, "--seed")
-        if args.threads is not None:
-            cfg.threads = cfg.data["threads"] = _threads(args.threads, "--threads")
-        if args.out:
-            cfg.out = cfg.data["out"] = args.out
-        threads = _resolve_threads(cfg)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.print_config:
-        print(cfg.canonical_json())
-        return EXIT_OK
-
-    try:
-        payload = _RUNNERS[cfg.command](cfg, threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"config error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverFailure as exc:
+    except dyson.SolverFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    try:
-        atomic_write(cfg.out, payload)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

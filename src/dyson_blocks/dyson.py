@@ -383,7 +383,11 @@ def circulant_mixture(d: int, exact: bool = False):
     return [float(x) for x in w], [float(x) for x in t]
 
 
-class DensityEvaluationError(RuntimeError):
+class SolverFailure(RuntimeError):
+    """A solve missed its certificate; the message names the point."""
+
+
+class DensityEvaluationError(SolverFailure):
     """Solver failed while evaluating the density at a grid point."""
 
     def __init__(self, x: float, message: str):

@@ -87,7 +87,7 @@ class CovarianceTensor:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class CovarianceMap:
     """A linear map on d x d matrices held as its Choi tensor (d, d, d, d).
 
@@ -95,11 +95,12 @@ class CovarianceMap:
     d^2 x d^2 matrix of the map on row-major vec(B),
     ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``, is built from it
     once and read-only, so ``choi4`` must not be modified in place afterwards.
+    Equality is identity, as for CovarianceTensor.
     """
 
     choi4: np.ndarray
     d: int = field(init=False)
-    action: np.ndarray = field(init=False, repr=False, compare=False)
+    action: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.d = self.choi4.shape[0]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .dyson import (SolverOptions, circulant_mixture, mixture_cauchy,
-                    cdf_from_density, solve_semicircular, solve_wishart,
-                    stieltjes_density)
+from .dyson import (SolverFailure, SolverOptions, circulant_mixture,
+                    mixture_cauchy, cdf_from_density, solve_semicircular,
+                    solve_wishart, stieltjes_density)
 # experiments._map_trials stays a name of the trial mapper: bench/tracer.py
 # wraps the mapper under it
 from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
@@ -66,7 +66,7 @@ def analytic_trace_cauchy(spec: ModelSpec, z: complex,
     else:
         sol = solve_semicircular(eta, z, opts)
     if not sol.converged:
-        raise RuntimeError(f"solver did not converge at z={z!r}")
+        raise SolverFailure(f"solver did not converge at z={z!r}")
     return sol.trace()
 
 
@@ -303,7 +303,7 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
     pair = eta_wishart_pair(tensor)
     sol = solve_wishart(pair, z * z, opts)
     if not sol.converged:
-        raise RuntimeError(f"wishart solver did not converge at z^2={z * z!r}")
+        raise SolverFailure(f"wishart solver did not converge at z^2={z * z!r}")
     return WishartConsistencyReport(
         z=z, N=int(N), trials=trials, identity_residuals=np.array(residuals),
         solver_trace=sol.trace(), mc_mean=complex(mc_mean),

@@ -181,13 +181,14 @@ EntryLaw = ComplexGaussian | RealGaussian | Rademacher | TwoPoint | PermutationP
 # model specification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ModelSpec:
     """Full description of one block random-matrix model.
 
     Every input a draw relies on is checked here, once; a draw re-checks
     nothing.  The Gaussian factor of sigma_l, ``sigma_factor``, is made
     here too; a tensor's is ``tensor.factor``, made by CovarianceTensor.
+    Equality is identity, since the fields hold arrays.
     """
 
     model: str
@@ -198,8 +199,7 @@ class ModelSpec:
     betas: tuple | None = None          # kronecker
     sigma_l: np.ndarray | None = None   # kronecker
     tensor: CovarianceTensor | None = None  # correlated_blocks / wishart
-    sigma_factor: np.ndarray | None = field(default=None, init=False,
-                                            repr=False, compare=False)
+    sigma_factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.model not in MODELS:

@@ -58,6 +58,24 @@ class TestSolveCommand:
         assert main(["--config", cfg]) == EXIT_SOLVER
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("data, message", [
+        ({"command": "rate",
+          "model": {"model": "hermitized_iid", "d": 2, "N": 8,
+                    "law": {"variant": "complex_gaussian"}},
+          "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4},
+         "solver did not converge at z=3j"),
+        ({"command": "wishart", "tensor": [[[[1.0]]]],
+          "z": [1.4142135623730951, 1.4142135623730951], "N": 6, "trials": 2},
+         "wishart solver did not converge at z^2="),
+    ], ids=["rate", "wishart"])
+    def test_experiment_reference_solve_failure(self, tmp_path, capsys, data,
+                                                message):
+        out = tmp_path / "o.csv"
+        data = dict(data, out=str(out), solver={"max_iter": 1})
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_SOLVER
+        assert f"solver error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_roundtrip_formatting(self, tmp_path):
         cfg = scalar_solve_config(tmp_path)
         main(["--config", cfg])
@@ -91,6 +109,29 @@ class TestConfigValidation:
     def test_unknown_command(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "frobnicate", "out": "x"})
         assert main(["--config", cfg]) == EXIT_CONFIG
+
+    RATE_KEYS = {"command": "rate", "out": "x", "z": [0.0, 3.0],
+                 "N_grid": [8, 16, 32], "trials": 4}
+
+    @pytest.mark.parametrize("data, message", [
+        ({"command": "frobnicate", "out": "x"},
+         "config.command: expected one of ['solve', 'density', 'sample', "
+         "'rate', 'universality', 'circulant-ks', 'wishart'], got 'frobnicate'"),
+        # a key of another command
+        (dict(RATE_KEYS, model={}, eta={"form": "scalar", "d": 1, "t": 1.0}),
+         "config: unknown key 'eta'"),
+        (RATE_KEYS, "config: missing required key 'model'"),
+    ], ids=["unknown-command", "other-command-key", "missing-key"])
+    def test_top_level_key_errors(self, tmp_path, capsys, data, message):
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_empty_out_override_rejected(self, tmp_path, capsys):
+        cfg = scalar_solve_config(tmp_path)
+        assert main(["--config", cfg, "--out", ""]) == EXIT_CONFIG
+        assert ("config error: --out: expected a nonempty path string"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "solve.csv").exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -345,6 +345,11 @@ class TestChoiAndNorms:
         assert np.allclose(ev[:-1], 0, atol=1e-12)
         assert np.isclose(scalar_map(d, t).cp_norm(), t)
 
+    def test_equality_is_identity(self):
+        m = scalar_map(2, 1.0)
+        assert (m == scalar_map(2, 1.0)) is False
+        assert (m == m) is True
+
     def test_zero_map(self):
         m = scalar_map(2, 0.0)
         assert m.cp_norm() == 0.0

@@ -460,6 +460,14 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError):
             ModelSpec(model="bogus", d=1, N=1)
 
+    def test_equality_is_identity(self):
+        def spec():
+            return ModelSpec(model="kronecker", d=2, N=4, betas=(I2, E12),
+                             sigma_l=np.eye(2))
+        s = spec()
+        assert (s == spec()) is False
+        assert (s == s) is True
+
     def test_kronecker_requires_data(self):
         with pytest.raises(ValueError):
             ModelSpec(model="kronecker", d=2, N=4)
