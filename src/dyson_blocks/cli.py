@@ -102,10 +102,14 @@ def _reals(value, path: str, kind=float) -> list:
 
 def _complex(value, path: str) -> complex:
     if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair")
+        z = complex(value)
+    elif isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+        z = complex(value[0], value[1])
+    else:
+        raise ConfigError(f"{path}: expected a number or [re, im] pair")
+    if not np.isfinite(z):
+        raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
+    return z
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -113,7 +117,8 @@ def _matrix(value, path: str) -> np.ndarray:
         rows = [[_complex(v, path) for v in row] for row in value]
         return np.array(rows, dtype=np.complex128)
     except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: expected a matrix of numbers or [re, im] pairs") from exc
+        raise ConfigError(
+            f"{path}: expected a matrix of finite numbers or [re, im] pairs") from exc
 
 
 def _matrices(value, path: str) -> tuple:
@@ -124,12 +129,8 @@ def _matrices(value, path: str) -> tuple:
 _LAW_KEYS = {"complex_gaussian": ((), ("variance",)), "real_gaussian": ((), ("variance",)),
              "rademacher": ((), ()), "two_point": (("a", "b", "p"), ()),
              "permutation_pool": (("values",), ())}
-_MODEL_KEYS = {"hermitized_iid": (("d", "N", "law"), ()),
-               "wigner_blocks": (("d", "N", "law"), ()),
-               "kronecker": (("d", "N", "betas", "sigma_l"), ()),
-               "correlated_blocks": (("d", "N", "tensor"), ()),
-               "circulant": (("d", "N"), ("law",)),
-               "wishart_correlated": (("d", "N", "tensor"), ())}
+_MODEL_KEYS = {name: (("d", "N") + required, optional)
+               for name, (_, required, optional) in sampler._MODELS.items()}
 _ETA_KEYS = {"scalar": (("d", "t"), ()), "flat": (("d",), ("c",)),
              "kronecker": (("betas", "sigma_l"), ()), "tensor": (("sigma",), ()),
              "choi": (("matrix",), ())}
@@ -331,12 +332,12 @@ def _run_density(cfg: RunConfig, workers):
     _check_keys(grid_obj, "config.grid", ("min", "max", "step"))
     lo, hi, step = (_real(grid_obj[k], f"config.grid.{k}")
                     for k in ("min", "max", "step"))
-    if not (hi > lo and step > 0):
-        raise ConfigError("config.grid: need max > min and step > 0")
+    if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0):
+        raise ConfigError("config.grid: need finite max > min and step > 0")
     xs = np.arange(lo, hi + step / 2, step)
     eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
-    if not eps > 0:
-        raise ConfigError(f"config.eps: need eps > 0, got {fmt(eps)}")
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"config.eps: need a finite eps > 0, got {fmt(eps)}")
     if "eta" in cfg.data:
         source = _eta(cfg.data["eta"], "config.eta")
         label = f"eta form={cfg.data['eta'].get('form')}"
@@ -361,15 +362,17 @@ def _run_sample(cfg: RunConfig, workers):
     trial = _real(cfg.data.get("trial", 0), "config.trial", int)
     if not 0 <= trial < 2 ** 64:
         raise ConfigError(f"config.trial: need 0 <= trial < 2^64, got {trial}")
+    spectrum_out = (_out(cfg.data["spectrum_out"], "config.spectrum_out")
+                    if "spectrum_out" in cfg.data else None)
     try:
         matrix = sampler.sample_matrix(spec, trial)
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from exc
-    if "spectrum_out" in cfg.data:
+    if spectrum_out is not None:
         from .linalg import hermitian_eigenvalues
         rows = [(str(i), fmt(v))
                 for i, v in enumerate(hermitian_eigenvalues(matrix))]
-        atomic_write(cfg.data["spectrum_out"],
+        atomic_write(spectrum_out,
                      _csv(rows, "index,eigenvalue",
                           comments=[f"model={spec.model} d={spec.d} "
                                     f"N={spec.N} trial={trial}"]))

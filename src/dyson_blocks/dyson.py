@@ -349,6 +349,8 @@ def mixture_cauchy(weights, variances, z):
     t = np.asarray(variances, dtype=float)
     if w.shape != t.shape or w.ndim != 1 or w.size == 0:
         raise ValueError("weights and variances must be matching 1-D lists")
+    if not (np.isfinite(w).all() and np.isfinite(t).all()):
+        raise ValueError("weights and variances must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-12:

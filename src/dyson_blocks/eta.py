@@ -182,8 +182,8 @@ def scalar_map(d: int, t: float) -> CovarianceMap:
     """eta(B) = t * B, the scalar semicircular covariance."""
     if d < 1:
         raise ValueError(f"scalar covariance requires d >= 1, got {d}")
-    if t < 0:
-        raise ValueError("scalar covariance requires t >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"scalar covariance requires a finite t >= 0, got {t!r}")
     eye = np.eye(d, dtype=np.complex128)
     # choi4[i,k,j,l] = t * delta_ik * delta_jl
     return CovarianceMap(t * np.einsum("ik,jl->ikjl", eye, eye))
@@ -193,8 +193,8 @@ def flat_map(d: int, c: float = 1.0) -> CovarianceMap:
     """eta(B) = c * tr(B)/d * I; the limit map of flat-variance block models."""
     if d < 1:
         raise ValueError(f"flat covariance requires d >= 1, got {d}")
-    if c < 0:
-        raise ValueError("flat covariance requires c >= 0")
+    if not 0 <= c < np.inf:
+        raise ValueError(f"flat covariance requires a finite c >= 0, got {c!r}")
     eye = np.eye(d, dtype=np.complex128)
     return CovarianceMap((c / d) * np.einsum("ij,kl->ikjl", eye, eye))
 

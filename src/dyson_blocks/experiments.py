@@ -9,7 +9,7 @@ independent streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,8 +179,8 @@ def universality_experiment(template: ModelSpec, law_a, law_b, z: complex,
         )
     z = complex(z)
     res_a, res_b = (
-        mean_cauchy(ModelSpec(model=template.model, d=template.d, N=int(N), law=law,
-                              seed=derived_seed(seed, arm)), [z], trials, workers=workers)
+        mean_cauchy(replace(template, N=int(N), law=law, seed=derived_seed(seed, arm)),
+                    [z], trials, workers=workers)
         for arm, law in enumerate((law_a, law_b)))
     return UniversalityReport(z=z, N=int(N), trials=trials,
                               mean_a=complex(res_a.mean[0]),

@@ -2,7 +2,8 @@
 
 Thin, contract-checked wrappers around numpy.linalg: Hermitian eigenvalues,
 resolvent traces, certified inversion and norms.  All functions are pure
-and safe to call concurrently.
+and safe to call concurrently.  No package code calls ``invert``; it is
+kept because bench/tracer.py patches it (ROADMAP item 2).
 """
 
 from __future__ import annotations

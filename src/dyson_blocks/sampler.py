@@ -16,16 +16,6 @@ import numpy as np
 from . import linalg
 from .eta import CovarianceTensor, sigma_l_factor
 
-MODELS = (
-    "hermitized_iid",
-    "wigner_blocks",
-    "kronecker",
-    "correlated_blocks",
-    "circulant",
-    "wishart_correlated",
-)
-
-
 # ---------------------------------------------------------------------------
 # entry laws
 # ---------------------------------------------------------------------------
@@ -126,6 +116,8 @@ class PermutationPool:
         vals = np.array(values, dtype=np.complex128)
         if vals.size == 0:
             raise ValueError("empty pool")
+        if not np.isfinite(vals).all():
+            raise ValueError("pool values must be finite")
         square_blocks = vals.ndim == 3 and vals.shape[1] == vals.shape[2]
         if vals.ndim != 1 and not square_blocks:
             raise ValueError(
@@ -185,8 +177,10 @@ EntryLaw = ComplexGaussian | RealGaussian | Rademacher | TwoPoint | PermutationP
 class ModelSpec:
     """Full description of one block random-matrix model.
 
-    Every input a draw relies on is checked here, once; a draw re-checks
-    nothing.  The Gaussian factor of sigma_l, ``sigma_factor``, is made
+    Which data fields a model takes is its row of ``_MODELS``.  Every input
+    a draw relies on is checked here, once, except a permutation pool's size
+    and block shape: they depend on the model's fill, so the draw checks
+    them.  The Gaussian factor of sigma_l, ``sigma_factor``, is made
     here too; a tensor's is ``tensor.factor``, made by CovarianceTensor.
     Equality is identity, since the fields hold arrays.
     """
@@ -196,29 +190,32 @@ class ModelSpec:
     N: int
     law: EntryLaw | None = None
     seed: int = 0
-    betas: tuple | None = None          # kronecker
-    sigma_l: np.ndarray | None = None   # kronecker
-    tensor: CovarianceTensor | None = None  # correlated_blocks / wishart
+    betas: tuple | None = None
+    sigma_l: np.ndarray | None = None
+    tensor: CovarianceTensor | None = None
     sigma_factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.d < 1 or self.N < 1:
             raise ValueError("need d >= 1 and N >= 1")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
+        _, required, optional = _MODELS[self.model]
+        for key in ("law", "betas", "sigma_l", "tensor"):
+            if getattr(self, key) is None:
+                if key in required:
+                    raise ValueError(f"{self.model} model needs {key}")
+            elif key not in required + optional:
+                raise ValueError(f"{self.model} model takes no {key}")
         if self.model == "kronecker":
-            if self.betas is None or self.sigma_l is None:
-                raise ValueError("kronecker model needs betas and sigma_l")
             self.betas = tuple(linalg.require_square(b) for b in self.betas)
             if any(b.shape[0] != self.d for b in self.betas):
                 raise ValueError("betas must be d x d")
             self.sigma_l = linalg.as_matrix(self.sigma_l)
             self.sigma_factor = sigma_l_factor(self.sigma_l, len(self.betas))
-        if self.model in ("correlated_blocks", "wishart_correlated"):
-            if self.tensor is None:
-                raise ValueError(f"{self.model} model needs a covariance tensor")
+        if self.tensor is not None:
             if not isinstance(self.tensor, CovarianceTensor):
                 self.tensor = CovarianceTensor(self.tensor)
             if self.tensor.d != self.d:
@@ -230,8 +227,6 @@ class ModelSpec:
                 raise ValueError("wishart tensor must be real-valued")
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
-        if self.model in ("hermitized_iid", "wigner_blocks") and self.law is None:
-            raise ValueError(f"{self.model} model needs an entry law")
 
     def with_n(self, n: int) -> "ModelSpec":
         return replace(self, N=n)
@@ -287,10 +282,8 @@ def _raw_blocks(law: EntryLaw, rng, n: int, d: int) -> np.ndarray:
     return law.draw(rng, n * d * d).reshape(n, d, d)
 
 
-def sample_hermitized(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_hermitized(spec: ModelSpec, trial: int) -> np.ndarray:
     """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian."""
-    if spec.model != "hermitized_iid":
-        raise ValueError("spec.model must be 'hermitized_iid'")
     N, d = spec.N, spec.d
     m = _raw_blocks(spec.law, rng_for(spec.seed, trial), N * N, d)
     m = m.reshape(N, N, d, d).transpose(0, 2, 1, 3).reshape(N * d, N * d)  # frees the draw
@@ -300,10 +293,8 @@ def sample_hermitized(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return h
 
 
-def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_wigner_blocks(spec: ModelSpec, trial: int) -> np.ndarray:
     """W(x): x_ij below the diagonal, x_ji^* above, symmetrized diagonal, 1/sqrt(N)."""
-    if spec.model != "wigner_blocks":
-        raise ValueError("spec.model must be 'wigner_blocks'")
     N, d = spec.N, spec.d
     rng = rng_for(spec.seed, trial)
     blocks = _raw_blocks(spec.law, rng, N * (N + 1) // 2, d)
@@ -311,7 +302,7 @@ def sample_wigner_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return _hermitian_fill(blocks, rows, cols, N) / np.sqrt(N)
 
 
-def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_kronecker(spec: ModelSpec, trial: int) -> np.ndarray:
     """X = M + M^* with M = sum_k beta_k (x) Y_k and jointly Gaussian Y_k.
 
     Entry vectors (y^(1)..y^(L)) are i.i.d. across positions with
@@ -319,8 +310,6 @@ def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     realized as a deterministic factor applied to standard complex draws.
     Adding the adjoint once, after the sum, makes X exactly Hermitian.
     """
-    if spec.model != "kronecker":
-        raise ValueError("spec.model must be 'kronecker'")
     N = spec.N
     rng = rng_for(spec.seed, trial)
     y = _standard_complex(rng, (N, N, len(spec.betas))) @ spec.sigma_factor.T
@@ -331,7 +320,7 @@ def sample_kronecker(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return m
 
 
-def sample_correlated_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_correlated_blocks(spec: ModelSpec, trial: int) -> np.ndarray:
     """Hermitian block matrix with same-position entries correlated across blocks.
 
     For each position (r, p), r <= p, the d^2 entries a^(ij)_{rp} form a
@@ -341,8 +330,6 @@ def sample_correlated_blocks(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     block model.  Requires the adjoint-symmetric tensor (blocks distributed
     like their adjoints), otherwise no single d x d limit law exists.
     """
-    if spec.model != "correlated_blocks":
-        raise ValueError("spec.model must be 'correlated_blocks'")
     N, d = spec.N, spec.d
     rng = rng_for(spec.seed, trial)
     rows, cols = np.triu_indices(N)
@@ -362,15 +349,13 @@ def _circulant_wigners(spec: ModelSpec, trial: int) -> list[np.ndarray]:
             for _ in range(spec.d // 2 + 1)]
 
 
-def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_circulant(spec: ModelSpec, trial: int) -> np.ndarray:
     """Self-adjoint block circulant over floor(d/2)+1 independent Wigner blocks.
 
     Block (r, c) holds A^(((c - r) mod d) + 1) with the reflection
     A^(i) = A^(d - i + 2); entries are complex with E a^2 = 0, E|a|^2 = 1
     unless the spec carries an explicit real law.
     """
-    if spec.model != "circulant":
-        raise ValueError("spec.model must be 'circulant'")
     N, d = spec.N, spec.d
     wigners = np.stack(_circulant_wigners(spec, trial)) / np.sqrt(d)
     k = (np.arange(d) - np.arange(d)[:, None]) % d    # k[r, c] = (c - r) mod d
@@ -381,7 +366,7 @@ def sample_circulant(spec: ModelSpec, trial: int = 0) -> np.ndarray:
 
 def _circulant_blocks(spec: ModelSpec, trial: int):
     """Yield (B_j, multiplicity) for the distinct DFT blocks of
-    sample_circulant(spec, trial), without forming the circulant.
+    _sample_circulant(spec, trial), without forming the circulant.
 
     The block DFT turns the circulant into diag(B_0, ..., B_{d-1}) with
     B_j = (W_0 + sum_{k>=1} c_k cos(2 pi j k / d) W_k) / sqrt(d), where
@@ -416,25 +401,28 @@ def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     return grid.transpose(0, 2, 1, 3).reshape(N * d, N * d) / np.sqrt(d * N)
 
 
-def sample_wishart(spec: ModelSpec, trial: int = 0) -> np.ndarray:
+def _sample_wishart(spec: ModelSpec, trial: int) -> np.ndarray:
     """H H^* for the correlated Wishart model; exactly Hermitian, PSD."""
     h = sample_wishart_factor(spec, trial)
     w = h @ h.conj().T
     return (w + w.conj().T) / 2.0
 
 
-_SAMPLERS = {
-    "hermitized_iid": sample_hermitized,
-    "wigner_blocks": sample_wigner_blocks,
-    "kronecker": sample_kronecker,
-    "correlated_blocks": sample_correlated_blocks,
-    "circulant": sample_circulant,
-    "wishart_correlated": sample_wishart,
+# name: (draw, required and optional ModelSpec data fields)
+_MODELS = {
+    "hermitized_iid": (_sample_hermitized, ("law",), ()),
+    "wigner_blocks": (_sample_wigner_blocks, ("law",), ()),
+    "kronecker": (_sample_kronecker, ("betas", "sigma_l"), ()),
+    "correlated_blocks": (_sample_correlated_blocks, ("tensor",), ()),
+    "circulant": (_sample_circulant, (), ("law",)),
+    "wishart_correlated": (_sample_wishart, ("tensor",), ()),
 }
+MODELS = tuple(_MODELS)
 
 
 def sample_matrix(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    return _SAMPLERS[spec.model](spec, trial)
+    """One draw of the model's dN x dN matrix, exactly Hermitian."""
+    return _MODELS[spec.model][0](spec, trial)
 
 
 def hermitian_blocks(spec: ModelSpec, trial: int = 0):

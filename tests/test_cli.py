@@ -200,6 +200,9 @@ class TestConfigValidation:
                "N": 4, "trials": 3}
     DENSITY = {"command": "density", "eta": {"form": "scalar", "d": 1, "t": 1.0},
                "grid": {"min": -1.0, "max": 1.0, "step": 0.5}}
+    MIXTURE = {"command": "density",
+               "mixture": {"weights": [1.0], "variances": [1.0]},
+               "grid": {"min": -1.0, "max": 1.0, "step": 0.5}}
     SAMPLE = {"command": "sample",
               "model": {"model": "hermitized_iid", "d": 2, "N": 3,
                         "law": {"variant": "complex_gaussian"}}}
@@ -286,6 +289,23 @@ class TestConfigValidation:
         # a Choi matrix that is not PSD: the map is not completely positive
         (SOLVE, ("eta",), {"form": "choi", "matrix": NOT_CP_CHOI}, "config.eta"),
         (DENSITY, ("eta",), {"form": "choi", "matrix": NOT_CP_CHOI}, "config.eta"),
+        # a spectrum path is checked before the draw, like out
+        (SAMPLE, ("spectrum_out",), 5, "config.spectrum_out"),
+        (SAMPLE, ("spectrum_out",), "", "config.spectrum_out"),
+        # non-finite numbers
+        (MIXTURE, ("mixture", "variances"), [float("nan")], "config.mixture"),
+        (SAMPLE, ("model", "law"),
+         {"variant": "permutation_pool", "values": [1.0, float("nan")] * 18},
+         "config.model.law"),
+        (SOLVE, ("z",), [float("nan"), 1.0], "config.z"),
+        (RATE, ("z",), [0.0, float("nan")], "config.z"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 2, "c": float("nan")}, "config.eta"),
+        (SOLVE, ("eta",), {"form": "scalar", "d": 1, "t": float("inf")}, "config.eta"),
+        (SAMPLE, ("model",), dict(KRONECKER, sigma_l=[[1.0, float("nan")],
+                                                      [float("nan"), 1.0]]),
+         "config.model.sigma_l"),
+        (DENSITY, ("eps",), float("inf"), "config.eps"),
+        (DENSITY, ("grid", "max"), float("inf"), "config.grid"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)
@@ -510,6 +530,18 @@ class TestExperimentCommands:
         assert main(["--config", cfg]) == EXIT_OK
         lines = (tmp_path / "u.csv").read_text().strip().splitlines()
         assert lines[0].startswith("mean_a_re")
+
+    def test_universality_model_without_law(self, tmp_path, capsys):
+        data = {"command": "universality", "out": str(tmp_path / "u.csv"),
+                "model": {"model": "correlated_blocks", "d": 1, "N": 8,
+                          "tensor": [[[[1.0]]]]},
+                "laws": [{"variant": "rademacher"},
+                         {"variant": "real_gaussian", "variance": 1.0}],
+                "z": [0.0, 3.0], "N": 8, "trials": 2}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config: correlated_blocks model takes no law\n")
+        assert not (tmp_path / "u.csv").exists()
 
     def test_circulant_ks_command(self, tmp_path):
         data = {"command": "circulant-ks", "out": str(tmp_path / "ks.csv"),

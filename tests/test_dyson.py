@@ -70,6 +70,15 @@ class TestMixture:
         with pytest.raises(ValueError):
             mixture_cauchy([0.5, 0.4], [1.0, 2.0], 2j)
 
+    @pytest.mark.parametrize("w, t", [
+        ([float("nan"), 1.0], [1.0, 1.0]),     # a NaN weight passes the sum check
+        ([1.0], [float("nan")]),
+        ([1.0], [float("inf")]),
+    ])
+    def test_non_finite_rejected(self, w, t):
+        with pytest.raises(ValueError, match="finite"):
+            mixture_cauchy(w, t, 2j)
+
     def test_second_moment_identity_exact(self):
         # sum(w) = 1 and sum(w * t) = 1 exactly, for every d in 2..20
         from fractions import Fraction

@@ -50,7 +50,12 @@ class TestApply:
         lambda: flat_map(0),
         lambda: flat_map(-2, 1.0),
         lambda: flat_map(2, -0.5),
-    ], ids=["scalar-d0", "scalar-d-1", "flat-d0", "flat-d-2", "flat-c<0"])
+        lambda: flat_map(2, float("nan")),
+        lambda: flat_map(2, float("inf")),
+        lambda: scalar_map(1, float("nan")),
+        lambda: scalar_map(1, float("inf")),
+    ], ids=["scalar-d0", "scalar-d-1", "flat-d0", "flat-d-2", "flat-c<0",
+            "flat-c-nan", "flat-c-inf", "scalar-t-nan", "scalar-t-inf"])
     def test_degenerate_map_rejected(self, make):
         with pytest.raises(ValueError, match="covariance requires"):
             make()

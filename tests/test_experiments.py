@@ -150,6 +150,15 @@ class TestUniversality:
     def test_arms_use_independent_streams(self):
         assert derived_seed(3, 0) != derived_seed(3, 1)
 
+    def test_model_without_law_rejected(self):
+        # the arms keep the template's data and set the law, which a
+        # correlated-blocks model does not take
+        template = ModelSpec(model="correlated_blocks", d=2, N=8,
+                             tensor=delta_tensor(2), seed=0)
+        with pytest.raises(ValueError, match="correlated_blocks model takes no law"):
+            universality_experiment(template, Rademacher(), RealGaussian(1.0),
+                                    3j, N=8, trials=2, seed=0)
+
 
 class TestKroneckerNormalizationOracle:
     def test_unit_normalization_matches_sampling(self):

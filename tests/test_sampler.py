@@ -10,11 +10,8 @@ from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   PermutationPool, Rademacher, RealGaussian,
                                   TwoPoint, hermitian_blocks,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
-                                  sample_circulant, sample_correlated_blocks,
-                                  sample_hermitized,
-                                  sample_kronecker, sample_matrix,
-                                  sample_wigner_blocks, sample_wishart,
-                                  sample_wishart_factor, spectrum)
+                                  sample_matrix, sample_wishart_factor,
+                                  spectrum)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -128,27 +125,27 @@ class TestHermitized:
     def test_deterministic_two_point(self):
         spec = ModelSpec(model="hermitized_iid", d=1, N=1,
                          law=TwoPoint(0.7, 0.7, 0.5), seed=1)
-        a = sample_hermitized(spec)
+        a = sample_matrix(spec)
         assert np.allclose(a, [[2 * 0.7 / np.sqrt(2)]])
 
     def test_exactly_hermitian(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=10,
                          law=ComplexGaussian(1.0), seed=3)
-        assert exact_hermitian(sample_hermitized(spec, 5))
+        assert exact_hermitian(sample_matrix(spec, 5))
 
     def test_golden_seeded_matrix(self):
         # frozen from the reference run of the seeded generator
         spec = ModelSpec(model="hermitized_iid", d=1, N=2,
                          law=Rademacher(), seed=20240817)
         golden = np.array([[1.0 + 0j, 0.0 + 0j], [0.0 + 0j, -1.0 + 0j]])
-        assert np.array_equal(sample_hermitized(spec, 0), golden)
+        assert np.array_equal(sample_matrix(spec, 0), golden)
 
     def test_bit_exact_reproducibility_across_threads(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=16,
                          law=ComplexGaussian(1.0), seed=99)
-        serial = [sample_hermitized(spec, t) for t in range(8)]
+        serial = [sample_matrix(spec, t) for t in range(8)]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda t: sample_hermitized(spec, t),
+            threaded = list(pool.map(lambda t: sample_matrix(spec, t),
                                      range(8)))
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
@@ -159,12 +156,12 @@ class TestWignerBlocks:
     def test_deterministic_diagonal(self):
         spec = ModelSpec(model="wigner_blocks", d=1, N=1,
                          law=TwoPoint(0.7, 0.7, 0.5), seed=1)
-        assert np.allclose(sample_wigner_blocks(spec), [[0.7]])
+        assert np.allclose(sample_matrix(spec), [[0.7]])
 
     def test_exactly_hermitian(self):
         spec = ModelSpec(model="wigner_blocks", d=3, N=7,
                          law=ComplexGaussian(1.0), seed=2)
-        assert exact_hermitian(sample_wigner_blocks(spec, 1))
+        assert exact_hermitian(sample_matrix(spec, 1))
 
     def test_offdiagonal_variance(self):
         n = 64
@@ -172,7 +169,7 @@ class TestWignerBlocks:
                          law=ComplexGaussian(1.0), seed=31)
         entries = []
         for t in range(6):
-            m = sample_wigner_blocks(spec, t)
+            m = sample_matrix(spec, t)
             entries.append(m[np.triu_indices(n, k=1)])
         entries = np.concatenate(entries)
         var = np.mean(np.abs(entries) ** 2)
@@ -186,11 +183,11 @@ class TestKronecker:
                          betas=(I2, E12), sigma_l=np.asarray(sigma))
 
     def test_zero_sigma_gives_zero_matrix(self):
-        m = sample_kronecker(self.base_spec(np.zeros((2, 2))))
+        m = sample_matrix(self.base_spec(np.zeros((2, 2))))
         assert np.array_equal(m, np.zeros_like(m))
 
     def test_exactly_hermitian(self):
-        assert exact_hermitian(sample_kronecker(self.base_spec(np.eye(2)), 4))
+        assert exact_hermitian(sample_matrix(self.base_spec(np.eye(2)), 4))
         # generic betas overlap, so the adjoint terms must not be summed one
         # by one beside the direct ones
         gen = np.random.Generator(np.random.Philox(key=[183, 1]))
@@ -200,7 +197,7 @@ class TestKronecker:
             spec = ModelSpec(model="kronecker", d=2, N=16, seed=5, betas=betas,
                              sigma_l=np.eye(L))
             for trial in range(4):
-                assert exact_hermitian(sample_kronecker(spec, trial))
+                assert exact_hermitian(sample_matrix(spec, trial))
 
     def test_cross_covariance(self):
         # Cov(y1, conj y2) = 0.5 within 3 standard errors over 1e5 draws
@@ -242,13 +239,13 @@ class TestCorrelatedBlocks:
     def test_zero_tensor(self):
         spec = ModelSpec(model="correlated_blocks", d=2, N=8, seed=7,
                          tensor=CovarianceTensor(np.zeros((2, 2, 2, 2))))
-        m = sample_correlated_blocks(spec)
+        m = sample_matrix(spec)
         assert np.array_equal(m, np.zeros_like(m))
 
     def test_exactly_hermitian(self):
         spec = ModelSpec(model="correlated_blocks", d=2, N=20, seed=9,
                          tensor=delta_tensor(2))
-        assert exact_hermitian(sample_correlated_blocks(spec, 2))
+        assert exact_hermitian(sample_matrix(spec, 2))
 
     def test_block_covariance_matches_tensor(self):
         # empirical covariance of same-position entries across blocks
@@ -269,7 +266,7 @@ class TestCorrelatedBlocks:
         vecs = []
         scale = np.sqrt(d * N)
         for t in range(60):
-            m = sample_correlated_blocks(spec, t).reshape(N, d, N, d)
+            m = sample_matrix(spec, t).reshape(N, d, N, d)
             # strictly-upper positions carry the raw draws (times 1/sqrt(dN))
             r, p = np.triu_indices(N, k=1)
             vecs.append((m[r, :, p, :] * scale).reshape(-1, d * d))
@@ -292,7 +289,7 @@ class TestCorrelatedBlocks:
 class TestCirculant:
     def test_d2_pattern(self):
         spec = ModelSpec(model="circulant", d=2, N=6, seed=4)
-        m = sample_circulant(spec).reshape(2, 6, 2, 6)
+        m = sample_matrix(spec).reshape(2, 6, 2, 6)
         # two independent blocks fill the 2x2 circulant
         assert np.array_equal(m[0, :, 0, :], m[1, :, 1, :])
         assert np.array_equal(m[0, :, 1, :], m[1, :, 0, :])
@@ -309,13 +306,13 @@ class TestCirculant:
             for c in range(d):
                 k = (c - r) % d
                 ref[r, :, c, :] = wigners[min(k, d - k)]
-        assert np.array_equal(sample_circulant(spec, 1),
+        assert np.array_equal(sample_matrix(spec, 1),
                               ref.reshape(4 * d, 4 * d) / np.sqrt(d))
 
     def test_shift_invariance(self):
         d = 4
         spec = ModelSpec(model="circulant", d=d, N=5, seed=10)
-        m = sample_circulant(spec).reshape(d, 5, d, 5)
+        m = sample_matrix(spec).reshape(d, 5, d, 5)
         for r in range(d):
             for c in range(d):
                 assert np.array_equal(m[r, :, c, :],
@@ -323,7 +320,7 @@ class TestCirculant:
 
     def test_exactly_hermitian(self):
         spec = ModelSpec(model="circulant", d=3, N=12, seed=2)
-        assert exact_hermitian(sample_circulant(spec, 3))
+        assert exact_hermitian(sample_matrix(spec, 3))
 
     def test_second_moment_matches_mixture(self):
         # sum of w_m t_m = 1 for mu_3
@@ -335,7 +332,7 @@ class TestCirculant:
     def test_real_variant_behind_flag(self):
         spec = ModelSpec(model="circulant", d=3, N=10, seed=2,
                          law=RealGaussian(1.0))
-        assert exact_hermitian(sample_circulant(spec))
+        assert exact_hermitian(sample_matrix(spec))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("N", [1, 4, 30])
@@ -376,13 +373,13 @@ class TestWishart:
     def test_zero_tensor(self):
         spec = ModelSpec(model="wishart_correlated", d=1, N=10, seed=3,
                          tensor=CovarianceTensor(np.zeros((1, 1, 1, 1))))
-        assert np.array_equal(sample_wishart(spec), np.zeros((10, 10)))
+        assert np.array_equal(sample_matrix(spec), np.zeros((10, 10)))
 
     def test_psd_for_any_seed(self):
         spec = ModelSpec(model="wishart_correlated", d=2, N=20, seed=0,
                          tensor=delta_tensor(2))
         for t in range(5):
-            ev = np.linalg.eigvalsh(sample_wishart(spec.with_seed(t), t))
+            ev = np.linalg.eigvalsh(sample_matrix(spec.with_seed(t), t))
             assert ev.min() >= -1e-9
 
     def test_mean_eigenvalue(self):
@@ -396,7 +393,7 @@ class TestWishart:
                          tensor=delta_tensor(2))
         h = sample_wishart_factor(spec, 1)
         assert h.shape == (24, 24)
-        w = sample_wishart(spec, 1)
+        w = sample_matrix(spec, 1)
         assert np.allclose(w, h @ h.conj().T, atol=1e-12)
 
 
@@ -405,7 +402,7 @@ class TestExchangeable:
         n, c = 4, 0.5
         spec = ModelSpec(model="hermitized_iid", d=1, N=n,
                          law=PermutationPool([c] * (n * n)), seed=9)
-        m = sample_hermitized(spec)
+        m = sample_matrix(spec)
         assert np.allclose(m, 2 * c / np.sqrt(2 * n))
         assert np.linalg.matrix_rank(m) == 1
 
@@ -417,7 +414,7 @@ class TestExchangeable:
         spec = ModelSpec(model="hermitized_iid", d=1, N=3,
                          law=PermutationPool([1.0, -1.0]), seed=9)
         with pytest.raises(ValueError):
-            sample_hermitized(spec)
+            sample_matrix(spec)
 
     def test_pool_is_one_read_only_array(self):
         values = [1.0, -1.0, 2.0, -2.0]
@@ -439,6 +436,12 @@ class TestExchangeable:
         with pytest.raises(ValueError):
             PermutationPool(values)
 
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, -1.0],
+                                        [I2, np.full((2, 2), np.nan)]])
+    def test_pool_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            PermutationPool(values)
+
     def test_matrix_pool_block_size_checked(self):
         pool = PermutationPool([I2, -I2])
         with pytest.raises(ValueError, match="3x3"):
@@ -450,7 +453,7 @@ class TestExchangeable:
         n = 2
         pool = PermutationPool([I2, -I2, E12, E12.conj().T])
         spec = ModelSpec(model="hermitized_iid", d=2, N=n, law=pool, seed=3)
-        m = sample_hermitized(spec)
+        m = sample_matrix(spec)
         assert exact_hermitian(m)
         assert m.shape == (4, 4)
 
@@ -498,9 +501,28 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError):
             spec.with_seed(-1)
 
+    @pytest.mark.parametrize("kwargs, stray", [
+        (dict(model="kronecker", d=2, N=4, betas=(I2, E12), sigma_l=np.eye(2)),
+         dict(law=ComplexGaussian(1.0))),
+        (dict(model="hermitized_iid", d=1, N=2, law=ComplexGaussian(1.0)),
+         dict(betas=("junk",))),
+        (dict(model="circulant", d=2, N=4), dict(tensor=delta_tensor(2))),
+        (dict(model="wishart_correlated", d=2, N=4, tensor=delta_tensor(2)),
+         dict(sigma_l=np.eye(2))),
+    ], ids=["kronecker-law", "hermitized_iid-betas", "circulant-tensor",
+            "wishart_correlated-sigma_l"])
+    def test_stray_field_rejected(self, kwargs, stray):
+        (key,) = stray
+        with pytest.raises(ValueError, match=f"{kwargs['model']} model takes no {key}"):
+            ModelSpec(**kwargs, **stray)
+
     def test_dispatch(self):
-        spec = ModelSpec(model="circulant", d=2, N=4, seed=1)
-        assert np.array_equal(sample_matrix(spec, 0), sample_circulant(spec, 0))
+        # one spec of every model: an exactly Hermitian dN x dN draw
+        specs = [ModelSpec(**kwargs) for kwargs in TestGoldenHashes.SPECS.values()]
+        assert {spec.model for spec in specs} == set(MODELS)
+        for spec in specs:
+            m = sample_matrix(spec, 0)
+            assert m.shape == (spec.d * spec.N,) * 2 and exact_hermitian(m)
 
     def test_spectrum_sorted(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=12,
@@ -512,7 +534,7 @@ class TestModelSpecAndIO:
     def test_matrix_bytes_roundtrip(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=5,
                          law=ComplexGaussian(1.0), seed=6)
-        m = sample_hermitized(spec, 2)
+        m = sample_matrix(spec, 2)
         blob = matrix_to_bytes(m)
         assert len(blob) == 8 + 10 * 10 * 16
         assert np.array_equal(matrix_from_bytes(blob), m)
