@@ -87,7 +87,10 @@ def _real(value, path: str, kind=float):
         value = int(value)
     if not _is_number(value) or (kind is int and isinstance(value, float)):
         raise ConfigError(f"{path}: expected {'an integer' if kind is int else 'a number'}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:                # a JSON integer beyond the float range
+        raise ConfigError(f"{path}: expected a number within the float range") from None
 
 
 def _list(value, path: str) -> list:
@@ -101,12 +104,15 @@ def _reals(value, path: str, kind=float) -> list:
 
 
 def _complex(value, path: str) -> complex:
-    if _is_number(value):
-        z = complex(value)
-    elif isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
-        z = complex(value[0], value[1])
-    else:
-        raise ConfigError(f"{path}: expected a number or [re, im] pair")
+    try:
+        if _is_number(value):
+            z = complex(value)
+        elif isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+            z = complex(value[0], value[1])
+        else:
+            raise ConfigError(f"{path}: expected a number or [re, im] pair")
+    except OverflowError:                # a JSON integer beyond the float range
+        raise ConfigError(f"{path}: expected numbers within the float range") from None
     if not np.isfinite(z):
         raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
     return z
@@ -130,7 +136,7 @@ _LAW_KEYS = {"complex_gaussian": ((), ("variance",)), "real_gaussian": ((), ("va
              "rademacher": ((), ()), "two_point": (("a", "b", "p"), ()),
              "permutation_pool": (("values",), ())}
 _MODEL_KEYS = {name: (("d", "N") + required, optional)
-               for name, (_, required, optional) in sampler._MODELS.items()}
+               for name, (_, _, required, optional) in sampler._MODELS.items()}
 _ETA_KEYS = {"scalar": (("d", "t"), ()), "flat": (("d",), ("c",)),
              "kronecker": (("betas", "sigma_l"), ()), "tensor": (("sigma",), ()),
              "choi": (("matrix",), ())}

@@ -309,14 +309,10 @@ def eta_exchangeable_pool(pool) -> CovarianceMap:
     eta(b) = (1/2n) sum_i (xbar_i b xbar_i^* + xbar_i^* b xbar_i).
     Scalars are treated as 1 x 1 matrices.
     """
-    items = list(pool)
-    if not items:
+    vals = np.asarray(pool, dtype=np.complex128)
+    if vals.size == 0:
         raise ValueError("empty pool")
-    if np.ndim(items[0]) == 0:
-        mats = [np.array([[complex(v)]]) for v in items]
-    else:
-        mats = items
-    return eta_iid_blocks(samples=mats)
+    return eta_iid_blocks(samples=vals.reshape(-1, 1, 1) if vals.ndim == 1 else vals)
 
 
 def eta_wishart_pair(tensor: CovarianceTensor) -> EtaPair:

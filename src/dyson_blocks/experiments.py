@@ -21,11 +21,9 @@ from .dyson import (SolverFailure, SolverOptions, circulant_mixture,
 # wraps the mapper under it
 from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
                   mean_cauchy, trial_mean)
-from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
-                  eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
-                  eta_wishart_pair, flat_map)
-from .sampler import (ModelSpec, PermutationPool, block_spectrum,
-                      hermitian_blocks, sample_wishart_factor)
+from .eta import CovarianceTensor, EtaPair
+from .sampler import (ModelSpec, block_spectrum, hermitian_blocks, model_eta,
+                      sample_wishart_factor)
 
 SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio stride for per-arm sub-seeds
 RATE_FILTER_SE_FACTOR = 3.0
@@ -36,35 +34,12 @@ def derived_seed(seed: int, arm: int) -> int:
     return (int(seed) + arm * SEED_STRIDE) % 2 ** 64
 
 
-def model_eta(spec: ModelSpec) -> CovarianceMap | EtaPair:
-    """Limiting covariance map built from the same model parameters."""
-    if spec.model in ("hermitized_iid", "wigner_blocks"):
-        law = spec.law
-        if isinstance(law, PermutationPool) and law.is_matrix_pool:
-            return eta_exchangeable_pool(law.values)
-        # i.i.d. (or exchangeable) scalar entries of variance v give
-        # eta(B) = v * tr(B) * I regardless of the fill pattern
-        return flat_map(spec.d, spec.law.variance * spec.d)
-    if spec.model == "kronecker":
-        return eta_kronecker(spec.betas, spec.sigma_l)
-    if spec.model == "correlated_blocks":
-        return eta_correlated_tensor(spec.tensor)
-    if spec.model == "wishart_correlated":
-        return eta_wishart_pair(spec.tensor)
-    raise ValueError(f"no single covariance map for model {spec.model!r}")
-
-
 def analytic_trace_cauchy(spec: ModelSpec, z: complex,
                           opts: SolverOptions | None = None) -> complex:
     """Limit-law scalar Cauchy transform for a model at one z."""
-    if spec.model == "circulant":
-        w, t = circulant_mixture(spec.d)
-        return mixture_cauchy(w, t, z)
     eta = model_eta(spec)
-    if isinstance(eta, EtaPair):
-        sol = solve_wishart(eta, z, opts)
-    else:
-        sol = solve_semicircular(eta, z, opts)
+    solve = solve_wishart if isinstance(eta, EtaPair) else solve_semicircular
+    sol = solve(eta, z, opts)
     if not sol.converged:
         raise SolverFailure(f"solver did not converge at z={z!r}")
     return sol.trace()
@@ -98,11 +73,8 @@ def _weighted_loglog_fit(ns, errs, ses):
 def rate_threshold(template: ModelSpec) -> float:
     """Im z above which the rate fit is taken: ||eta||^(1/2).
 
-    For Wishart models the norm is that of eta1; the circulant mixture
-    accepts any z in the upper half-plane (threshold 0).
+    For Wishart models the norm is that of eta1.
     """
-    if template.model == "circulant":
-        return 0.0
     eta = model_eta(template)
     return (eta.eta1 if isinstance(eta, EtaPair) else eta).cp_norm() ** 0.5
 
@@ -300,8 +272,7 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
 
     mc_mean, mc_se = trial_mean(lambda t: sample_wishart_factor(spec, t),
                                 trials, workers, reduce=reduce)
-    pair = eta_wishart_pair(tensor)
-    sol = solve_wishart(pair, z * z, opts)
+    sol = solve_wishart(model_eta(spec), z * z, opts)
     if not sol.converged:
         raise SolverFailure(f"wishart solver did not converge at z^2={z * z!r}")
     return WishartConsistencyReport(

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .eta import CovarianceTensor, sigma_l_factor
+from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
+                  eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
+                  eta_wishart_pair, flat_map, sigma_l_factor)
 
 # ---------------------------------------------------------------------------
 # entry laws
@@ -177,12 +179,13 @@ EntryLaw = ComplexGaussian | RealGaussian | Rademacher | TwoPoint | PermutationP
 class ModelSpec:
     """Full description of one block random-matrix model.
 
-    Which data fields a model takes is its row of ``_MODELS``.  Every input
-    a draw relies on is checked here, once, except a permutation pool's size
-    and block shape: they depend on the model's fill, so the draw checks
-    them.  The Gaussian factor of sigma_l, ``sigma_factor``, is made
-    here too; a tensor's is ``tensor.factor``, made by CovarianceTensor.
-    Equality is identity, since the fields hold arrays.
+    A model's row of ``_MODELS`` holds its draw, its limit map and the data
+    fields it takes.  Every input a draw relies on is checked here, once,
+    except a permutation pool's size and block shape: they depend on the
+    model's fill, so the draw checks them.  The Gaussian factor of sigma_l,
+    ``sigma_factor``, is made here too; a tensor's is ``tensor.factor``,
+    made by CovarianceTensor.  Equality is identity, since the fields hold
+    arrays.
     """
 
     model: str
@@ -202,7 +205,7 @@ class ModelSpec:
             raise ValueError("need d >= 1 and N >= 1")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
-        _, required, optional = _MODELS[self.model]
+        _, _, required, optional = _MODELS[self.model]
         for key in ("law", "betas", "sigma_l", "tensor"):
             if getattr(self, key) is None:
                 if key in required:
@@ -349,18 +352,22 @@ def _circulant_wigners(spec: ModelSpec, trial: int) -> list[np.ndarray]:
             for _ in range(spec.d // 2 + 1)]
 
 
+def _circulant_slots(d: int) -> np.ndarray:
+    """slot[r, c] = min(m, d - m), m = (c - r) mod d: block (r, c) holds W_slot."""
+    m = (np.arange(d) - np.arange(d)[:, None]) % d
+    return np.minimum(m, d - m)
+
+
 def _sample_circulant(spec: ModelSpec, trial: int) -> np.ndarray:
     """Self-adjoint block circulant over floor(d/2)+1 independent Wigner blocks.
 
     Block (r, c) holds A^(((c - r) mod d) + 1) with the reflection
     A^(i) = A^(d - i + 2); entries are complex with E a^2 = 0, E|a|^2 = 1
-    unless the spec carries an explicit real law.
+    unless the spec carries an explicit law.
     """
     N, d = spec.N, spec.d
     wigners = np.stack(_circulant_wigners(spec, trial)) / np.sqrt(d)
-    k = (np.arange(d) - np.arange(d)[:, None]) % d    # k[r, c] = (c - r) mod d
-    # reflection A^(k) = A^(d-k): W_0 .. W_{d//2} fill every block
-    out = wigners[np.minimum(k, d - k)].transpose(0, 2, 1, 3)
+    out = wigners[_circulant_slots(d)].transpose(0, 2, 1, 3)
     return out.reshape(d * N, d * N)
 
 
@@ -408,14 +415,35 @@ def _sample_wishart(spec: ModelSpec, trial: int) -> np.ndarray:
     return (w + w.conj().T) / 2.0
 
 
-# name: (draw, required and optional ModelSpec data fields)
+def _entry_limit(spec: ModelSpec) -> CovarianceMap:
+    """Limit map of a model filled entry by entry, or block by block by a pool."""
+    law = spec.law
+    if isinstance(law, PermutationPool) and law.is_matrix_pool:
+        return eta_exchangeable_pool(law.values)
+    # i.i.d. (or exchangeable) scalar entries of variance v give
+    # eta(B) = v * tr(B) * I regardless of the fill pattern
+    return flat_map(spec.d, spec.law.variance * spec.d)
+
+
+def _circulant_limit(spec: ModelSpec) -> CovarianceMap:
+    """eta(B)[k, l] = (v/d) sum_ij [slot(k, i) == slot(l, j)] B[i, j]: blocks
+    (k, i) and (j, l) pair exactly when the same Wigner block fills them."""
+    v = (spec.law or ComplexGaussian(1.0)).variance     # the draw's default
+    slot = _circulant_slots(spec.d).T                # slot[i, k] = slot(k, i)
+    return CovarianceMap((slot[:, :, None, None] == slot) * complex(v / spec.d))
+
+
+# name: (draw, limit map, required and optional ModelSpec data fields)
 _MODELS = {
-    "hermitized_iid": (_sample_hermitized, ("law",), ()),
-    "wigner_blocks": (_sample_wigner_blocks, ("law",), ()),
-    "kronecker": (_sample_kronecker, ("betas", "sigma_l"), ()),
-    "correlated_blocks": (_sample_correlated_blocks, ("tensor",), ()),
-    "circulant": (_sample_circulant, (), ("law",)),
-    "wishart_correlated": (_sample_wishart, ("tensor",), ()),
+    "hermitized_iid": (_sample_hermitized, _entry_limit, ("law",), ()),
+    "wigner_blocks": (_sample_wigner_blocks, _entry_limit, ("law",), ()),
+    "kronecker": (_sample_kronecker, lambda s: eta_kronecker(s.betas, s.sigma_l),
+                  ("betas", "sigma_l"), ()),
+    "correlated_blocks": (_sample_correlated_blocks,
+                          lambda s: eta_correlated_tensor(s.tensor), ("tensor",), ()),
+    "circulant": (_sample_circulant, _circulant_limit, (), ("law",)),
+    "wishart_correlated": (_sample_wishart, lambda s: eta_wishart_pair(s.tensor),
+                           ("tensor",), ()),
 }
 MODELS = tuple(_MODELS)
 
@@ -423,6 +451,11 @@ MODELS = tuple(_MODELS)
 def sample_matrix(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     """One draw of the model's dN x dN matrix, exactly Hermitian."""
     return _MODELS[spec.model][0](spec, trial)
+
+
+def model_eta(spec: ModelSpec) -> CovarianceMap | EtaPair:
+    """The model's limit: its covariance map, or a Wishart model's EtaPair."""
+    return _MODELS[spec.model][1](spec)
 
 
 def hermitian_blocks(spec: ModelSpec, trial: int = 0):

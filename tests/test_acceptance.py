@@ -4,12 +4,14 @@ One test per criterion, each printing a single pass/fail line with the
 measured quantities.  Runtime budgets are asserted as stated.
 
 Criteria 5 and 6 assert the specified log-log slope band [-0.8, -0.3]
-around the O(1/sqrt(N)) envelope.  The measured decay exponent of
-|mean empirical Cauchy - g| for these pinned configurations is -1.0
-(finite-size bias ~ 0.026/N, confirmed at 4000 trials), and with 50
-trials every per-N error sits below the 3-sigma noise filter, so the
-rate fit correctly declares the noise floor instead of fitting noise.
-Both criteria therefore fail honestly; see the decisions ledger.
+around the O(1/sqrt(N)) envelope.  Neither pinned configuration decays
+inside it.  Criterion 5's finite-size bias of |mean empirical Cauchy - g|
+is 0.0256i/N (exponent -1, measured at 8000 trials).  Criterion 6 has no
+1/N term: its first correction is O(N^-2), exponent about -2 or less
+(ROADMAP item 5).  With 50 trials every per-N error sits below the
+3-sigma noise filter, so the rate fit correctly declares the noise floor
+instead of fitting noise.  Both criteria therefore fail honestly; see the
+decisions ledger.
 """
 
 import json

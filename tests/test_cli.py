@@ -165,6 +165,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: config.z: need Im z above the model threshold 1" in err
 
+    def test_circulant_rate_z_below_model_threshold(self, tmp_path, capsys):
+        # the circulant's threshold is its map's ||eta||^(1/2) = sqrt(5/3) at d = 3
+        data = {"command": "rate", "out": str(tmp_path / "o.csv"),
+                "model": {"model": "circulant", "d": 3, "N": 8},
+                "z": [0.5, 1.0], "N_grid": [8, 16, 32], "trials": 4}
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: config.z: need Im z above the model threshold 1.29" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_rate_short_grid(self, tmp_path, capsys):
         data = {"command": "rate", "out": str(tmp_path / "o.csv"),
                 "model": {"model": "hermitized_iid", "d": 1, "N": 8,
@@ -306,6 +317,15 @@ class TestConfigValidation:
          "config.model.sigma_l"),
         (DENSITY, ("eps",), float("inf"), "config.eps"),
         (DENSITY, ("grid", "max"), float("inf"), "config.grid"),
+        # JSON integers beyond the float range
+        (SOLVE, ("z",), [0, 10 ** 400], "config.z"),
+        (SOLVE, ("eta",), {"form": "flat", "d": 2, "c": 10 ** 400}, "config.eta.c"),
+        (SAMPLE, ("model", "law"),
+         {"variant": "two_point", "a": 10 ** 400, "b": 0.0, "p": 0.5},
+         "config.model.law.a"),
+        (SAMPLE, ("model", "law"),
+         {"variant": "permutation_pool", "values": [1.0, 10 ** 400] * 18},
+         "config.model.law.values[1]"),
     ])
     def test_wrong_type_names_key(self, tmp_path, capsys, base, key, value, named):
         data = copy.deepcopy(base)

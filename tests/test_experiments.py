@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+import dyson_blocks
+from dyson_blocks import experiments, sampler
 from dyson_blocks.dyson import mixture_cauchy, circulant_mixture
 from dyson_blocks.esd import empirical_cauchy, mean_cauchy
 from dyson_blocks.eta import CovarianceTensor, EtaPair, eta_kronecker
 from dyson_blocks.experiments import (analytic_trace_cauchy,
                                       circulant_ks_experiment, derived_seed,
                                       hermitization_cauchy_pair, model_eta,
-                                      rate_experiment,
+                                      rate_experiment, rate_threshold,
                                       universality_experiment,
                                       wishart_consistency_experiment)
-from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, PermutationPool,
-                                  Rademacher, RealGaussian, TwoPoint,
-                                  sample_wishart_factor)
+from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
+                                  PermutationPool, Rademacher, RealGaussian,
+                                  TwoPoint, sample_wishart_factor)
 
 I2 = np.eye(2, dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -33,6 +35,10 @@ def adjoint_symmetric_tensor(d, key):
             swap[i * d + j, j * d + i] = 1.0
     sig = (sig + swap @ sig.T @ swap) / 2
     return CovarianceTensor(sig.reshape(d, d, d, d))
+
+
+# bulk, near-edge and near-axis points for the circulant limit
+CIRCULANT_ZS = (3j, 0.5 + 2j, 1.7 + 1e-3j, -2.1 + 0.05j, 0.2 + 1e-2j)
 
 
 class TestModelEta:
@@ -60,10 +66,57 @@ class TestModelEta:
         assert isinstance(model_eta(spec_w), EtaPair)
 
     def test_circulant_closed_form(self):
-        spec = ModelSpec(model="circulant", d=3, N=10, seed=0)
-        w, t = circulant_mixture(3)
-        z = 1.1 + 2.2j
-        assert analytic_trace_cauchy(spec, z) == mixture_cauchy(w, t, z)
+        # the circulant's own map, solved, is the semicircle mixture with
+        # its variances scaled by the law's variance v (1 without a law)
+        for d in range(2, 9):
+            w, t = circulant_mixture(d)
+            for law, v in ((None, 1.0), (ComplexGaussian(4.0), 4.0)):
+                spec = ModelSpec(model="circulant", d=d, N=10, seed=0, law=law)
+                for z in CIRCULANT_ZS:
+                    ref = mixture_cauchy(w, [v * x for x in t], z)
+                    got = analytic_trace_cauchy(spec, z)
+                    assert abs(got - ref) <= 1e-10 * abs(ref), (d, v, z)
+
+    # one spec's data for every model: its limit map must be completely
+    # positive, or an EtaPair of two completely positive maps
+    MODEL_DATA = {
+        "hermitized_iid": dict(law=ComplexGaussian(2.0)),
+        "wigner_blocks": dict(law=PermutationPool([E12, -E12, I2, -I2])),
+        "kronecker": dict(betas=(I2, E12), sigma_l=np.eye(2)),
+        "correlated_blocks": dict(tensor=adjoint_symmetric_tensor(2, key=9)),
+        "circulant": dict(law=TwoPoint(2.0, -2.0, 0.5)),
+        "wishart_correlated": dict(tensor=delta_tensor(2)),
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_model_has_a_cp_limit(self, model):
+        eta = model_eta(ModelSpec(model=model, d=2, N=4, seed=0,
+                                  **self.MODEL_DATA[model]))
+        maps = (eta.eta1, eta.eta2) if isinstance(eta, EtaPair) else (eta,)
+        assert all(m.d == 2 and m.is_completely_positive() for m in maps)
+
+    def test_one_limit_table(self):
+        assert experiments.model_eta is sampler.model_eta
+        assert dyson_blocks.model_eta is sampler.model_eta
+
+
+
+class TestCirculantLimit:
+    @pytest.mark.parametrize("law", [ComplexGaussian(4.0), TwoPoint(2.0, -2.0, 0.5)],
+                             ids=["complex_gaussian-4", "two_point"])
+    def test_draw_matches_limit(self, law):
+        # both laws have variance 4: the draw and the limit read one slot table
+        spec = ModelSpec(model="circulant", d=3, N=200, law=law, seed=1)
+        z = 0.5 + 2j
+        res = mean_cauchy(spec, [z], trials=20)
+        assert abs(res.mean[0] - analytic_trace_cauchy(spec, z)) <= 3 * res.stderr[0]
+
+    def test_rate_threshold(self):
+        # ||eta||^(1/2): sqrt(v (2d - 2)/d) for even d, sqrt(v (2d - 1)/d) for odd d
+        for d, unit in ((2, 1.0), (3, np.sqrt(5 / 3))):
+            for law, scale in ((None, 1.0), (ComplexGaussian(4.0), 2.0)):
+                spec = ModelSpec(model="circulant", d=d, N=8, law=law)
+                assert rate_threshold(spec) == pytest.approx(scale * unit, rel=1e-12)
 
 
 class TestRateExperiment:
