@@ -387,6 +387,10 @@ def _run_sample(cfg: RunConfig, workers):
 
 def _run_rate(cfg: RunConfig, workers):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
+    if isinstance(spec.law, sampler.PermutationPool):
+        # a pool's size is the entry draws of one N, and N_grid holds >= 3
+        raise ConfigError("config.model.law: rate draws at every N in N_grid, "
+                          "but a permutation_pool fits one N only")
     z = _complex(cfg.data["z"], "config.z")
     threshold = experiments.rate_threshold(spec)
     if z.imag <= threshold:

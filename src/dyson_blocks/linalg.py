@@ -1,9 +1,11 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
-Thin, contract-checked wrappers around numpy.linalg: Hermitian eigenvalues,
-resolvent traces, certified inversion and norms.  All functions are pure
-and safe to call concurrently.  No package code calls ``invert``; it is
-kept because bench/tracer.py patches it (ROADMAP item 2).
+Contract-checked kernels: Hermitian eigenvalues (numpy.linalg.eigvalsh),
+resolvent traces by recursive Schur complements (matmuls, with
+numpy.linalg.inv only on small leaf blocks), certified inversion and
+norms.  All functions are pure and safe to call concurrently.  No package
+code calls ``invert``; it is kept because bench/tracer.py patches it
+(ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import numpy as np
 
 HERMITICITY_RTOL = 1e-12
 HERMITICITY_ROW_BLOCK = 64
+# at or below this size _resolvent_inverse calls LAPACK.  On a 2-vCPU Xeon
+# with OpenBLAS, 32 and 48 timed the same on sizes 64-256; 24 was 10-40 %
+# slower there and 64 up to 16 % slower
+RESOLVENT_LEAF = 32
 INVERT_RESIDUAL_RTOL = 1e-9
 
 
@@ -39,10 +45,14 @@ def require_square(m) -> np.ndarray:
 
 
 def hermiticity_defect(m) -> float:
-    """max_{ij} |M[i,j] - conj(M[j,i])|, one block of rows at a time."""
+    """max_{ij} |M[i,j] - conj(M[j,i])|, one block of rows at a time.
+
+    The term is symmetric in i and j, so each block of rows is compared
+    only from its diagonal block rightwards: the upper triangle, blocked.
+    """
     a = require_square(m)
     k = HERMITICITY_ROW_BLOCK
-    return max((float(np.max(np.abs(a[i:i + k] - a[:, i:i + k].conj().T)))
+    return max((float(np.max(np.abs(a[i:i + k, i:] - a[i:, i:i + k].conj().T)))
                 for i in range(0, a.shape[0], k)), default=0.0)
 
 
@@ -74,6 +84,48 @@ def _shifted(z: complex, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resolvent_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square a whose leading blocks and their Schur
+    complements are all invertible, by recursive 2 x 2 Schur complements.
+
+    With p = n // 2, Y = A11^-1, T = A21 Y, U = Y A12 and
+    W = (A22 - T A12)^-1,
+
+        a^-1 = [[Y + U W T, -U W], [-W T, W]],
+
+    where Y and W are inverted by the same recursion down to
+    RESOLVENT_LEAF, below which numpy.linalg.inv (LU) runs.  The rest is
+    matmuls written into the blocks of the result.  No pivoting is needed
+    for a = z - M with M Hermitian and Im z != 0: the imaginary part
+    (a - a^*) / 2i is then Im z I, and a matrix whose imaginary part is
+    >= c I (or <= -c I), c > 0, keeps that property in its leading
+    blocks and in their Schur complements.  So every matrix the recursion
+    inverts has norm of inverse <= 1 / |Im z|.
+    """
+    n = a.shape[0]
+    if n <= RESOLVENT_LEAF:
+        return np.linalg.inv(a)
+    p = n // 2
+    a12, a21 = a[:p, p:], a[p:, :p]
+    out = np.empty((n, n), dtype=np.complex128)
+    x11, x12, x21, x22 = out[:p, :p], out[:p, p:], out[p:, :p], out[p:, p:]
+    y = _resolvent_inverse(a[:p, :p])
+    t = a21 @ y
+    u = y @ a12
+    np.matmul(t, a12, out=x22)
+    np.subtract(a[p:, p:], x22, out=x22)
+    x22[...] = w = _resolvent_inverse(x22)
+    np.matmul(u, w, out=x12)
+    del u
+    np.negative(x12, out=x12)
+    np.matmul(x12, t, out=x11)
+    np.subtract(y, x11, out=x11)
+    del y
+    np.matmul(w, t, out=x21)
+    np.negative(x21, out=x21)
+    return out
+
+
 def resolvent_trace(m, zs) -> np.ndarray:
     """(1/n) tr (z - M)^-1 of a Hermitian M at each z, without eigenvalues.
 
@@ -83,11 +135,12 @@ def resolvent_trace(m, zs) -> np.ndarray:
 
         tr (z - M)^-1 = tr Y + tr W + sum_ij W_ij (T U)_ji.
 
-    Every step is a matmul or an LU inverse (Level-3 BLAS).  Y is the
-    resolvent of the Hermitian block M11 and W a block of (z - M)^-1, so
-    both are bounded by 1 / |Im z|.  Raises HermiticityError as
-    hermitian_eigenvalues does, and ValueError for an empty matrix or a
-    real z.
+    Y and W are taken by _resolvent_inverse, so every step is a matmul
+    (Level-3 BLAS) except the LU inverses of its small leaf blocks.  Y is
+    the resolvent of the Hermitian block M11 and W a block of
+    (z - M)^-1, so both are bounded by 1 / |Im z|.  Raises
+    HermiticityError as hermitian_eigenvalues does, and ValueError for an
+    empty matrix or a real z.
     """
     a = require_hermitian(m)
     n = a.shape[0]
@@ -100,11 +153,13 @@ def resolvent_trace(m, zs) -> np.ndarray:
     m11, m12, m21, m22 = a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
     out = np.empty(zs.shape, dtype=np.complex128)
     for k, z in enumerate(zs):
-        y = np.linalg.inv(_shifted(z, m11))
+        y = _resolvent_inverse(_shifted(z, m11))
         t = m21 @ y
         u = y @ m12
-        w = np.linalg.inv(_shifted(z, m22) - t @ m12)
-        out[k] = (np.trace(y) + np.trace(w) + np.sum(w * (t @ u).T)) / n
+        w = _resolvent_inverse(_shifted(z, m22) - t @ m12)
+        # sum_ij W_ij (T U)_ji is a dot of W with (T U)^T = U^T T^T
+        tu_t = u.T @ t.T
+        out[k] = (np.trace(y) + np.trace(w) + np.dot(w.ravel(), tu_t.ravel())) / n
     return out
 
 

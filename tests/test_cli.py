@@ -176,6 +176,23 @@ class TestConfigValidation:
         assert "config error: config.z: need Im z above the model threshold 1.29" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_rate_rejects_permutation_pool_up_front(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # 16 values are the entry draws of N = 2 at d = 2, not of any N here
+        def no_threshold(spec):
+            raise AssertionError("rate_threshold ran before the pool was rejected")
+        monkeypatch.setattr("dyson_blocks.experiments.rate_threshold", no_threshold)
+        data = {"command": "rate", "out": str(tmp_path / "o.csv"),
+                "model": {"model": "hermitized_iid", "d": 2, "N": 4,
+                          "law": {"variant": "permutation_pool",
+                                  "values": [1.0, -1.0] * 8}},
+                "z": [0.0, 3.0], "N_grid": [4, 8, 16], "trials": 4}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config.model.law: rate draws at every N in N_grid, "
+            "but a permutation_pool fits one N only\n")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_rate_short_grid(self, tmp_path, capsys):
         data = {"command": "rate", "out": str(tmp_path / "o.csv"),
                 "model": {"model": "hermitized_iid", "d": 1, "N": 8,

@@ -68,7 +68,7 @@ Z_LIST = [3j, 0.4 + 1j, -1.5 + 0.1j, 0.2 + 1e-3j, 1.0 + 1e-6j, 2 - 0.5j, 50j]
 
 
 class TestResolventTrace:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129, 400])
     def test_matches_eigenvalues(self, n):
         m = random_hermitian(n, rng()) / np.sqrt(n)
         assert_matches_eigenvalues(m, Z_LIST)
@@ -107,6 +107,46 @@ class TestResolventTrace:
             resolvent_trace(np.zeros((0, 0)), [1j])
 
 
+LEAF = linalg.RESOLVENT_LEAF
+EPS = np.finfo(np.float64).eps
+# ||A X - I||_F <= RESIDUAL_MULTIPLE eps n ||A|| / |Im z| on the cases below;
+# the worst measured is 25 (n = 129, Im z = 1e-3).  No constant holds for
+# every M: a leading block with an eigenvalue near Re z makes the Schur
+# complement A22 - A21 A11^-1 A12 cancel terms of size ||A||^2 / |Im z|.
+RESIDUAL_MULTIPLE = 100
+
+
+def assert_inverts(a, im_z):
+    n = a.shape[0]
+    bound = RESIDUAL_MULTIPLE * EPS * n * operator_norm(a) / abs(im_z)
+    x = linalg._resolvent_inverse(a)
+    lu = np.linalg.inv(a)
+    eye = np.eye(n)
+    assert frobenius_norm(a @ x - eye) <= bound
+    assert frobenius_norm(a @ lu - eye) <= bound
+    # X - A^-1 = A^-1 (A X - I) and ||A^-1|| <= 1 / |Im z|
+    assert frobenius_norm(x - lu) <= 2 * bound / abs(im_z)
+    return x, lu
+
+
+class TestResolventInverse:
+    @pytest.mark.parametrize("im_z", [0.5, -0.5, 1e-3, 1e-6])
+    @pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 129, 400])
+    def test_matches_lu_inverse(self, n, im_z):
+        m = random_hermitian(n, rng()) / np.sqrt(n)
+        x, lu = assert_inverts((0.3 + 1j * im_z) * np.eye(n) - m, im_z)
+        if n <= LEAF:
+            assert np.array_equal(x, lu)
+
+    def test_gram_at_the_edge(self):
+        # z^2 of the wishart command's pinned config: the top of the
+        # Marchenko-Pastur support at 4, just above the axis
+        n = 400
+        gen = rng()
+        h = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2 * n)
+        assert_inverts((4 + 0.01j) * np.eye(n) - h @ h.conj().T, 0.01)
+
+
 class TestHermiticityDefect:
     def test_matches_dense_difference(self):
         gen = rng()
@@ -127,6 +167,19 @@ class TestHermiticityDefect:
         assert not is_hermitian(m)
         with pytest.raises(HermiticityError):
             resolvent_trace(m, [1j])
+
+    @pytest.mark.parametrize("i, j, delta", [
+        (3, 149, 1e-6), (149, 3, 1e-6), (63, 64, 1e-6), (64, 63, 1e-6),
+        (100, 70, 1e-6), (64, 64, 1e-6j)])
+    def test_each_triangle_and_block_boundary(self, i, j, delta):
+        # the scan compares each 64-row block from its diagonal block
+        # rightwards, so an entry below the diagonal is found through its
+        # mirror; (63, 64) and (64, 63) straddle the first block boundary
+        m = random_hermitian(150, rng())
+        m[i, j] += delta
+        defect = hermiticity_defect(m)
+        assert defect > 0.0
+        assert defect == np.max(np.abs(m - m.conj().T))
 
 
 class TestInvert:
