@@ -214,11 +214,19 @@ def _seed(value, path: str) -> int:
     return seed
 
 
-def _threads(value, path: str) -> int:
-    threads = _real(value, path, int)
-    if threads < 1:
-        raise ConfigError(f"{path}: need threads >= 1, got {threads}")
-    return threads
+def _at_least(value, path: str, name: str, least: int) -> int:
+    n = _real(value, path, int)
+    if n < least:
+        raise ConfigError(f"{path}: need {name} >= {least}, got {n}")
+    return n
+
+
+def _n_grid(value, path: str, least: int = 1) -> list:
+    ns = _reals(value, path, int)
+    if len(ns) < least or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"{path}: need {least} or more strictly increasing "
+                          f"N >= 1, got {ns}")
+    return ns
 
 
 def _out(value, path: str) -> str:
@@ -253,8 +261,8 @@ class RunConfig:
         self.command = command
         self.out = _out(data["out"], "config.out")
         self.seed = _seed(data.get("seed", 0), "config.seed")
-        threads = data.get("threads")
-        self.threads = None if threads is None else _threads(threads, "config.threads")
+        if data.get("threads") is not None:
+            _at_least(data["threads"], "config.threads", "threads", 1)
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
 
     def __eq__(self, other):
@@ -320,7 +328,7 @@ def _z_list(cfg: RunConfig):
             for i, v in enumerate(_list(cfg.data["z_grid"], "config.z_grid"))]
 
 
-def _run_solve(cfg: RunConfig, workers):
+def _run_solve(cfg: RunConfig):
     eta = _eta(cfg.data["eta"], "config.eta")
     zs = _z_list(cfg)
     rows = []
@@ -333,7 +341,7 @@ def _run_solve(cfg: RunConfig, workers):
     return _csv(rows, "z_re,z_im,g_re,g_im")
 
 
-def _run_density(cfg: RunConfig, workers):
+def _run_density(cfg: RunConfig):
     grid_obj = cfg.data["grid"]
     _check_keys(grid_obj, "config.grid", ("min", "max", "step"))
     lo, hi, step = (_real(grid_obj[k], f"config.grid.{k}")
@@ -363,7 +371,7 @@ def _run_density(cfg: RunConfig, workers):
     return _csv(rows, "x,rho", comments=[label, f"eps={fmt(eps)}"])
 
 
-def _run_sample(cfg: RunConfig, workers):
+def _run_sample(cfg: RunConfig):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
     trial = _real(cfg.data.get("trial", 0), "config.trial", int)
     if not 0 <= trial < 2 ** 64:
@@ -385,7 +393,7 @@ def _run_sample(cfg: RunConfig, workers):
     return sampler.matrix_to_bytes(matrix)
 
 
-def _run_rate(cfg: RunConfig, workers):
+def _run_rate(cfg: RunConfig):
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
     if isinstance(spec.law, sampler.PermutationPool):
         # a pool's size is the entry draws of one N, and N_grid holds >= 3
@@ -397,9 +405,10 @@ def _run_rate(cfg: RunConfig, workers):
         raise ConfigError(f"config.z: need Im z above the model threshold "
                           f"{threshold:.3g}, got {fmt(z.imag)}")
     report = experiments.rate_experiment(
-        spec, z, _reals(cfg.data["N_grid"], "config.N_grid", int),
-        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-        workers=workers, opts=cfg.solver)
+        spec, z, _n_grid(cfg.data["N_grid"], "config.N_grid",
+                         experiments.MIN_FIT_POINTS),
+        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed,
+        opts=cfg.solver)
     rows = [(str(n), fmt(e), fmt(s))
             for n, e, s in zip(report.N_grid, report.errors, report.stderrs)]
     body = _csv(rows, "N,error,stderr",
@@ -410,16 +419,15 @@ def _run_rate(cfg: RunConfig, workers):
     return body + "slope,slope_stderr\n" + f"{fmt(slope)},{fmt(slope_se)}\n"
 
 
-def _run_universality(cfg: RunConfig, workers):
+def _run_universality(cfg: RunConfig):
     laws = cfg.data["laws"]
     if not isinstance(laws, list) or len(laws) != 2:
         raise ConfigError("config.laws: expected exactly two entry laws")
     spec = _model(cfg.data["model"], "config.model", cfg.seed)
     report = experiments.universality_experiment(
         spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
-        _complex(cfg.data["z"], "config.z"), _real(cfg.data["N"], "config.N", int),
-        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-        workers=workers)
+        _complex(cfg.data["z"], "config.z"), _at_least(cfg.data["N"], "config.N", "N", 1),
+        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed)
     row = (fmt(report.mean_a.real), fmt(report.mean_a.imag),
            fmt(report.mean_b.real), fmt(report.mean_b.imag),
            fmt(report.se_a), fmt(report.se_b),
@@ -428,14 +436,13 @@ def _run_universality(cfg: RunConfig, workers):
                 "mean_a_re,mean_a_im,mean_b_re,mean_b_im,se_a,se_b,diff,combined_se")
 
 
-def _run_circulant_ks(cfg: RunConfig, workers):
+def _run_circulant_ks(cfg: RunConfig):
     d = _real(cfg.data["d"], "config.d", int)
     if d < 2:
         raise ConfigError(f"config.d: circulant-ks needs d >= 2, got {d}")
     report = experiments.circulant_ks_experiment(
-        d, _reals(cfg.data["N_grid"], "config.N_grid", int),
-        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-        workers=workers)
+        d, _n_grid(cfg.data["N_grid"], "config.N_grid"),
+        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed)
     rows = [(str(n), fmt(m), fmt(s))
             for n, m, s in zip(report.N_grid, report.mean_ks, report.stderr)]
     return _csv(rows, "N,mean_ks,stderr",
@@ -444,13 +451,13 @@ def _run_circulant_ks(cfg: RunConfig, workers):
                           f"variances={[fmt(t) for t in report.variances]}"])
 
 
-def _run_wishart(cfg: RunConfig, workers):
+def _run_wishart(cfg: RunConfig):
     tensor = _tensor(cfg.data["tensor"], "config.tensor")
     report = experiments.wishart_consistency_experiment(
         tensor, _complex(cfg.data["z"], "config.z"),
-        _real(cfg.data["N"], "config.N", int),
-        _real(cfg.data["trials"], "config.trials", int), seed=cfg.seed,
-        opts=cfg.solver, workers=workers)
+        _at_least(cfg.data["N"], "config.N", "N", 1),
+        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed,
+        opts=cfg.solver)
     row = (fmt(report.max_identity_residual),
            fmt(report.solver_trace.real), fmt(report.solver_trace.imag),
            fmt(report.mc_mean.real), fmt(report.mc_mean.imag),
@@ -472,33 +479,27 @@ _COMMANDS = {
 }
 
 
-def _resolve_threads(cfg: RunConfig):
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return None
-    try:
-        threads = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV}: {env!r} is not an integer") from exc
-    return _threads(threads, THREADS_ENV)
-
-
 def _run(args) -> int:
     cfg = parse_config(args.config)
     # the overrides are written into the config, so --print-config echoes them
     if args.seed is not None:
         cfg.seed = cfg.data["seed"] = _seed(args.seed, "--seed")
     if args.threads is not None:
-        cfg.threads = cfg.data["threads"] = _threads(args.threads, "--threads")
+        cfg.data["threads"] = _at_least(args.threads, "--threads", "threads", 1)
     if args.out is not None:
         cfg.out = cfg.data["out"] = _out(args.out, "--out")
-    threads = _resolve_threads(cfg)
+    # DYSON_BLOCKS_THREADS is the fallback; like --threads and config.threads
+    # it is checked but unused, since trials run serially
+    env = os.environ.get(THREADS_ENV)
+    if cfg.data.get("threads") is None and env:
+        try:
+            _at_least(int(env), THREADS_ENV, "threads", 1)
+        except ValueError as exc:
+            raise ConfigError(f"{THREADS_ENV}: {env!r} is not an integer") from exc
     if args.print_config:
         print(cfg.canonical_json())
         return EXIT_OK
-    payload = _COMMANDS[cfg.command][0](cfg, threads)
+    payload = _COMMANDS[cfg.command][0](cfg)
     atomic_write(cfg.out, payload)
     return EXIT_OK
 
@@ -511,7 +512,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", help="override the config output path")
     parser.add_argument("--seed", type=int, help="override the config seed (u64)")
-    parser.add_argument("--threads", type=int, help="worker thread cap")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and checked (>= 1); trials run serially")
     parser.add_argument("--print-config", action="store_true",
                         help="echo the parsed config as canonical JSON and exit")
     args = parser.parse_args(argv)

@@ -90,7 +90,8 @@ def trial_mean(draw, trials: int, workers: int | None = None, reduce=None):
     Trials go in chunks of ``workers``, so at most that many samples are
     alive at once.  Complex data takes the larger of the real and
     imaginary standard errors.  Fewer than 2 trials are rejected before
-    any trial runs.
+    any trial runs.  The package's own callers pass no ``workers``, so
+    their trials run serially on the calling thread.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -127,18 +128,16 @@ def _trial_row(blocks, zs: np.ndarray) -> np.ndarray:
     return np.average(traces, axis=0, weights=weights)
 
 
-def mean_cauchy(spec: ModelSpec, z_list, trials: int,
-                workers: int | None = None) -> MeanCauchyResult:
+def mean_cauchy(spec: ModelSpec, z_list, trials: int) -> MeanCauchyResult:
     """Per-z mean and standard error of the empirical Cauchy transform.
 
     Each trial draws the sample's Hermitian blocks, then takes their
     resolvent traces (see ``_trial_row``), not eigenvalues.  Trials are
-    seeded (spec.seed, trial) so the result is deterministic for any
-    worker count (see ``trial_mean``).
+    seeded (spec.seed, trial) and run serially, in trial order.
     """
     zs = np.atleast_1d(np.asarray(z_list, dtype=np.complex128))
     if np.any(zs.imag == 0):
         raise ValueError("z values must have nonzero imaginary part")
     mean, se = trial_mean(lambda t: list(hermitian_blocks(spec, t)), trials,
-                          workers, reduce=lambda blocks: _trial_row(blocks, zs))
+                          reduce=lambda blocks: _trial_row(blocks, zs))
     return MeanCauchyResult(z=zs, mean=mean, stderr=se, trials=trials)

@@ -80,8 +80,7 @@ def rate_threshold(template: ModelSpec) -> float:
 
 
 def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
-                    seed: int, workers: int | None = None,
-                    opts: SolverOptions | None = None) -> RateReport:
+                    seed: int, opts: SolverOptions | None = None) -> RateReport:
     """Fit the decay of |mean empirical Cauchy - analytic g(z)| across N.
 
     Only N values whose error exceeds 3x its standard error enter the
@@ -102,7 +101,7 @@ def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
     ses = np.empty(len(ns))
     for i, n in enumerate(ns):
         spec = template.with_n(n).with_seed(derived_seed(seed, i))
-        res = mean_cauchy(spec, [z], trials, workers=workers)
+        res = mean_cauchy(spec, [z], trials)
         errors[i] = abs(res.mean[0] - ref)
         ses[i] = res.stderr[0]
     if np.all(errors <= 1e-15):
@@ -139,8 +138,7 @@ class UniversalityReport:
 
 
 def universality_experiment(template: ModelSpec, law_a, law_b, z: complex,
-                            N: int, trials: int, seed: int,
-                            workers: int | None = None) -> UniversalityReport:
+                            N: int, trials: int, seed: int) -> UniversalityReport:
     """Paired mean-Cauchy comparison of two centered matched-variance laws."""
     for law in (law_a, law_b):
         if abs(complex(law.mean)) > 1e-12:
@@ -152,7 +150,7 @@ def universality_experiment(template: ModelSpec, law_a, law_b, z: complex,
     z = complex(z)
     res_a, res_b = (
         mean_cauchy(replace(template, N=int(N), law=law, seed=derived_seed(seed, arm)),
-                    [z], trials, workers=workers)
+                    [z], trials)
         for arm, law in enumerate((law_a, law_b)))
     return UniversalityReport(z=z, N=int(N), trials=trials,
                               mean_a=complex(res_a.mean[0]),
@@ -182,8 +180,8 @@ def circulant_limit_cdf(d: int, eps: float = 1e-4, step: float = 5e-4):
     return cdf_from_density(xs, rho)
 
 
-def circulant_ks_experiment(d: int, N_grid, trials: int, seed: int,
-                            workers: int | None = None) -> CirculantKsReport:
+def circulant_ks_experiment(d: int, N_grid, trials: int,
+                            seed: int) -> CirculantKsReport:
     """Mean Kolmogorov distance of circulant ESDs to the mixture law per N."""
     if d < 2:
         raise ValueError("circulant experiment needs d >= 2")
@@ -196,7 +194,7 @@ def circulant_ks_experiment(d: int, N_grid, trials: int, seed: int,
         spec = ModelSpec(model="circulant", d=d, N=n,
                          seed=derived_seed(seed, i))
         means[i], ses[i] = trial_mean(
-            lambda t: list(hermitian_blocks(spec, t)), trials, workers,
+            lambda t: list(hermitian_blocks(spec, t)), trials,
             reduce=lambda blocks: kolmogorov_distance(
                 EmpiricalCDF(block_spectrum(blocks)), cdf))
     return CirculantKsReport(d=d, N_grid=ns, mean_ks=means, stderr=ses,
@@ -246,9 +244,7 @@ def hermitization_cauchy_pair(h: np.ndarray, z: complex):
 
 
 def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
-                                   seed: int,
-                                   opts: SolverOptions | None = None,
-                                   workers: int | None = None
+                                   seed: int, opts: SolverOptions | None = None
                                    ) -> WishartConsistencyReport:
     """Sample-wise Schur identity plus solver-vs-Monte-Carlo agreement.
 
@@ -271,7 +267,7 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
         return g_w
 
     mc_mean, mc_se = trial_mean(lambda t: sample_wishart_factor(spec, t),
-                                trials, workers, reduce=reduce)
+                                trials, reduce=reduce)
     sol = solve_wishart(model_eta(spec), z * z, opts)
     if not sol.converged:
         raise SolverFailure(f"wishart solver did not converge at z^2={z * z!r}")

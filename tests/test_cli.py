@@ -200,14 +200,14 @@ class TestConfigValidation:
                 "z": [0.0, 3.0], "N_grid": [8, 16], "trials": 4}
         cfg = write_config(tmp_path, data)
         assert main(["--config", cfg]) == EXIT_CONFIG
-        assert "config error: config: N_grid" in capsys.readouterr().err
+        assert "config error: config.N_grid: need 3 or more" in capsys.readouterr().err
 
     def test_circulant_ks_empty_block(self, tmp_path, capsys):
         data = {"command": "circulant-ks", "out": str(tmp_path / "o.csv"),
                 "d": 2, "N_grid": [0, 8], "trials": 3}
         cfg = write_config(tmp_path, data)
         assert main(["--config", cfg]) == EXIT_CONFIG
-        assert "config error: config: need d >= 1 and N >= 1" in capsys.readouterr().err
+        assert "config error: config.N_grid: need 1 or more" in capsys.readouterr().err
 
     def test_circulant_ks_needs_two_blocks(self, tmp_path, capsys):
         data = {"command": "circulant-ks", "out": str(tmp_path / "o.csv"),
@@ -382,7 +382,43 @@ class TestConfigValidation:
     def test_single_trial_rejected(self, tmp_path, capsys, base):
         data = dict(base, out=str(tmp_path / "o"), trials=1)
         assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
-        assert "need at least 2 trials" in capsys.readouterr().err
+        assert "config error: config.trials: need trials >= 2" in capsys.readouterr().err
+
+    UNIVERSALITY = {"command": "universality",
+                    "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                              "law": {"variant": "rademacher"}},
+                    "laws": [{"variant": "rademacher"},
+                             {"variant": "real_gaussian", "variance": 1.0}],
+                    "z": [0.0, 3.0], "N": 8, "trials": 3}
+    TRIALS = "config.trials: need trials >= 2, got "
+    RATE_GRID = "config.N_grid: need 3 or more strictly increasing N >= 1, got "
+    KS_GRID = "config.N_grid: need 1 or more strictly increasing N >= 1, got "
+
+    @pytest.mark.parametrize("base, key, value, message", [
+        (RATE, "trials", 1, TRIALS + "1"),
+        (UNIVERSALITY, "trials", 1, TRIALS + "1"),
+        (CIRCULANT_KS, "trials", 1, TRIALS + "1"),
+        (WISHART, "trials", 1, TRIALS + "1"),
+        (WISHART, "trials", -3, TRIALS + "-3"),
+        (UNIVERSALITY, "N", 0, "config.N: need N >= 1, got 0"),
+        (WISHART, "N", 0, "config.N: need N >= 1, got 0"),
+        (RATE, "N_grid", [0, 8, 16], RATE_GRID + "[0, 8, 16]"),
+        (RATE, "N_grid", [8, 8, 16], RATE_GRID + "[8, 8, 16]"),
+        (CIRCULANT_KS, "N_grid", [0, 8], KS_GRID + "[0, 8]"),
+        (CIRCULANT_KS, "N_grid", [], KS_GRID + "[]"),
+        (CIRCULANT_KS, "N_grid", [8, 8], KS_GRID + "[8, 8]"),
+        (CIRCULANT_KS, "N_grid", [20, 10, 40], KS_GRID + "[20, 10, 40]"),
+    ], ids=["rate-trials", "universality-trials", "circulant-ks-trials",
+            "wishart-trials", "wishart-negative-trials", "universality-N",
+            "wishart-N", "rate-zero-N", "rate-repeated-N", "circulant-ks-zero-N",
+            "circulant-ks-empty", "circulant-ks-repeated-N",
+            "circulant-ks-decreasing-N"])
+    def test_trials_and_sizes_name_their_key(self, tmp_path, capsys, base, key,
+                                             value, message):
+        data = dict(base, out=str(tmp_path / "o"), **{key: value})
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg = scalar_solve_config(tmp_path)
@@ -548,6 +584,29 @@ class TestExperimentCommands:
                 assert main(["--config", cfg, *threads]) == EXIT_OK
                 outputs.append(out.read_bytes())
             assert len(set(outputs)) == 1, out.name
+
+    @pytest.mark.parametrize("argv, env", [(["--threads", "4"], None),
+                                           ([], "4")], ids=["flag", "env"])
+    def test_no_thread_pool(self, tmp_path, monkeypatch, argv, env):
+        # trials run serially at any thread count
+        from dyson_blocks import esd
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(esd, "ThreadPoolExecutor", no_pool)
+        if env is not None:
+            monkeypatch.setenv("DYSON_BLOCKS_THREADS", env)
+        configs = [self.rate_config(tmp_path)]
+        for name, data in {
+                "universality": TestConfigValidation.UNIVERSALITY,
+                "circulant-ks": TestConfigValidation.CIRCULANT_KS,
+                "wishart": TestConfigValidation.WISHART}.items():
+            out = str(tmp_path / f"{name}.csv")
+            configs.append(write_config(tmp_path, dict(data, out=out),
+                                        name=f"{name}.json"))
+        for cfg in configs:
+            assert main(["--config", cfg, *argv]) == EXIT_OK
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DYSON_BLOCKS_THREADS", "2")

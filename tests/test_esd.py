@@ -160,14 +160,6 @@ class TestMeanCauchy:
         target = scalar_semicircle_cauchy(1.0, 3j)
         assert abs(res.mean[0] - target) <= 3 * res.stderr[0]
 
-    def test_worker_invariance(self):
-        spec = ModelSpec(model="hermitized_iid", d=1, N=16,
-                         law=ComplexGaussian(1.0), seed=77)
-        serial = mean_cauchy(spec, [2j, 1 + 1j], trials=8, workers=None)
-        threaded = mean_cauchy(spec, [2j, 1 + 1j], trials=8, workers=4)
-        assert np.array_equal(serial.mean, threaded.mean)
-        assert np.array_equal(serial.stderr, threaded.stderr)
-
     def test_requires_two_trials(self):
         spec = ModelSpec(model="hermitized_iid", d=1, N=4,
                          law=ComplexGaussian(1.0), seed=5)

@@ -1,0 +1,196 @@
+"""Compare the CLI's outputs of two source trees, byte for byte.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a ``dyson_blocks`` package,
+such as the ``src`` directories of two checkouts.  Every run of ``RUNS``
+is made at seeds 1-3 against both trees, each in a fresh
+``python -m dyson_blocks.cli`` process and a fresh working directory, so
+output paths and messages read the same on both sides.  The exit code,
+stdout, stderr and the bytes of every file a run writes are compared,
+and each difference is printed.  The script exits 1 if any run differs.
+
+``RUNS`` covers every command, including config errors and a solver
+failure, and the Monte Carlo commands at several ``--threads`` and
+``DYSON_BLOCKS_THREADS`` values.  The configs are small: the whole set
+takes about 40 s on 2 cores.  ``compare`` takes any other list of
+runs when imported.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (1, 2, 3)
+
+TENSOR = [[[[1.0, 0.3], [0.3, 0.5]], [[0.3, 0.2], [0.2, 0.4]]],
+          [[[0.3, 0.2], [0.2, 0.4]], [[0.5, 0.4], [0.4, 1.0]]]]
+DIAGONAL = [[1.0, 0.0], [0.0, 1.0]]
+BETAS = [DIAGONAL, [[0.0, 1.0], [1.0, 0.0]]]
+WISHART_Z = [math.sqrt(2.0), math.sqrt(2.0)]        # z^2 = 4i
+HERMITIZED = {"model": "hermitized_iid", "d": 1, "N": 8,
+              "law": {"variant": "rademacher"}}
+RATE = {"command": "rate", "model": HERMITIZED, "z": [0.0, 3.0],
+        "N_grid": [8, 16, 32], "trials": 8}
+
+# (name, config, extra argv, extra environment); "out" is added per run
+RUNS = [
+    ("solve", {"command": "solve", "eta": {"form": "flat", "d": 2, "c": 1.0},
+               "z_grid": [[0.0, 1.0], [0.5, 0.1], [-2.5, 0.01]]}, [], {}),
+    ("solve-kronecker", {"command": "solve",
+                         "eta": {"form": "kronecker", "betas": BETAS,
+                                 "sigma_l": DIAGONAL}, "z": [0.3, 0.5]}, [], {}),
+    ("solve-fails", {"command": "solve", "eta": {"form": "scalar", "d": 1, "t": 1.0},
+                     "z": [0.0, 1e-7], "solver": {"max_iter": 5}}, [], {}),
+    ("density", {"command": "density", "eta": {"form": "choi", "matrix": [
+        [1.0, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 1.0]]},
+        "grid": {"min": -2.5, "max": 2.5, "step": 0.25}, "eps": 1e-3}, [], {}),
+    ("density-mixture", {"command": "density",
+                         "mixture": {"weights": [0.5, 0.5], "variances": [1.0, 2.0]},
+                         "grid": {"min": -3.0, "max": 3.0, "step": 0.5}}, [], {}),
+    ("sample-hermitized", {"command": "sample",
+                           "model": dict(HERMITIZED, d=2, N=5),
+                           "spectrum_out": "spectrum.csv"}, [], {}),
+    ("sample-wigner", {"command": "sample",
+                       "model": {"model": "wigner_blocks", "d": 2, "N": 6,
+                                 "law": {"variant": "complex_gaussian"}},
+                       "trial": 3}, ["--threads", "3"], {}),
+    ("sample-kronecker", {"command": "sample",
+                          "model": {"model": "kronecker", "d": 2, "N": 4,
+                                    "betas": BETAS, "sigma_l": DIAGONAL}}, [], {}),
+    ("sample-correlated", {"command": "sample",
+                           "model": {"model": "correlated_blocks", "d": 2, "N": 3,
+                                     "tensor": TENSOR}}, [], {}),
+    ("sample-circulant", {"command": "sample",
+                          "model": {"model": "circulant", "d": 3, "N": 4},
+                          "spectrum_out": "spectrum.csv"}, [], {}),
+    ("sample-wishart", {"command": "sample",
+                        "model": {"model": "wishart_correlated", "d": 2, "N": 3,
+                                  "tensor": TENSOR}}, [], {}),
+    ("rate", RATE, [], {}),
+    ("rate-threads-1", RATE, ["--threads", "1"], {}),
+    ("rate-threads-3", RATE, ["--threads", "3"], {}),
+    ("rate-env-threads", RATE, [], {"DYSON_BLOCKS_THREADS": "2"}),
+    ("rate-circulant", {"command": "rate", "model": {"model": "circulant", "d": 3, "N": 8},
+                        "z": [0.2, 2.5], "N_grid": [8, 16, 32], "trials": 4}, [], {}),
+    ("rate-kronecker", {"command": "rate",
+                        "model": {"model": "kronecker", "d": 2, "N": 8,
+                                  "betas": BETAS, "sigma_l": DIAGONAL},
+                        "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4}, [], {}),
+    ("universality", {"command": "universality",
+                      "model": {"model": "wigner_blocks", "d": 2, "N": 6,
+                                "law": {"variant": "rademacher"}},
+                      "laws": [{"variant": "rademacher"},
+                               {"variant": "complex_gaussian"}],
+                      "z": [0.5, 2.5], "N": 6, "trials": 5}, ["--threads", "2"], {}),
+    ("circulant-ks", {"command": "circulant-ks", "d": 3, "N_grid": [8, 16],
+                      "trials": 5}, [], {}),
+    ("circulant-ks-threads-4", {"command": "circulant-ks", "d": 2, "N_grid": [8, 16],
+                                "trials": 4}, ["--threads", "4"], {}),
+    ("wishart", {"command": "wishart", "tensor": TENSOR, "z": WISHART_Z,
+                 "N": 24, "trials": 4}, [], {}),
+    ("wishart-threads-2", {"command": "wishart", "tensor": [[[[1.0]]]],
+                           "z": WISHART_Z, "N": 20, "trials": 5},
+     ["--threads", "2"], {}),
+    # config errors: the message must name the key
+    ("error-trials", {"command": "wishart", "tensor": [[[[1.0]]]], "z": WISHART_Z,
+                      "N": 4, "trials": 1}, [], {}),
+    ("error-N", {"command": "universality", "model": HERMITIZED,
+                 "laws": [{"variant": "rademacher"}, {"variant": "rademacher"}],
+                 "z": [0.0, 3.0], "N": 0, "trials": 3}, [], {}),
+    ("error-rate-grid", dict(RATE, N_grid=[8, 8, 16]), [], {}),
+    ("error-ks-grid", {"command": "circulant-ks", "d": 2, "N_grid": [20, 10, 40],
+                       "trials": 2}, [], {}),
+    ("error-threads", {"command": "sample", "model": HERMITIZED},
+     ["--threads", "0"], {}),
+    ("error-env-threads", {"command": "sample", "model": HERMITIZED},
+     [], {"DYSON_BLOCKS_THREADS": "zebra"}),
+    ("print-config", dict(RATE, threads=2), ["--print-config"], {}),
+]
+
+
+def run(src: str, config: dict, argv: list, env: dict, seed: int) -> dict:
+    """One CLI process in a fresh directory: its exit code, stdout, stderr
+    and every file it wrote, by name."""
+    with tempfile.TemporaryDirectory(prefix="compare-outputs.") as cwd:
+        with open(os.path.join(cwd, "config.json"), "w") as fh:
+            json.dump(dict(config, out="out"), fh)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyson_blocks.cli", "--config", "config.json",
+             "--seed", str(seed), *argv],
+            cwd=cwd, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                     PYTHONDONTWRITEBYTECODE="1", **env))
+        files = {}
+        for name in sorted(os.listdir(cwd)):
+            if name != "config.json":
+                with open(os.path.join(cwd, name), "rb") as fh:
+                    files[name] = fh.read()
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def _describe(label: str, old: bytes, new: bytes) -> list[str]:
+    try:
+        a, b = old.decode().splitlines(), new.decode().splitlines()
+    except UnicodeDecodeError:
+        at = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y),
+                  min(len(old), len(new)))
+        return [f"  {label}: {len(old)} -> {len(new)} bytes, first difference "
+                f"at byte {at}"]
+    return [f"  {label}:"] + ["    " + line for line in difflib.unified_diff(
+        a, b, "old", "new", n=0, lineterm="")]
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    lines = []
+    if old["exit code"] != new["exit code"]:
+        lines.append(f"  exit code: {old['exit code']} -> {new['exit code']}")
+    for key in ("stdout", "stderr"):
+        if old[key] != new[key]:
+            lines += _describe(key, old[key], new[key])
+    for name in sorted(set(old["files"]) | set(new["files"])):
+        a, b = old["files"].get(name), new["files"].get(name)
+        if a is None or b is None:
+            lines.append(f"  file {name}: written only by the "
+                         f"{'new' if a is None else 'old'} tree")
+        elif a != b:
+            lines += _describe(f"file {name}", a, b)
+    return lines
+
+
+def compare(old_src: str, new_src: str, runs=RUNS, seeds=SEEDS) -> int:
+    """Print every difference; return the number of runs that differ."""
+    differing = 0
+    for name, config, argv, env in runs:
+        for seed in seeds:
+            lines = differences(run(old_src, config, argv, env, seed),
+                                run(new_src, config, argv, env, seed))
+            if lines:
+                differing += 1
+                print(f"DIFFERS {name} seed={seed}")
+                print("\n".join(lines))
+    print(f"{len(runs) * len(seeds)} runs, {differing} differ")
+    return differing
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or not all(os.path.isdir(os.path.join(a, "dyson_blocks"))
+                                 for a in args):
+        print("usage: python tools/compare_outputs.py OLD_SRC NEW_SRC\n"
+              "OLD_SRC and NEW_SRC must each hold a dyson_blocks package",
+              file=sys.stderr)
+        return 2
+    return 1 if compare(*args) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
