@@ -5,7 +5,9 @@ dispatches to the solver / sampler / experiment operations and writes
 machine-readable outputs atomically (temp file + rename).
 
 Each command is one row of ``_COMMANDS``: its runner and its required and
-optional config keys.  Runners raise; ``main`` alone turns an exception
+optional config keys.  Each entry law, eta form and model is one row of
+``_LAWS``, ``_ETAS`` or ``_MODELS``: its builder and its keys, which
+``_build`` parses.  Runners raise; ``main`` alone turns an exception
 into an exit code: 0 success, 2 config error (``ConfigError``, or a
 ``ValueError`` from the library), 3 solver non-convergence
 (``dyson.SolverFailure``), 4 output I/O failure (``OSError``).  Numeric
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -65,15 +68,16 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
-def _variant(obj, path: str, key: str, keys: dict) -> str:
-    """obj[key], a variant named in ``keys``, once obj is checked to hold
-    exactly that variant's keys: keys[name] = (required, optional)."""
+def _variant(obj, path: str, key: str, table: dict) -> str:
+    """obj[key], a variant named in ``table``, once obj is checked to hold
+    exactly that variant's keys: table[name] = (_, required, optional)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     name = obj.get(key)
-    if not isinstance(name, str) or name not in keys:
-        raise ConfigError(f"{path}.{key}: expected one of {list(keys)}, got {name!r}")
-    _check_keys(obj, path, (key,) + keys[name][0], keys[name][1])
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{path}.{key}: expected one of {list(table)}, got {name!r}")
+    _, required, optional = table[name]
+    _check_keys(obj, path, (key,) + required, optional)
     return name
 
 
@@ -131,34 +135,6 @@ def _matrices(value, path: str) -> tuple:
     return tuple(_matrix(m, path) for m in _list(value, path))
 
 
-# (required, optional) keys of each variant of a config object
-_LAW_KEYS = {"complex_gaussian": ((), ("variance",)), "real_gaussian": ((), ("variance",)),
-             "rademacher": ((), ()), "two_point": (("a", "b", "p"), ()),
-             "permutation_pool": (("values",), ())}
-_MODEL_KEYS = {name: (("d", "N") + required, optional)
-               for name, (_, _, required, optional) in sampler._MODELS.items()}
-_ETA_KEYS = {"scalar": (("d", "t"), ()), "flat": (("d",), ("c",)),
-             "kronecker": (("betas", "sigma_l"), ()), "tensor": (("sigma",), ()),
-             "choi": (("matrix",), ())}
-
-
-def _law(obj, path: str):
-    variant = _variant(obj, path, "variant", _LAW_KEYS)
-    variance = _real(obj.get("variance", 1.0), f"{path}.variance")
-    try:
-        if variant == "complex_gaussian":
-            return sampler.ComplexGaussian(variance)
-        if variant == "real_gaussian":
-            return sampler.RealGaussian(variance)
-        if variant == "rademacher":
-            return sampler.Rademacher()
-        if variant == "two_point":
-            return sampler.TwoPoint(*(_real(obj[k], f"{path}.{k}") for k in "abp"))
-        return sampler.PermutationPool(_reals(obj["values"], f"{path}.values"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _tensor(value, path: str) -> CovarianceTensor:
     try:
         return CovarianceTensor(np.asarray(
@@ -170,48 +146,64 @@ def _tensor(value, path: str) -> CovarianceTensor:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _model(obj, path: str, seed: int) -> sampler.ModelSpec:
-    _variant(obj, path, "model", _MODEL_KEYS)
-    kwargs = dict(model=obj["model"], d=_real(obj["d"], f"{path}.d", int),
-                  N=_real(obj["N"], f"{path}.N", int), seed=seed)
-    for key, parse in (("law", _law), ("betas", _matrices),
-                       ("sigma_l", _matrix), ("tensor", _tensor)):
-        if key in obj:
-            kwargs[key] = parse(obj[key], f"{path}.{key}")
+def _build(obj, path: str, key: str, table: dict, **fixed):
+    """The object that the variant obj[key] builds.  table[name] is
+    (builder, required keys, optional keys): each key given is parsed by
+    its ``_FIELDS`` parser and passed to the builder by name, with
+    ``fixed``; an omitted optional key takes the builder's default."""
+    build, required, optional = table[_variant(obj, path, key, table)]
+    kwargs = {k: _FIELDS[k](obj[k], f"{path}.{k}")
+              for k in required + optional if k in obj}
     try:
-        return sampler.ModelSpec(**kwargs)
+        return build(**kwargs, **fixed)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _eta(obj, path: str):
-    form = _variant(obj, path, "form", _ETA_KEYS)
-    try:
-        if form == "scalar":
-            return scalar_map(_real(obj["d"], f"{path}.d", int),
-                              _real(obj["t"], f"{path}.t"))
-        if form == "flat":
-            return flat_map(_real(obj["d"], f"{path}.d", int),
-                            _real(obj.get("c", 1.0), f"{path}.c"))
-        if form == "kronecker":
-            return eta_kronecker(_matrices(obj["betas"], f"{path}.betas"),
-                                 _matrix(obj["sigma_l"], f"{path}.sigma_l"))
-        if form == "tensor":
-            return eta_correlated_tensor(_tensor(obj["sigma"], f"{path}.sigma"))
-        eta = choi_map(_matrix(obj["matrix"], f"{path}.matrix"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _completely_positive(eta):
     if not eta.is_completely_positive():
-        raise ConfigError(f"{path}: the Choi matrix is not Hermitian positive "
-                          "semidefinite, so the map is not completely positive")
+        raise ValueError("the Choi matrix is not Hermitian positive semidefinite, "
+                         "so the map is not completely positive")
     return eta
 
 
-def _seed(value, path: str) -> int:
-    seed = _real(value, path, int)
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{path}: need 0 <= seed < 2^64, got {seed}")
-    return seed
+# name: (builder, required keys, optional keys) of each variant of a config
+# object: entry laws, eta forms and models
+_LAWS = {
+    "complex_gaussian": (sampler.ComplexGaussian, (), ("variance",)),
+    "real_gaussian": (sampler.RealGaussian, (), ("variance",)),
+    "rademacher": (sampler.Rademacher, (), ()),
+    "two_point": (sampler.TwoPoint, ("a", "b", "p"), ()),
+    "permutation_pool": (sampler.PermutationPool, ("values",), ()),
+}
+_ETAS = {
+    "scalar": (scalar_map, ("d", "t"), ()),
+    "flat": (flat_map, ("d",), ("c",)),
+    "kronecker": (eta_kronecker, ("betas", "sigma_l"), ()),
+    "tensor": (lambda sigma: eta_correlated_tensor(sigma), ("sigma",), ()),
+    # only a Choi matrix can fail complete positivity, so only it is checked:
+    # the check's first eigensolve faults in LAPACK pages in a fresh process
+    "choi": (lambda matrix: _completely_positive(choi_map(matrix)), ("matrix",), ()),
+}
+_MODELS = {name: (partial(sampler.ModelSpec, model=name), ("d", "N") + required, optional)
+           for name, (_, _, required, optional) in sampler._MODELS.items()}
+_law = partial(_build, key="variant", table=_LAWS)
+_eta = partial(_build, key="form", table=_ETAS)
+_model = partial(_build, key="model", table=_MODELS)
+
+_FIELDS = {
+    **dict.fromkeys(("d", "N"), partial(_real, kind=int)),
+    **dict.fromkeys(("t", "c", "variance", "a", "b", "p"), _real),
+    "values": _reals, "betas": _matrices, "sigma_l": _matrix, "matrix": _matrix,
+    "sigma": _tensor, "tensor": _tensor, "law": _law,
+}
+
+
+def _u64(value, path: str, name: str) -> int:
+    n = _real(value, path, int)
+    if not 0 <= n < 2 ** 64:
+        raise ConfigError(f"{path}: need 0 <= {name} < 2^64, got {n}")
+    return n
 
 
 def _at_least(value, path: str, name: str, least: int) -> int:
@@ -222,11 +214,10 @@ def _at_least(value, path: str, name: str, least: int) -> int:
 
 
 def _n_grid(value, path: str, least: int = 1) -> list:
-    ns = _reals(value, path, int)
-    if len(ns) < least or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"{path}: need {least} or more strictly increasing "
-                          f"N >= 1, got {ns}")
-    return ns
+    try:
+        return experiments.check_n_grid(_reals(value, path, int), least)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _out(value, path: str) -> str:
@@ -251,8 +242,8 @@ class RunConfig:
 
     def __init__(self, data: dict):
         command = _variant(data, "config", "command", {
-            name: (("out",) + required, ("seed", "threads", "solver") + optional)
-            for name, (_, required, optional) in _COMMANDS.items()})
+            name: (run, ("out",) + required, ("seed", "threads", "solver") + optional)
+            for name, (run, required, optional) in _COMMANDS.items()})
         if command == "solve" and "z" not in data and "z_grid" not in data:
             raise ConfigError("config: solve needs 'z' or 'z_grid'")
         if command == "density" and "eta" not in data and "mixture" not in data:
@@ -260,7 +251,7 @@ class RunConfig:
         self.data = data
         self.command = command
         self.out = _out(data["out"], "config.out")
-        self.seed = _seed(data.get("seed", 0), "config.seed")
+        self.seed = _u64(data.get("seed", 0), "config.seed", "seed")
         if data.get("threads") is not None:
             _at_least(data["threads"], "config.threads", "threads", 1)
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
@@ -372,10 +363,8 @@ def _run_density(cfg: RunConfig):
 
 
 def _run_sample(cfg: RunConfig):
-    spec = _model(cfg.data["model"], "config.model", cfg.seed)
-    trial = _real(cfg.data.get("trial", 0), "config.trial", int)
-    if not 0 <= trial < 2 ** 64:
-        raise ConfigError(f"config.trial: need 0 <= trial < 2^64, got {trial}")
+    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
+    trial = _u64(cfg.data.get("trial", 0), "config.trial", "trial")
     spectrum_out = (_out(cfg.data["spectrum_out"], "config.spectrum_out")
                     if "spectrum_out" in cfg.data else None)
     try:
@@ -394,7 +383,7 @@ def _run_sample(cfg: RunConfig):
 
 
 def _run_rate(cfg: RunConfig):
-    spec = _model(cfg.data["model"], "config.model", cfg.seed)
+    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
     if isinstance(spec.law, sampler.PermutationPool):
         # a pool's size is the entry draws of one N, and N_grid holds >= 3
         raise ConfigError("config.model.law: rate draws at every N in N_grid, "
@@ -423,7 +412,7 @@ def _run_universality(cfg: RunConfig):
     laws = cfg.data["laws"]
     if not isinstance(laws, list) or len(laws) != 2:
         raise ConfigError("config.laws: expected exactly two entry laws")
-    spec = _model(cfg.data["model"], "config.model", cfg.seed)
+    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
     report = experiments.universality_experiment(
         spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
         _complex(cfg.data["z"], "config.z"), _at_least(cfg.data["N"], "config.N", "N", 1),
@@ -483,7 +472,7 @@ def _run(args) -> int:
     cfg = parse_config(args.config)
     # the overrides are written into the config, so --print-config echoes them
     if args.seed is not None:
-        cfg.seed = cfg.data["seed"] = _seed(args.seed, "--seed")
+        cfg.seed = cfg.data["seed"] = _u64(args.seed, "--seed", "seed")
     if args.threads is not None:
         cfg.data["threads"] = _at_least(args.threads, "--threads", "threads", 1)
     if args.out is not None:

@@ -70,6 +70,14 @@ def _weighted_loglog_fit(ns, errs, ses):
     return float(slope), float(1.0 / np.sqrt(sxx))
 
 
+def check_n_grid(N_grid, least: int) -> list:
+    """N_grid as ints, checked: ``least`` or more strictly increasing N >= 1."""
+    ns = [int(n) for n in N_grid]
+    if len(ns) < least or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"need {least} or more strictly increasing N >= 1, got {ns}")
+    return ns
+
+
 def rate_threshold(template: ModelSpec) -> float:
     """Im z above which the rate fit is taken: ||eta||^(1/2).
 
@@ -87,9 +95,7 @@ def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
     weighted log-log fit; with fewer than 3 such points the report
     declares the noise floor reached instead of fitting noise.
     """
-    ns = [int(n) for n in N_grid]
-    if len(ns) < MIN_FIT_POINTS or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("N_grid must be >= 3 strictly increasing values")
+    ns = check_n_grid(N_grid, MIN_FIT_POINTS)
     z = complex(z)
     threshold = rate_threshold(template)
     if z.imag <= threshold:
@@ -170,13 +176,13 @@ class CirculantKsReport:
     variances: list = field(default_factory=list)
 
 
-def circulant_limit_cdf(d: int, eps: float = 1e-4, step: float = 5e-4):
+def circulant_limit_cdf(d: int):
     """CDF of the block-circulant mixture law via Stieltjes inversion."""
     weights, variances = circulant_mixture(d)
     radius = 2.0 * np.sqrt(max(variances)) + 0.25
-    grid = np.arange(-radius, radius + step, step)
+    grid = np.arange(-radius, radius + 5e-4, 5e-4)
     xs, rho = stieltjes_density(
-        lambda zz: mixture_cauchy(weights, variances, zz), grid, eps)
+        lambda zz: mixture_cauchy(weights, variances, zz), grid, 1e-4)
     return cdf_from_density(xs, rho)
 
 
@@ -185,7 +191,7 @@ def circulant_ks_experiment(d: int, N_grid, trials: int,
     """Mean Kolmogorov distance of circulant ESDs to the mixture law per N."""
     if d < 2:
         raise ValueError("circulant experiment needs d >= 2")
-    ns = [int(n) for n in N_grid]
+    ns = check_n_grid(N_grid, 1)
     cdf = circulant_limit_cdf(d)
     weights, variances = circulant_mixture(d)
     means = np.empty(len(ns))

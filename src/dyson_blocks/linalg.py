@@ -56,9 +56,9 @@ def hermiticity_defect(m) -> float:
                 for i in range(0, a.shape[0], k)), default=0.0)
 
 
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(m) -> bool:
     a = require_square(m)
-    return hermiticity_defect(a) <= rtol * (1.0 + frobenius_norm(a))
+    return hermiticity_defect(a) <= HERMITICITY_RTOL * (1.0 + frobenius_norm(a))
 
 
 def require_hermitian(m) -> np.ndarray:

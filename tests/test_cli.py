@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dyson_blocks.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
-                              main, parse_config)
+                              fmt, main, parse_config)
+from dyson_blocks.dyson import solve_dyson
+from dyson_blocks.eta import CovarianceMap, eta_correlated_tensor
 from dyson_blocks.sampler import matrix_from_bytes
 
 
@@ -83,6 +85,49 @@ class TestSolveCommand:
         g_im = float(line.split(",")[3])
         # shortest-roundtrip decimals reparse to the identical double
         assert repr(g_im) == line.split(",")[3]
+
+
+class TestEtaForms:
+    # the tensor of tools/compare_outputs.py: d = 2, real, adjoint-symmetric
+    TENSOR = [[[[1.0, 0.3], [0.3, 0.5]], [[0.3, 0.2], [0.2, 0.4]]],
+              [[[0.3, 0.2], [0.2, 0.4]], [[0.5, 0.4], [0.4, 1.0]]]]
+    FORMS = {
+        "scalar": {"form": "scalar", "d": 2, "t": 1.0},
+        "flat": {"form": "flat", "d": 2},
+        "kronecker": {"form": "kronecker", "betas": [np.eye(2).tolist()],
+                      "sigma_l": [[1.0]]},
+        "tensor": {"form": "tensor", "sigma": TENSOR},
+    }
+
+    def solve(self, tmp_path, eta):
+        data = {"command": "solve", "out": str(tmp_path / "o.csv"), "eta": eta,
+                "z": [0.3, 0.5]}
+        return main(["--config", write_config(tmp_path, data)])
+
+    def test_tensor_form_solve(self, tmp_path):
+        assert self.solve(tmp_path, self.FORMS["tensor"]) == EXIT_OK
+        z = 0.3 + 0.5j
+        eta = eta_correlated_tensor(np.asarray(self.TENSOR, dtype=np.complex128))
+        g = solve_dyson(eta, [z])[0].trace()
+        row = (tmp_path / "o.csv").read_text().splitlines()[1]
+        assert row == ",".join(fmt(v) for v in (z.real, z.imag, g.real, g.imag))
+
+    def test_tensor_form_needs_adjoint_symmetry(self, tmp_path, capsys):
+        sigma = pair_tensor(np.diag([1.0, 1.0, 0.0, 1.0]))
+        assert self.solve(tmp_path, {"form": "tensor", "sigma": sigma}) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config.eta: correlated-blocks tensor needs "
+            "sigma(i,j;k,l) = sigma(l,k;j,i)\n")
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_complete_positivity_checked_for_choi_only(self, tmp_path, monkeypatch,
+                                                       form):
+        def fail(self):
+            raise AssertionError("complete positivity checked")
+        monkeypatch.setattr(CovarianceMap, "is_completely_positive", fail)
+        assert self.solve(tmp_path, self.FORMS[form]) == EXIT_OK
+        with pytest.raises(AssertionError, match="complete positivity checked"):
+            self.solve(tmp_path, {"form": "choi", "matrix": np.eye(4).tolist()})
 
 
 class TestConfigValidation:

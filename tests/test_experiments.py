@@ -177,6 +177,11 @@ class TestRateExperiment:
         with pytest.raises(ValueError):
             rate_experiment(self.zero_model(), 3j, [8, 16], trials=4, seed=0)
 
+    @pytest.mark.parametrize("grid", [[0, 8, 16], [8, 8, 16]])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="3 or more strictly increasing N >= 1"):
+            rate_experiment(self.zero_model(), 3j, grid, trials=4, seed=0)
+
 
 class TestUniversality:
     def test_identical_laws_agree(self):
@@ -399,6 +404,12 @@ class TestCirculantKs:
         report = circulant_ks_experiment(3, [20, 80], trials=6, seed=9)
         assert report.mean_ks[1] < report.mean_ks[0]
         assert np.all(report.mean_ks > 0)
+
+    @pytest.mark.parametrize("grid", [[], [20, 10]])
+    def test_rejects_bad_grid(self, grid):
+        # the rule rate_experiment and the CLI's N_grid also check
+        with pytest.raises(ValueError, match="1 or more strictly increasing N >= 1"):
+            circulant_ks_experiment(2, grid, 2, 0)
 
     def test_determinism(self):
         a = circulant_ks_experiment(2, [16, 32], trials=4, seed=3)

@@ -10,10 +10,12 @@ output paths and messages read the same on both sides.  The exit code,
 stdout, stderr and the bytes of every file a run writes are compared,
 and each difference is printed.  The script exits 1 if any run differs.
 
-``RUNS`` covers every command, including config errors and a solver
-failure, and the Monte Carlo commands at several ``--threads`` and
+``RUNS`` covers every command, every entry law, eta form and model,
+config errors (an unknown variant, a stray key, a missing key and an
+invalid value for each of the three variant tables), a solver failure,
+and the Monte Carlo commands at several ``--threads`` and
 ``DYSON_BLOCKS_THREADS`` values.  The configs are small: the whole set
-takes about 40 s on 2 cores.  ``compare`` takes any other list of
+takes about 70 s on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -38,6 +40,19 @@ HERMITIZED = {"model": "hermitized_iid", "d": 1, "N": 8,
               "law": {"variant": "rademacher"}}
 RATE = {"command": "rate", "model": HERMITIZED, "z": [0.0, 3.0],
         "N_grid": [8, 16, 32], "trials": 8}
+NOT_CP_CHOI = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+               [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
+def sample(law=None, **model):
+    """A sample run of a d = 1, N = 3 hermitized_iid model (9 entry draws)."""
+    model = dict(HERMITIZED, **{"N": 3, **model})
+    return {"command": "sample", "model": dict(model, law=law) if law else model}
+
+
+def solve(eta):
+    return {"command": "solve", "eta": eta, "z": [0.3, 0.5]}
+
 
 # (name, config, extra argv, extra environment); "out" is added per run
 RUNS = [
@@ -113,6 +128,37 @@ RUNS = [
     ("error-env-threads", {"command": "sample", "model": HERMITIZED},
      [], {"DYSON_BLOCKS_THREADS": "zebra"}),
     ("print-config", dict(RATE, threads=2), ["--print-config"], {}),
+    # every entry law, eta form and model variant, and an error of each kind
+    # for each of the three tables
+    ("sample-real-gaussian", sample({"variant": "real_gaussian", "variance": 2.0}),
+     [], {}),
+    ("sample-two-point", sample({"variant": "two_point", "a": 1.0, "b": -0.5,
+                                 "p": 0.25}), [], {}),
+    ("sample-scalar-pool", sample({"variant": "permutation_pool",
+                                   "values": [0.5 * k - 2.0 for k in range(9)]}),
+     [], {}),
+    # the CLI takes scalar pool values only, so a matrix pool is a config error
+    ("sample-matrix-pool", sample({"variant": "permutation_pool",
+                                   "values": [DIAGONAL] * 9}, d=2), [], {}),
+    ("solve-scalar", {"command": "solve", "eta": {"form": "scalar", "d": 2, "t": 0.5},
+                      "z_grid": [[0.0, 1.0], [1.5, 0.2]]}, [], {}),
+    ("solve-tensor", solve({"form": "tensor", "sigma": TENSOR}), [], {}),
+    ("error-law-unknown", sample({"variant": "cauchy"}), [], {}),
+    ("error-law-stray-key", sample({"variant": "rademacher", "variance": 1.0}), [], {}),
+    ("error-law-missing-key", sample({"variant": "two_point", "a": 1.0, "b": -1.0}),
+     [], {}),
+    ("error-law-builder", sample({"variant": "two_point", "a": 1.0, "b": -1.0,
+                                  "p": 2}), [], {}),
+    ("error-eta-unknown", solve({"form": "wavelet", "d": 2}), [], {}),
+    ("error-eta-stray-key", solve({"form": "flat", "d": 2, "t": 1.0}), [], {}),
+    ("error-eta-missing-key", solve({"form": "scalar", "d": 2}), [], {}),
+    ("error-eta-builder", solve({"form": "flat", "d": 2, "c": -1}), [], {}),
+    ("error-eta-not-cp", solve({"form": "choi", "matrix": NOT_CP_CHOI}), [], {}),
+    ("error-model-unknown", sample(model="gue"), [], {}),
+    ("error-model-stray-key", sample(tensor=TENSOR), [], {}),
+    ("error-model-missing-key", {"command": "sample", "model": {
+        "model": "kronecker", "d": 2, "N": 3, "betas": BETAS}}, [], {}),
+    ("error-model-builder", sample(N=0), [], {}),
 ]
 
 
