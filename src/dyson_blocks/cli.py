@@ -13,7 +13,8 @@ into an exit code: 0 success, 2 config error (``ConfigError``, or a
 (``dyson.SolverFailure``), 4 output I/O failure (``OSError``).  Numeric
 CSV fields use shortest-roundtrip decimal formatting so reruns diff
 bit-faithfully.  Complex numbers in configs are [re, im] pairs; matrices
-are nested lists of numbers or pairs.
+are nested lists of numbers or pairs.  ``main`` first keeps the
+process's heap resident across Monte Carlo trials (``_keep_heap_resident``).
 
 See README.md for the full schema of every command.
 """
@@ -21,6 +22,7 @@ See README.md for the full schema of every command.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -39,6 +41,13 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 THREADS_ENV = "DYSON_BLOCKS_THREADS"
+
+# mallopt parameters (malloc.h) and the values main sets: the mmap threshold
+# is glibc's own ceiling for its dynamic threshold on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold is twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2 ** 20
+_TRIM_THRESHOLD = 64 * 2 ** 20
 
 
 class ConfigError(Exception):
@@ -244,10 +253,12 @@ class RunConfig:
         command = _variant(data, "config", "command", {
             name: (run, ("out",) + required, ("seed", "threads", "solver") + optional)
             for name, (run, required, optional) in _COMMANDS.items()})
-        if command == "solve" and "z" not in data and "z_grid" not in data:
-            raise ConfigError("config: solve needs 'z' or 'z_grid'")
-        if command == "density" and "eta" not in data and "mixture" not in data:
-            raise ConfigError("config: density needs 'eta' or 'mixture'")
+        if command in _ONE_OF:
+            a, b = _ONE_OF[command]
+            if a not in data and b not in data:
+                raise ConfigError(f"config: {command} needs {a!r} or {b!r}")
+            if a in data and b in data:
+                raise ConfigError(f"config: {command} takes {a!r} or {b!r}, not both")
         self.data = data
         self.command = command
         self.out = _out(data["out"], "config.out")
@@ -315,8 +326,10 @@ def _upper_z(value, path: str) -> complex:
 def _z_list(cfg: RunConfig):
     if "z" in cfg.data:
         return [_upper_z(cfg.data["z"], "config.z")]
-    return [_upper_z(v, f"config.z_grid[{i}]")
-            for i, v in enumerate(_list(cfg.data["z_grid"], "config.z_grid"))]
+    grid = _list(cfg.data["z_grid"], "config.z_grid")
+    if not grid:
+        raise ConfigError("config.z_grid: need at least one point")
+    return [_upper_z(v, f"config.z_grid[{i}]") for i, v in enumerate(grid)]
 
 
 def _run_solve(cfg: RunConfig):
@@ -339,7 +352,10 @@ def _run_density(cfg: RunConfig):
                     for k in ("min", "max", "step"))
     if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0):
         raise ConfigError("config.grid: need finite max > min and step > 0")
-    xs = np.arange(lo, hi + step / 2, step)
+    try:
+        xs = np.arange(lo, hi + step / 2, step)
+    except ValueError as exc:            # more points than an array can hold
+        raise ConfigError(f"config.grid: {exc}") from exc
     eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
     if not 0 < eps < np.inf:
         raise ConfigError(f"config.eps: need a finite eps > 0, got {fmt(eps)}")
@@ -466,6 +482,8 @@ _COMMANDS = {
     "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), ()),
     "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ()),
 }
+# command: its two optional keys of which a config gives exactly one
+_ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}
 
 
 def _run(args) -> int:
@@ -493,7 +511,30 @@ def _run(args) -> int:
     return EXIT_OK
 
 
+def _keep_heap_resident() -> bool:
+    """Keep freed Monte Carlo arrays in this process's heap.
+
+    glibc serves each allocation above its mmap threshold (128 KiB at first)
+    from a fresh mapping and trims the heap top above its trim threshold, so
+    every trial's 1-4 MiB arrays go back to the kernel when freed and the next
+    trial faults them in again.  Raising both thresholds keeps those pages
+    mapped for the rest of the process.  Returns whether both were set; where
+    there is no ``mallopt`` (not glibc) or it refuses a value, the allocator
+    keeps its defaults.  Only ``main`` calls this, so library callers keep
+    the platform's policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) != 0
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) != 0)
+
+
 def main(argv=None) -> int:
+    _keep_heap_resident()
     parser = argparse.ArgumentParser(
         prog="dyson-blocks",
         description="Solve operator-valued Dyson equations and run "

@@ -1,12 +1,16 @@
 import copy
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dyson_blocks
 from dyson_blocks.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
-                              fmt, main, parse_config)
+                              _keep_heap_resident, fmt, main, parse_config)
 from dyson_blocks.dyson import solve_dyson
 from dyson_blocks.eta import CovarianceMap, eta_correlated_tensor
 from dyson_blocks.sampler import matrix_from_bytes
@@ -220,6 +224,30 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: config.z: need Im z above the model threshold 1.29" in err
         assert not (tmp_path / "o.csv").exists()
+
+    SCALAR_ETA = {"form": "scalar", "d": 1, "t": 1.0}
+
+    @pytest.mark.parametrize("data, message", [
+        ({"command": "solve", "eta": SCALAR_ETA, "z": [0, 1],
+          "z_grid": [[0, 2], [0, 3]]},
+         "config: solve takes 'z' or 'z_grid', not both"),
+        ({"command": "solve", "eta": SCALAR_ETA, "z_grid": []},
+         "config.z_grid: need at least one point"),
+        ({"command": "density", "eta": SCALAR_ETA,
+          "mixture": {"weights": [1.0], "variances": [1.0]},
+          "grid": {"min": -1.0, "max": 1.0, "step": 0.5}},
+         "config: density takes 'eta' or 'mixture', not both"),
+        ({"command": "density", "eta": SCALAR_ETA,
+          "grid": {"min": -1.0, "max": 1.0, "step": 1e-300}},
+         "config.grid: Maximum allowed size exceeded"),
+    ], ids=["solve-both-keys", "solve-empty-grid", "density-both-sources",
+            "density-grid-too-fine"])
+    def test_solve_and_density_input_errors(self, tmp_path, capsys, data, message):
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path, dict(data, out=str(out)))
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_rate_rejects_permutation_pool_up_front(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -751,3 +779,35 @@ class TestIOFailure:
         leftovers = [f for f in os.listdir(tmp_path)
                      if f.startswith(".dyson-blocks")]
         assert leftovers == []
+
+
+class TestAllocatorPolicy:
+    def test_policy_set_on_glibc(self):
+        assert _keep_heap_resident() == (platform.libc_ver()[0] == "glibc")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_more_trials_fault_no_more_pages(self, tmp_path):
+        # freed trial arrays stay mapped, so 12 more trials of the same sizes
+        # reuse the first trials' pages instead of faulting them in again
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_blocks.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def faults(trials):
+            data = {"command": "rate", "out": str(tmp_path / f"rate-{trials}.csv"),
+                    "model": {"model": "hermitized_iid", "d": 2, "N": 32,
+                              "law": {"variant": "complex_gaussian"}},
+                    "z": [0.0, 3.0], "N_grid": [32, 64, 128], "trials": trials,
+                    "seed": 1}
+            cfg = write_config(tmp_path, data, name=f"rate-{trials}.json")
+            code = ("import resource\n"
+                    "from dyson_blocks.cli import main\n"
+                    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    f"assert main(['--config', {cfg!r}]) == 0\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            return int(proc.stdout)
+
+        few, many = faults(4), faults(16)
+        assert many - few < 500, (few, many)

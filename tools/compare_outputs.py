@@ -12,10 +12,12 @@ and each difference is printed.  The script exits 1 if any run differs.
 
 ``RUNS`` covers every command, every entry law, eta form and model,
 config errors (an unknown variant, a stray key, a missing key and an
-invalid value for each of the three variant tables), a solver failure,
+invalid value for each of the three variant tables; ``z`` with
+``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture`` and a
+``density`` grid too fine to hold), a solver failure,
 and the Monte Carlo commands at several ``--threads`` and
 ``DYSON_BLOCKS_THREADS`` values.  The configs are small: the whole set
-takes about 70 s on 2 cores.  ``compare`` takes any other list of
+takes about 60 s on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -40,6 +42,7 @@ HERMITIZED = {"model": "hermitized_iid", "d": 1, "N": 8,
               "law": {"variant": "rademacher"}}
 RATE = {"command": "rate", "model": HERMITIZED, "z": [0.0, 3.0],
         "N_grid": [8, 16, 32], "trials": 8}
+SCALAR = {"form": "scalar", "d": 1, "t": 1.0}
 NOT_CP_CHOI = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
                [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
@@ -123,6 +126,17 @@ RUNS = [
     ("error-rate-grid", dict(RATE, N_grid=[8, 8, 16]), [], {}),
     ("error-ks-grid", {"command": "circulant-ks", "d": 2, "N_grid": [20, 10, 40],
                        "trials": 2}, [], {}),
+    ("error-solve-both-keys", dict(solve(SCALAR), z_grid=[[0.0, 2.0], [0.0, 3.0]]),
+     [], {}),
+    ("error-solve-empty-grid", {"command": "solve", "eta": SCALAR, "z_grid": []},
+     [], {}),
+    ("error-density-both-sources", {"command": "density", "eta": SCALAR,
+                                    "mixture": {"weights": [1.0], "variances": [1.0]},
+                                    "grid": {"min": -1.0, "max": 1.0, "step": 0.5}},
+     [], {}),
+    ("error-density-grid-too-fine", {"command": "density", "eta": SCALAR,
+                                     "grid": {"min": -1.0, "max": 1.0,
+                                              "step": 1e-300}}, [], {}),
     ("error-threads", {"command": "sample", "model": HERMITIZED},
      ["--threads", "0"], {}),
     ("error-env-threads", {"command": "sample", "model": HERMITIZED},
