@@ -354,7 +354,7 @@ def _run_density(cfg: RunConfig):
         raise ConfigError("config.grid: need finite max > min and step > 0")
     try:
         xs = np.arange(lo, hi + step / 2, step)
-    except ValueError as exc:            # more points than an array can hold
+    except (ValueError, MemoryError) as exc:     # too many points to index or hold
         raise ConfigError(f"config.grid: {exc}") from exc
     eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
     if not 0 < eps < np.inf:

@@ -49,16 +49,20 @@ def hermiticity_defect(m) -> float:
 
     The term is symmetric in i and j, so each block of rows is compared
     only from its diagonal block rightwards: the upper triangle, blocked.
+    The block maxima are combined by np.max, which propagates a NaN from
+    any block (the builtin max drops a NaN that follows a number).
     """
     a = require_square(m)
     k = HERMITICITY_ROW_BLOCK
-    return max((float(np.max(np.abs(a[i:i + k, i:] - a[i:, i:i + k].conj().T)))
-                for i in range(0, a.shape[0], k)), default=0.0)
+    return float(np.max([np.max(np.abs(a[i:i + k, i:] - a[i:, i:i + k].conj().T))
+                         for i in range(0, a.shape[0], k)], initial=0.0))
 
 
 def is_hermitian(m) -> bool:
     a = require_square(m)
-    return hermiticity_defect(a) <= HERMITICITY_RTOL * (1.0 + frobenius_norm(a))
+    # exact symmetry needs no norm; a NaN defect is nonzero and fails below
+    defect = hermiticity_defect(a)
+    return defect == 0.0 or defect <= HERMITICITY_RTOL * (1.0 + frobenius_norm(a))
 
 
 def require_hermitian(m) -> np.ndarray:

@@ -240,8 +240,14 @@ class TestConfigValidation:
         ({"command": "density", "eta": SCALAR_ETA,
           "grid": {"min": -1.0, "max": 1.0, "step": 1e-300}},
          "config.grid: Maximum allowed size exceeded"),
+        # 1e17 points (711 PiB): more than any address space, so the
+        # allocation fails whatever the overcommit policy
+        ({"command": "density", "eta": SCALAR_ETA,
+          "grid": {"min": -1.0, "max": 1.0, "step": 2e-17}},
+         "config.grid: Unable to allocate 711. PiB for an array with shape "
+         "(100000000000000000,) and data type float64"),
     ], ids=["solve-both-keys", "solve-empty-grid", "density-both-sources",
-            "density-grid-too-fine"])
+            "density-grid-too-fine", "density-grid-too-large"])
     def test_solve_and_density_input_errors(self, tmp_path, capsys, data, message):
         out = tmp_path / "o.csv"
         cfg = write_config(tmp_path, dict(data, out=str(out)))

@@ -182,6 +182,48 @@ class TestHermiticityDefect:
         assert defect == np.max(np.abs(m - m.conj().T))
 
 
+class TestIsHermitian:
+    def test_exact_symmetry_skips_the_norm(self, monkeypatch):
+        m = random_hermitian(70, rng())
+
+        def forbidden(a):
+            raise AssertionError("norm taken for an exactly Hermitian matrix")
+        monkeypatch.setattr(linalg, "frobenius_norm", forbidden)
+        assert is_hermitian(m)
+
+    @pytest.mark.parametrize("n, i, j", [
+        (50, 7, 3), (128, 100, 70), (128, 100, 100)])
+    @pytest.mark.parametrize("entry, symmetric", [
+        (0.0, False), (1e-13, False), (1e-9, False), (np.nan, False),
+        (np.nan, True), (np.inf, False), (np.inf, True), (1e300, True)])
+    def test_same_decision_as_the_full_test(self, n, i, j, entry, symmetric):
+        # the defect of a NaN entry, or of an inf one opposite an inf, is
+        # NaN: nonzero, so the norm is taken and the decision is unchanged.
+        # At n = 128 the entry lies in the second block of 64 rows, after
+        # a block whose defect is 0.0; (100, 100) is a diagonal entry
+        m = random_hermitian(n, rng())
+        m[i, j] += entry
+        if symmetric:
+            m[j, i] = np.conj(m[i, j])
+        with np.errstate(all="ignore"):
+            dense = np.max(np.abs(m - m.conj().T))
+            full = bool(dense <= 1e-12 * (1.0 + np.linalg.norm(m)))
+            assert is_hermitian(m) is full
+            if not full:
+                with pytest.raises(HermiticityError):
+                    hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("i, j", [(100, 100), (100, 70), (70, 100)])
+    def test_nan_after_the_first_row_block_is_rejected(self, i, j):
+        m = random_hermitian(128, rng())
+        m[i, j] = np.nan
+        with np.errstate(all="ignore"):
+            assert np.isnan(hermiticity_defect(m))
+            assert not is_hermitian(m)
+            with pytest.raises(HermiticityError):
+                resolvent_trace(m, [1j])
+
+
 class TestInvert:
     def test_scaled_identity(self):
         assert np.allclose(invert(2 * np.eye(2)), 0.5 * np.eye(2))

@@ -8,7 +8,7 @@ import pytest
 from dyson_blocks.eta import CovarianceTensor
 from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   PermutationPool, Rademacher, RealGaussian,
-                                  TwoPoint, hermitian_blocks,
+                                  TwoPoint, block_spectrum, hermitian_blocks,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
                                   sample_matrix, sample_wishart_factor,
                                   spectrum)
@@ -150,6 +150,39 @@ class TestHermitized:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
         assert not np.array_equal(serial[0], serial[1])
+
+
+class TestHermitianFill:
+    @staticmethod
+    def loop_fill(blocks, N, lower):
+        # the slots of np.tril_indices(N) or np.triu_indices(N), one by one
+        d = blocks.shape[-1]
+        out = np.zeros((N * d, N * d), dtype=np.complex128)
+        slots = [(r, c) for r in range(N) for c in range(N)
+                 if (c <= r if lower else c >= r)]
+        for (r, c), b in zip(slots, blocks, strict=True):
+            adj = b.conj().T
+            if r == c:
+                out[r * d:(r + 1) * d, r * d:(r + 1) * d] = (b + adj) / 2.0
+            else:
+                out[r * d:(r + 1) * d, c * d:(c + 1) * d] = b
+                out[c * d:(c + 1) * d, r * d:(r + 1) * d] = adj
+        return out
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["tril", "triu"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    def test_matches_loop_byte_for_byte(self, N, d, lower):
+        from dyson_blocks.sampler import _hermitian_fill
+        gen = rng_for(40 + d, N)
+        n = N * (N + 1) // 2
+        blocks = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+        blocks[0, 0, 0] = complex(-0.0, -0.0)       # on slot (0, 0)
+        blocks[-1, 0, -1] = complex(-0.0, 0.0)      # on slot (N - 1, N - 1)
+        blocks[n // 2, -1, 0] = complex(0.0, -0.0)  # off the diagonal for N > 1
+        out = _hermitian_fill(blocks, N, lower)
+        assert out.shape == (N * d, N * d)
+        assert out.tobytes() == self.loop_fill(blocks, N, lower).tobytes()
 
 
 class TestWignerBlocks:
@@ -360,6 +393,39 @@ class TestHermitianBlocks:
         ev = np.concatenate([np.linalg.eigvalsh(b) for b, mult in blocks
                              for _ in range(mult)])
         assert np.array_equal(np.sort(ev), spectrum(spec, 1))
+
+    @staticmethod
+    def filled_dft_blocks(spec, trial):
+        # B_j combined from the filled W_k, one scaled N x N term per k
+        from dyson_blocks.sampler import _circulant_wigners
+        d = spec.d
+        wigners = _circulant_wigners(spec, trial)
+        for j in range(d // 2 + 1):
+            b = wigners[0].copy()
+            for k in range(1, d // 2 + 1):
+                c = 1.0 if 2 * k == d else 2.0
+                b += c * np.cos(2 * np.pi * j * k / d) * wigners[k]
+            yield b / np.sqrt(d), 2 if 0 < 2 * j < d else 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("law", [None, RealGaussian(1.0), Rademacher(),
+                                     TwoPoint(1.0, 0.0, 0.3)],
+                             ids=["complex", "real", "rademacher", "two-point"])
+    def test_circulant_blocks_match_the_filled_combination(self, law, d):
+        # values equal; the lower triangle, which eigvalsh reads, and the
+        # spectrum equal byte for byte (the upper triangle may differ in
+        # the sign of a zero imaginary part)
+        for N in (1, 2, 7, 50):
+            for seed in (1, 2 ** 63 + 5):
+                spec = ModelSpec(model="circulant", d=d, N=N, seed=seed, law=law)
+                blocks = list(hermitian_blocks(spec, 1))
+                ref = list(self.filled_dft_blocks(spec, 1))
+                assert [m for _, m in blocks] == [m for _, m in ref]
+                lower = np.tril_indices(N)
+                for (b, _), (r, _) in zip(blocks, ref):
+                    assert np.array_equal(b, r)
+                    assert b[lower].tobytes() == r[lower].tobytes()
+                assert spectrum(spec, 1).tobytes() == block_spectrum(ref).tobytes()
 
     def test_dense_models_yield_the_sample_once(self):
         spec = ModelSpec(model="wigner_blocks", d=2, N=5, law=Rademacher(),

@@ -13,11 +13,12 @@ and each difference is printed.  The script exits 1 if any run differs.
 ``RUNS`` covers every command, every entry law, eta form and model,
 config errors (an unknown variant, a stray key, a missing key and an
 invalid value for each of the three variant tables; ``z`` with
-``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture`` and a
-``density`` grid too fine to hold), a solver failure,
-and the Monte Carlo commands at several ``--threads`` and
-``DYSON_BLOCKS_THREADS`` values.  The configs are small: the whole set
-takes about 60 s on 2 cores.  ``compare`` takes any other list of
+``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture``, and
+``density`` grids too fine for an array and too large for memory), a
+solver failure, circulant DFT blocks at odd and even d with complex, real
+and Rademacher entries, and the Monte Carlo commands at several
+``--threads`` and ``DYSON_BLOCKS_THREADS`` values.  The configs are
+small: the whole set takes about 65 s on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -89,6 +90,10 @@ RUNS = [
     ("sample-circulant", {"command": "sample",
                           "model": {"model": "circulant", "d": 3, "N": 4},
                           "spectrum_out": "spectrum.csv"}, [], {}),
+    ("sample-circulant-real", {"command": "sample",
+                               "model": {"model": "circulant", "d": 4, "N": 4,
+                                         "law": {"variant": "real_gaussian"}},
+                               "spectrum_out": "spectrum.csv"}, [], {}),
     ("sample-wishart", {"command": "sample",
                         "model": {"model": "wishart_correlated", "d": 2, "N": 3,
                                   "tensor": TENSOR}}, [], {}),
@@ -98,6 +103,17 @@ RUNS = [
     ("rate-env-threads", RATE, [], {"DYSON_BLOCKS_THREADS": "2"}),
     ("rate-circulant", {"command": "rate", "model": {"model": "circulant", "d": 3, "N": 8},
                         "z": [0.2, 2.5], "N_grid": [8, 16, 32], "trials": 4}, [], {}),
+    # even d has the unpaired j = d/2 block; a real law, zero imaginary parts
+    ("rate-circulant-real", {"command": "rate",
+                             "model": {"model": "circulant", "d": 4, "N": 8,
+                                       "law": {"variant": "real_gaussian"}},
+                             "z": [0.2, 3.0], "N_grid": [8, 16, 32], "trials": 4},
+     [], {}),
+    ("rate-circulant-rademacher", {"command": "rate",
+                                   "model": {"model": "circulant", "d": 5, "N": 8,
+                                             "law": {"variant": "rademacher"}},
+                                   "z": [0.2, 3.0], "N_grid": [8, 16, 32],
+                                   "trials": 4}, [], {}),
     ("rate-kronecker", {"command": "rate",
                         "model": {"model": "kronecker", "d": 2, "N": 8,
                                   "betas": BETAS, "sigma_l": DIAGONAL},
@@ -137,6 +153,9 @@ RUNS = [
     ("error-density-grid-too-fine", {"command": "density", "eta": SCALAR,
                                      "grid": {"min": -1.0, "max": 1.0,
                                               "step": 1e-300}}, [], {}),
+    ("error-density-grid-too-large", {"command": "density", "eta": SCALAR,
+                                      "grid": {"min": -1.0, "max": 1.0,
+                                               "step": 2e-17}}, [], {}),
     ("error-threads", {"command": "sample", "model": HERMITIZED},
      ["--threads", "0"], {}),
     ("error-env-threads", {"command": "sample", "model": HERMITIZED},
