@@ -42,6 +42,12 @@ EXIT_IO = 4
 
 THREADS_ENV = "DYSON_BLOCKS_THREADS"
 
+# the largest density grid: a d = 2 grid peaks at about 1.0 kB per point
+# under tracemalloc (20 000 and 100 000 points) and grows the RSS by
+# 1.2 kB per point, so this one holds about 1.2 GB and takes about 35 s on
+# a 2-vCPU host
+DENSITY_MAX_POINTS = 1_000_000
+
 # mallopt parameters (malloc.h) and the values main sets: the mmap threshold
 # is glibc's own ceiling for its dynamic threshold on 64-bit
 # (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold is twice that
@@ -352,10 +358,11 @@ def _run_density(cfg: RunConfig):
                     for k in ("min", "max", "step"))
     if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0):
         raise ConfigError("config.grid: need finite max > min and step > 0")
-    try:
-        xs = np.arange(lo, hi + step / 2, step)
-    except (ValueError, MemoryError) as exc:     # too many points to index or hold
-        raise ConfigError(f"config.grid: {exc}") from exc
+    points = np.ceil((hi + step / 2 - lo) / step)      # np.arange's length
+    if not points <= DENSITY_MAX_POINTS:
+        raise ConfigError(f"config.grid: {points:.15g} points, more than the "
+                          f"{DENSITY_MAX_POINTS} that density solves")
+    xs = np.arange(lo, hi + step / 2, step)
     eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
     if not 0 < eps < np.inf:
         raise ConfigError(f"config.eps: need a finite eps > 0, got {fmt(eps)}")

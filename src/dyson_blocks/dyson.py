@@ -36,7 +36,7 @@ density table, and density-to-CDF conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -86,7 +86,10 @@ class DysonSolution:
     callers that read it.
     ``stability_margin`` is the smallest singular value of the stability
     operator H -> H - G eta(H) G at the returned G; it tends to 0 at a
-    spectral edge as Im z -> 0.
+    spectral edge as Im z -> 0.  It is a property, not a field: the SVDs
+    run the first time a point reads it, for all the points of its
+    ``solve_dyson`` batch together (``_Margins``), so a caller that never
+    reads it pays nothing.
 
     For a Wishart point, ``z`` is w and ``G`` is G_W(w), while
     ``residual``, ``iterations``, ``converged`` and ``stability_margin``
@@ -99,7 +102,15 @@ class DysonSolution:
     iterations: int
     converged: bool
     damping_used: float = 1.0
-    stability_margin: float = float("nan")
+    # (margins of the call, index of this point)
+    _margin: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def stability_margin(self) -> float:
+        if self._margin is None:
+            return float("nan")
+        margins, m = self._margin
+        return margins[m]
 
     def trace(self) -> complex:
         """Normalized trace of G, the scalar Cauchy transform."""
@@ -132,13 +143,21 @@ def _batched_solve(a: np.ndarray, b: np.ndarray):
 
 
 def _newton_jacobian(A, G, action):
-    """d^2 x d^2 Jacobians kron(A, I) - kron(I, G^T) action of R = A G - I."""
+    """d^2 x d^2 Jacobians kron(A, I) - kron(I, G^T) action of R = A G - I,
+    built in one (k, d^2, d^2) buffer: -kron(I, G^T) action first, then A
+    added on the d strided diagonals that kron(A, I) occupies."""
     k, d = G.shape[0], G.shape[1]
-    eye = np.eye(d, dtype=np.complex128)
-    left = np.einsum("mij,kl->mikjl", A, eye).reshape(k, d * d, d * d)
+    J = np.empty((k, d, d, d * d), dtype=np.complex128)
     # (kron(I, G^T) action)[(i,k), n] = sum_l G[l,k] action[(i,l), n]
-    right = G.transpose(0, 2, 1)[:, None] @ action.reshape(d, d, d * d)
-    return left - right.reshape(k, d * d, d * d)
+    np.matmul(G.transpose(0, 2, 1)[:, None], action.reshape(d, d, d * d), out=J)
+    # 0 - J rather than -J: where the product is zero the entry is +0, as
+    # in kron(A, I) minus the product, so zero entries of G keep their sign
+    np.subtract(0.0, J, out=J)
+    # kron(A, I)[(i,k), (j,l)] = A[i,j] if k == l
+    blocks = J.reshape(k, d, d, d, d)
+    for c in range(d):
+        blocks[:, :, c, :, c] += A
+    return J.reshape(k, d * d, d * d)
 
 
 def _stability_margin(G, action):
@@ -152,6 +171,27 @@ def _stability_margin(G, action):
     if finite.any():
         margin[finite] = np.linalg.svd(op[finite], compute_uv=False)[:, -1]
     return margin
+
+
+def _frobenius(R):
+    """||R[m]||_F for a stack: np.linalg.norm(R, axis=(1, 2))'s own formula,
+    without its dispatch."""
+    return np.sqrt(np.add.reduce((R.conj() * R).real, axis=(1, 2)))
+
+
+class _Margins:
+    """The stability margins of one ``_Driver``'s points: taken together, by
+    ``_stability_margin`` on their returned Gs, the first time any of them
+    is read."""
+
+    def __init__(self, Gs: list, action):
+        self.Gs, self.action, self.values = Gs, action, None
+
+    def __getitem__(self, m) -> float:
+        if self.values is None:
+            self.values = _stability_margin(np.array(self.Gs), self.action)
+            self.Gs = None
+        return float(self.values[m])
 
 
 def _branch_ok(G, tol: float):
@@ -194,10 +234,11 @@ class _Driver:
         G, z = self.G[live], self.z[live]
         A = z[:, None, None] * self.eye - self._eta(G)
         R = A @ G - self.eye
-        res = np.linalg.norm(R, axis=(1, 2))
+        res = _frobenius(R)
         small = res <= self.opts.tol
         certified = small.copy()
-        certified[small] = _branch_ok(G[small], self.opts.tol)
+        if small.any():
+            certified[small] = _branch_ok(G[small], self.opts.tol)
 
         done = certified & (z.imag == self.target[live].imag)
         self.mode[live[done]] = _DONE
@@ -205,47 +246,50 @@ class _Driver:
         out = ~done & (self.iterations[live] >= self.opts.max_iter)
         self.mode[live[out]] = _FAILED
         go = ~done & ~out
-        self.iterations[live[go]] += 1
-        self._newton(live[go], G[go], A[go], R[go], res[go],
-                     certified[go], small[go])
+        if not go.all():
+            live, G, A, R, res, certified, small = (
+                v[go] for v in (live, G, A, R, res, certified, small))
+        self.iterations[live] += 1
+        self._newton(live, G, A, R, res, certified, small)
         return True
 
     def _newton(self, idx, G, A, R, res, certified, small):
         if idx.size == 0:
             return
         height = self.z[idx].imag
-        # a certified intermediate height: accept it and descend
-        up = certified
-        fast = self.height_steps[idx[up]] <= FAST_HEIGHT_STEPS
-        self.ratio[idx[up]] = np.where(
-            fast, np.maximum(self.ratio[idx[up]] ** 2, MIN_DESCENT_RATIO),
-            self.ratio[idx[up]])
-        self.accepted[idx[up]] = G[up]
-        self.accepted_height[idx[up]] = height[up]
-        self.height_steps[idx[up]] = 0
-        new_height = np.maximum(self.target[idx[up]].imag,
-                                height[up] * self.ratio[idx[up]])
-        # set, not incremented, so the final height equals Im(target) exactly
-        self.z[idx[up]] = self.target[idx[up]].real + 1j * new_height
-        dz = 1j * (new_height - height[up])
-        A[up] += dz[:, None, None] * self.eye
-        R[up] += dz[:, None, None] * G[up]
+        if certified.any():
+            # a certified intermediate height: accept it and descend
+            up, G_up, h_up = idx[certified], G[certified], height[certified]
+            ratio = self.ratio[up]
+            fast = self.height_steps[up] <= FAST_HEIGHT_STEPS
+            ratio = np.where(fast, np.maximum(ratio ** 2, MIN_DESCENT_RATIO), ratio)
+            self.ratio[up] = ratio
+            self.accepted[up] = G_up
+            self.accepted_height[up] = h_up
+            self.height_steps[up] = 0
+            new_height = np.maximum(self.target[up].imag, h_up * ratio)
+            # set, not incremented, so the final height equals Im(target) exactly
+            self.z[up] = self.target[up].real + 1j * new_height
+            dz = (1j * (new_height - h_up))[:, None, None]
+            A[certified] += dz * self.eye
+            R[certified] += dz * G_up
 
         # a failed height (too many steps, non-finite, or the wrong branch):
         # retry closer to the last accepted height, or fail
         reject = ~certified & ((self.height_steps[idx] >= NEWTON_STEPS_PER_HEIGHT)
                                | ~np.isfinite(res) | small)
-        self._shorten(idx[reject])
-
-        step = ~reject
-        if not step.any():
-            return
-        J = _newton_jacobian(A[step], G[step], self.action)
-        delta, solved = _batched_solve(J, -R[step].reshape(len(J), -1, 1))
-        stepped = idx[step]
-        self.G[stepped] = G[step] + delta.reshape(G[step].shape)
-        self.height_steps[stepped] += 1
-        self._shorten(stepped[~solved])
+        if reject.any():
+            self._shorten(idx[reject])
+            step = ~reject
+            if not step.any():
+                return
+            idx, G, A, R = idx[step], G[step], A[step], R[step]
+        J = _newton_jacobian(A, G, self.action)
+        delta, solved = _batched_solve(J, -R.reshape(len(J), -1, 1))
+        self.G[idx] = G + delta.reshape(G.shape)
+        self.height_steps[idx] += 1
+        if not solved.all():
+            self._shorten(idx[~solved])
 
     def _shorten(self, idx):
         if idx.size == 0:
@@ -267,14 +311,14 @@ class _Driver:
 
     def solutions(self) -> list:
         A = self.target[:, None, None] * self.eye - self._eta(self.G)
-        res = np.linalg.norm(A @ self.G - self.eye, axis=(1, 2))
+        res = _frobenius(A @ self.G - self.eye)
         converged = self.mode == _DONE
         res[converged] = self.residual[converged]
-        margin = _stability_margin(self.G, self.action)
-        return [DysonSolution(complex(self.target[m]), self.G[m].copy(),
-                              float(res[m]), int(self.iterations[m]),
-                              bool(converged[m]),
-                              stability_margin=float(margin[m]))
+        Gs = [G.copy() for G in self.G]
+        margins = _Margins(Gs, self.action)
+        return [DysonSolution(complex(self.target[m]), Gs[m], float(res[m]),
+                              int(self.iterations[m]), bool(converged[m]),
+                              _margin=(margins, m))
                 for m in range(len(self.target))]
 
 

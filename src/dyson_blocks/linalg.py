@@ -19,6 +19,7 @@ HERMITICITY_ROW_BLOCK = 64
 # slower there and 64 up to 16 % slower
 RESOLVENT_LEAF = 32
 INVERT_RESIDUAL_RTOL = 1e-9
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class HermiticityError(ValueError):
@@ -60,14 +61,17 @@ def hermiticity_defect(m) -> float:
 
 def is_hermitian(m) -> bool:
     a = require_square(m)
-    # exact symmetry needs no norm; a NaN defect is nonzero and fails below
+    # exact symmetry needs no norm; a NaN defect is nonzero and fails below,
+    # and so does an inf one: an inf entry makes the norm inf too, so the
+    # bound is capped at the largest float
     defect = hermiticity_defect(a)
-    return defect == 0.0 or defect <= HERMITICITY_RTOL * (1.0 + frobenius_norm(a))
+    return defect == 0.0 or defect <= min(
+        HERMITICITY_RTOL * (1.0 + frobenius_norm(a)), _FLOAT_MAX)
 
 
 def require_hermitian(m) -> np.ndarray:
     """Square complex matrix, or HermiticityError when the symmetry defect
-    exceeds 1e-12 * (1 + ||M||_F)."""
+    exceeds 1e-12 * (1 + ||M||_F) or is not finite."""
     a = require_square(m)
     if not is_hermitian(a):
         raise HermiticityError(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dyson_blocks
+from dyson_blocks import cli
 from dyson_blocks.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
                               _keep_heap_resident, fmt, main, parse_config)
 from dyson_blocks.dyson import solve_dyson
@@ -237,23 +238,45 @@ class TestConfigValidation:
           "mixture": {"weights": [1.0], "variances": [1.0]},
           "grid": {"min": -1.0, "max": 1.0, "step": 0.5}},
          "config: density takes 'eta' or 'mixture', not both"),
+        # more points than an array can index, and than memory can hold:
+        # both are counted, and refused, before np.arange runs
         ({"command": "density", "eta": SCALAR_ETA,
           "grid": {"min": -1.0, "max": 1.0, "step": 1e-300}},
-         "config.grid: Maximum allowed size exceeded"),
-        # 1e17 points (711 PiB): more than any address space, so the
-        # allocation fails whatever the overcommit policy
+         "config.grid: 2e+300 points, more than the 1000000 that density "
+         "solves"),
         ({"command": "density", "eta": SCALAR_ETA,
           "grid": {"min": -1.0, "max": 1.0, "step": 2e-17}},
-         "config.grid: Unable to allocate 711. PiB for an array with shape "
-         "(100000000000000000,) and data type float64"),
+         "config.grid: 1e+17 points, more than the 1000000 that density "
+         "solves"),
+        # 2e8 points fit in memory: only the cap keeps them from being solved
+        ({"command": "density", "eta": SCALAR_ETA,
+          "grid": {"min": -1.0, "max": 1.0, "step": 1e-8}},
+         "config.grid: 200000001 points, more than the 1000000 that density "
+         "solves"),
     ], ids=["solve-both-keys", "solve-empty-grid", "density-both-sources",
-            "density-grid-too-fine", "density-grid-too-large"])
+            "density-grid-too-fine", "density-grid-too-large",
+            "density-grid-over-cap"])
     def test_solve_and_density_input_errors(self, tmp_path, capsys, data, message):
         out = tmp_path / "o.csv"
         cfg = write_config(tmp_path, dict(data, out=str(out)))
         assert main(["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("points, code", [(11, EXIT_CONFIG), (10, EXIT_OK)])
+    def test_density_grid_cap_counts_np_arange_points(self, tmp_path, capsys,
+                                                      monkeypatch, points, code):
+        # the count is np.arange's length, so a grid of exactly the cap is
+        # solved and one point more is refused
+        monkeypatch.setattr(cli, "DENSITY_MAX_POINTS", 10)
+        out = tmp_path / "o.csv"
+        data = {"command": "density", "out": str(out), "eta": self.SCALAR_ETA,
+                "grid": {"min": 0.0, "max": 0.1 * (points - 1), "step": 0.1}}
+        assert main(["--config", write_config(tmp_path, data)]) == code
+        if code == EXIT_OK:
+            assert len(out.read_text().splitlines()) == 3 + points
+        else:
+            assert "config.grid: 11 points, more than the 10" in capsys.readouterr().err
 
     def test_rate_rejects_permutation_pool_up_front(self, tmp_path, capsys,
                                                     monkeypatch):

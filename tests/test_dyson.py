@@ -1,13 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from dyson_blocks import dyson, sampler
 from dyson_blocks.dyson import (SolverOptions, cdf_from_density,
                                 circulant_mixture, mixture_cauchy,
                                 scalar_semicircle_cauchy, solve_dyson,
                                 solve_semicircular, solve_wishart,
                                 stieltjes_density)
 from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
-                              eta_wishart_pair, flat_map, scalar_map)
+                              eta_kronecker, eta_wishart_pair, flat_map,
+                              scalar_map)
 from dyson_blocks.linalg import frobenius_norm, operator_norm
 
 GOLDEN_2I = 1j * (1 - np.sqrt(2))     # root of g^2 - z g + 1 at z = 2i
@@ -228,6 +233,135 @@ class TestSolveDyson:
         assert solve_dyson(scalar_map(1, 1.0), []) == []
         with pytest.raises(TypeError):
             solve_dyson(np.eye(2), [1j])
+
+
+def _kraus_rank_one_map():
+    # eta(B) = a B a^* with a = u v^*: points near x = 0 at small Im z fail
+    a = np.outer([1.0 + 0.5j, -0.3 + 1j], np.conj([0.2 - 1j, 0.8 + 0.1j]))
+    return choi_map(np.einsum("ki,lj->ikjl", a, a.conj()))
+
+
+def _kronecker_d3():
+    # betas I and the symmetric cyclic shift: the support is about [-3.1, 3.1]
+    shift = np.roll(np.eye(3), 1, axis=1)
+    return eta_kronecker([np.eye(3), shift + shift.T], np.eye(2) / 4)
+
+
+def _wishart_pair_d2():
+    m = rng().standard_normal((4, 4))
+    return eta_wishart_pair(CovarianceTensor((m @ m.T / 4).reshape(2, 2, 2, 2)))
+
+
+def _solver_digest(solutions) -> str:
+    """SHA-256 of each point's G bytes, residual, iterations and converged."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(sol.G.tobytes())
+        h.update(np.float64(sol.residual).tobytes())
+        h.update(np.array([sol.iterations, sol.converged], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenSolves:
+    """Every bit of ``solve_dyson``'s per-point results on five maps.
+
+    A change to the arithmetic of a Newton step, to the continuation or to
+    the certificate changes these hashes.  They assume IEEE doubles and this
+    platform's LAPACK (numpy 2.4 with scipy-openblas 0.3.31, x86-64) for
+    the batched LU and the eigenvalues of the branch test.
+    """
+
+    # (map, z points, converged count, digest)
+    CASES = {
+        # the bench density grid
+        "flat-d2": (lambda: flat_map(2, 2.0),
+                    lambda: np.arange(-2.7, 2.7 + 0.05, 0.1) + 1e-4j, 55,
+                    "1d11b54e80a944ead0c89a438c328669090bed2339962f6e0707b6bdb2d983ed"),
+        "kronecker-d3": (_kronecker_d3,
+                         lambda: np.arange(-3.5, 3.5 + 0.05, 0.1) + 1e-6j, 71,
+                         "a1f5e05a1a10f1bb79913d337b4c9ce9b06ff81055eaf02820e32e726309113e"),
+        "circulant-d3": (lambda: sampler.model_eta(
+            sampler.ModelSpec(model="circulant", d=3, N=8)),
+            lambda: np.arange(-3.0, 3.0 + 0.025, 0.05) + 1e-4j, 121,
+            "e78a9c167a7e2a5e69f641ba98f6705f76772e79abd457763353cb45a2c4a859"),
+        "wishart-d2": (_wishart_pair_d2,
+                       lambda: np.linspace(-0.5, 6.0, 66) + 1e-3j, 66,
+                       "8f27146cafa724a3b1c988c3f564a9422bab53fbaf059b342dcb32e6fd09275c"),
+        "kraus-rank-1": (_kraus_rank_one_map,
+                         lambda: [complex(x, h) for h in (1e-1, 1e-3, 1e-5)
+                                  for x in (-1.0, -0.1, 0.0, 0.1, 1.0)], 13,
+                         "c5c234981b3414c764b44fb7123ca252979092934ec70cc3acc10149583a4253"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_per_point_results(self, name):
+        model, zs, converged, digest = self.CASES[name]
+        solutions = solve_dyson(model(), zs())
+        assert sum(sol.converged for sol in solutions) == converged
+        assert _solver_digest(solutions) == digest
+
+
+class TestStabilityMarginOnDemand:
+    """The margin's SVDs run when a point's ``stability_margin`` is first
+    read, for all the points of its batch together, and give the same bits
+    as margins taken during the solve."""
+
+    # SHA-256 of the margins of TestGoldenSolves' points, taken when
+    # solve_dyson computed every margin during the solve
+    MARGIN_DIGESTS = {
+        "flat-d2": "e4c3870448b343315cf26b7e1c8a5e48a03b4faac6eaa66089e3014b5bf6d625",
+        "wishart-d2": "a63730a003e9331ec422323dbd5c6f561e8a0bf87a7de18851cc545f7c5ed0e7",
+        "kraus-rank-1": "c61559dfe60a19c5f45512a24aa1d89bd85bcd8686065396f876918ec705f14b",
+    }
+
+    @staticmethod
+    def count_margin_calls(monkeypatch):
+        calls = []
+        margin = dyson._stability_margin
+
+        def counted(G, action):
+            calls.append(len(G))
+            return margin(G, action)
+        monkeypatch.setattr(dyson, "_stability_margin", counted)
+        return calls
+
+    def test_solve_takes_no_margin_until_one_is_read(self, monkeypatch):
+        calls = self.count_margin_calls(monkeypatch)
+        flat = solve_dyson(flat_map(2, 2.0), np.linspace(-3, 3, 7) + 1e-4j)
+        wishart = solve_dyson(_wishart_pair_d2(), [4 + 0.01j, 0.5 + 0.01j])
+        assert calls == []
+        flat[3].stability_margin
+        assert calls == [7]
+        for sol in flat + wishart:
+            sol.stability_margin
+        assert calls == [7, 2]
+
+    def test_density_command_takes_no_margin(self, monkeypatch, tmp_path):
+        from dyson_blocks import cli
+        calls = self.count_margin_calls(monkeypatch)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "command": "density", "out": str(tmp_path / "o.csv"),
+            "eta": {"form": "flat", "d": 2, "c": 2.0},
+            "grid": {"min": -2.7, "max": 2.7, "step": 0.1}, "eps": 1e-4}))
+        assert cli.main(["--config", str(cfg)]) == cli.EXIT_OK
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(MARGIN_DIGESTS))
+    def test_margins_are_the_batched_values(self, name):
+        model, zs, _, _ = TestGoldenSolves.CASES[name]
+        model, zs = model(), zs()
+        margins = np.array([sol.stability_margin
+                            for sol in solve_dyson(model, zs)])
+        assert (hashlib.sha256(margins.tobytes()).hexdigest()
+                == self.MARGIN_DIGESTS[name])
+        # the batched value on the G stack of the equation solved: for a
+        # Wishart pair, the Hermitized one at sqrt(w)
+        if isinstance(model, EtaPair):
+            model, zs = model.hermitization(), np.sqrt(zs)
+        stack = np.array([sol.G for sol in solve_dyson(model, zs)])
+        assert np.array_equal(dyson._stability_margin(stack, model.action),
+                              margins)
 
 
 class TestSolveWishart:

@@ -199,19 +199,36 @@ class TestIsHermitian:
     def test_same_decision_as_the_full_test(self, n, i, j, entry, symmetric):
         # the defect of a NaN entry, or of an inf one opposite an inf, is
         # NaN: nonzero, so the norm is taken and the decision is unchanged.
-        # At n = 128 the entry lies in the second block of 64 rows, after
-        # a block whose defect is 0.0; (100, 100) is a diagonal entry
+        # An inf entry opposite a finite one has defect inf, which fails
+        # although the norm is inf too.  At n = 128 the entry lies in the
+        # second block of 64 rows, after a block whose defect is 0.0;
+        # (100, 100) is a diagonal entry
         m = random_hermitian(n, rng())
         m[i, j] += entry
         if symmetric:
             m[j, i] = np.conj(m[i, j])
         with np.errstate(all="ignore"):
             dense = np.max(np.abs(m - m.conj().T))
-            full = bool(dense <= 1e-12 * (1.0 + np.linalg.norm(m)))
+            full = bool(dense < np.inf
+                        and dense <= 1e-12 * (1.0 + np.linalg.norm(m)))
             assert is_hermitian(m) is full
             if not full:
                 with pytest.raises(HermiticityError):
                     hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize("n, i, j", [(4, 2, 0), (128, 100, 70)])
+    def test_one_sided_inf_is_rejected(self, n, i, j):
+        # the defect is inf, and so is the norm: inf <= 1e-12 (1 + inf)
+        # held, so the matrix passed and eigvalsh failed to converge
+        m = np.eye(n, dtype=np.complex128)
+        m[i, j] = np.inf
+        with np.errstate(all="ignore"):
+            assert hermiticity_defect(m) == np.inf
+            assert not is_hermitian(m)
+            with pytest.raises(HermiticityError, match="defect inf"):
+                hermitian_eigenvalues(m)
+            with pytest.raises(HermiticityError, match="defect inf"):
+                resolvent_trace(m, [1j])
 
     @pytest.mark.parametrize("i, j", [(100, 100), (100, 70), (70, 100)])
     def test_nan_after_the_first_row_block_is_rejected(self, i, j):

@@ -14,11 +14,13 @@ and each difference is printed.  The script exits 1 if any run differs.
 config errors (an unknown variant, a stray key, a missing key and an
 invalid value for each of the three variant tables; ``z`` with
 ``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture``, and
-``density`` grids too fine for an array and too large for memory), a
-solver failure, circulant DFT blocks at odd and even d with complex, real
-and Rademacher entries, and the Monte Carlo commands at several
+``density`` grids too fine for an array, too large for memory and above
+the point cap), two solver failures (``max_iter`` and a Kraus-rank-1
+map), solves at d = 3 through both spectral edges and a d = 3 Wishart
+tensor, circulant DFT blocks at odd and even d with complex, real and
+Rademacher entries, and the Monte Carlo commands at several
 ``--threads`` and ``DYSON_BLOCKS_THREADS`` values.  The configs are
-small: the whole set takes about 65 s on 2 cores.  ``compare`` takes any other list of
+small: the whole set takes about 50 s on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -46,6 +48,28 @@ RATE = {"command": "rate", "model": HERMITIZED, "z": [0.0, 3.0],
 SCALAR = {"form": "scalar", "d": 1, "t": 1.0}
 NOT_CP_CHOI = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
                [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+# the Choi matrix of eta(B) = a B a^T with a = u v^T, u = (1, 0.5),
+# v = (0.3, -1): Kraus rank 1, so points near x = 0 at small Im z fail
+KRAUS_RANK_ONE_CHOI = [[0.09, 0.045, -0.3, -0.15], [0.045, 0.0225, -0.15, -0.075],
+                       [-0.3, -0.15, 1.0, 0.5], [-0.15, -0.075, 0.5, 0.25]]
+# betas I and the symmetric cyclic shift at d = 3; with sigma_l = I/4 the
+# support is about [-3.1, 3.1]
+SHIFT3 = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+KRONECKER3 = {"form": "kronecker", "betas": [[[float(i == j) for j in range(3)]
+                                              for i in range(3)], SHIFT3],
+              "sigma_l": [[0.25, 0.0], [0.0, 0.25]]}
+
+
+def _shift(a: int, b: int) -> bool:
+    return (a + 1) % 3 == b
+
+
+# a d = 3 covariance tensor: I/3 on the pairs (i,j;k,l), plus a rank-one
+# and a cyclic-shift term, each with the symmetry sigma(i,j;k,l) =
+# conj(sigma(k,l;i,j)) and together positive semidefinite
+TENSOR3 = [[[[(i == k and j == l) / 3 + (i == j and k == l) / 6
+              + 0.1 * ((_shift(i, k) and _shift(j, l)) or (_shift(k, i) and _shift(l, j)))
+              for l in range(3)] for k in range(3)] for j in range(3)] for i in range(3)]
 
 
 def sample(law=None, **model):
@@ -71,6 +95,15 @@ RUNS = [
         [1.0, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0],
         [0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 1.0]]},
         "grid": {"min": -2.5, "max": 2.5, "step": 0.25}, "eps": 1e-3}, [], {}),
+    # d = 3 through both edges at eps 1e-6: many rejected heights
+    ("density-kronecker-d3", {"command": "density", "eta": KRONECKER3,
+                              "grid": {"min": -3.5, "max": 3.5, "step": 0.1},
+                              "eps": 1e-6}, [], {}),
+    # the points before z = 1e-5i certify; that one fails and exits 3
+    ("solve-kraus-rank-1-fails", {"command": "solve",
+                                  "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
+                                  "z_grid": [[1.0, 0.1], [0.0, 0.1], [0.0, 1e-3],
+                                             [0.0, 1e-5], [0.5, 1e-5]]}, [], {}),
     ("density-mixture", {"command": "density",
                          "mixture": {"weights": [0.5, 0.5], "variances": [1.0, 2.0]},
                          "grid": {"min": -3.0, "max": 3.0, "step": 0.5}}, [], {}),
@@ -130,6 +163,8 @@ RUNS = [
                                 "trials": 4}, ["--threads", "4"], {}),
     ("wishart", {"command": "wishart", "tensor": TENSOR, "z": WISHART_Z,
                  "N": 24, "trials": 4}, [], {}),
+    ("wishart-d3", {"command": "wishart", "tensor": TENSOR3, "z": [1.0, 0.5],
+                    "N": 12, "trials": 3}, [], {}),
     ("wishart-threads-2", {"command": "wishart", "tensor": [[[[1.0]]]],
                            "z": WISHART_Z, "N": 20, "trials": 5},
      ["--threads", "2"], {}),
@@ -156,6 +191,11 @@ RUNS = [
     ("error-density-grid-too-large", {"command": "density", "eta": SCALAR,
                                       "grid": {"min": -1.0, "max": 1.0,
                                                "step": 2e-17}}, [], {}),
+    # 2e6 points, refused by the point cap before eps is read; the eps of 0
+    # makes a tree without the cap stop there instead of solving every point
+    ("error-density-grid-cap", {"command": "density", "eta": SCALAR,
+                                "grid": {"min": -1.0, "max": 1.0, "step": 1e-6},
+                                "eps": 0.0}, [], {}),
     ("error-threads", {"command": "sample", "model": HERMITIZED},
      ["--threads", "0"], {}),
     ("error-env-threads", {"command": "sample", "model": HERMITIZED},
