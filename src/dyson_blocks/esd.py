@@ -78,31 +78,21 @@ def _map_trials(fn, trials: int, workers: int | None) -> list:
     return [fn(t) for t in range(trials)]
 
 
-def trial_mean(draw, trials: int, workers: int | None = None, reduce=None):
+def trial_mean(draw, trials: int, reduce=None):
     """Mean and standard error over the trial axis of
     reduce(draw(0)), ..., reduce(draw(trials - 1)).
 
-    Each trial has two stages.  ``draw(t)`` makes the trial's sample; up to
-    ``workers`` draws run at once, on pool threads.  ``reduce`` (default:
-    the identity) turns a sample into a real or complex scalar or 1-D
-    array; it runs on the calling thread, in trial order, so its linear
-    algebra never competes with another trial's for the BLAS threads.
-    Trials go in chunks of ``workers``, so at most that many samples are
-    alive at once.  Complex data takes the larger of the real and
-    imaginary standard errors.  Fewer than 2 trials are rejected before
-    any trial runs.  The package's own callers pass no ``workers``, so
-    their trials run serially on the calling thread.
+    Each trial has two stages: ``draw(t)`` makes the trial's sample, and
+    ``reduce`` (default: the identity) turns it into a real or complex
+    scalar or 1-D array.  Trials run serially on the calling thread, in
+    trial order, and each sample is freed within its own trial.  Complex
+    data takes the larger of the real and imaginary standard errors.
+    Fewer than 2 trials are rejected before any trial runs.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    chunk = max(workers or 1, 1)
     reduce = reduce or (lambda sample: sample)
-    data = []
-    for start in range(0, trials, chunk):
-        # the chunk's samples die with the mapped list, before the next draws
-        data += map(reduce, _map_trials(lambda i: draw(start + i),
-                                        min(chunk, trials - start), workers))
-    data = np.array(data)
+    data = np.array(_map_trials(lambda t: reduce(draw(t)), trials, None))
     se = data.real.std(axis=0, ddof=1)
     if np.iscomplexobj(data):
         se = np.maximum(se, data.imag.std(axis=0, ddof=1))

@@ -22,8 +22,8 @@ from .dyson import (SolverFailure, SolverOptions, circulant_mixture,
 from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
                   mean_cauchy, trial_mean)
 from .eta import CovarianceTensor, EtaPair
-from .sampler import (ModelSpec, block_spectrum, hermitian_blocks, model_eta,
-                      sample_wishart_factor)
+from .sampler import (ModelSpec, _check_u64, model_eta, sample_wishart_factor,
+                      spectrum)
 
 SEED_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio stride for per-arm sub-seeds
 RATE_FILTER_SE_FACTOR = 3.0
@@ -31,6 +31,7 @@ MIN_FIT_POINTS = 3
 
 
 def derived_seed(seed: int, arm: int) -> int:
+    _check_u64("seed", seed)
     return (int(seed) + arm * SEED_STRIDE) % 2 ** 64
 
 
@@ -93,7 +94,9 @@ def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
 
     Only N values whose error exceeds 3x its standard error enter the
     weighted log-log fit; with fewer than 3 such points the report
-    declares the noise floor reached instead of fitting noise.
+    declares the noise floor reached instead of fitting noise.  Filter and
+    fit floor each standard error at eps |mean|, its mean's rounding level,
+    so an SE of 0 gets a finite weight; ``stderrs`` holds the measured SEs.
     """
     ns = check_n_grid(N_grid, MIN_FIT_POINTS)
     z = complex(z)
@@ -102,23 +105,23 @@ def rate_experiment(template: ModelSpec, z: complex, N_grid, trials: int,
         raise ValueError(
             f"Im(z)={z.imag} below the model threshold {threshold:.3g}"
         )
-    ref = analytic_trace_cauchy(template.with_n(ns[0]), z, opts)
-    errors = np.empty(len(ns))
-    ses = np.empty(len(ns))
+    ref = analytic_trace_cauchy(template, z, opts)
+    errors, ses, fit_ses = np.empty((3, len(ns)))
     for i, n in enumerate(ns):
-        spec = template.with_n(n).with_seed(derived_seed(seed, i))
-        res = mean_cauchy(spec, [z], trials)
+        res = mean_cauchy(replace(template, N=n, seed=derived_seed(seed, i)),
+                          [z], trials)
         errors[i] = abs(res.mean[0] - ref)
         ses[i] = res.stderr[0]
+        fit_ses[i] = max(ses[i], np.finfo(float).eps * abs(res.mean[0]))
     if np.all(errors <= 1e-15):
         return RateReport(template, z, ns, errors, ses,
                           status="degenerate", points_used=0)
-    keep = errors > RATE_FILTER_SE_FACTOR * ses
+    keep = errors > RATE_FILTER_SE_FACTOR * fit_ses
     if keep.sum() < MIN_FIT_POINTS:
         return RateReport(template, z, ns, errors, ses,
                           status="noise_floor", points_used=int(keep.sum()))
     slope, slope_se = _weighted_loglog_fit(
-        np.asarray(ns)[keep], errors[keep], ses[keep])
+        np.asarray(ns)[keep], errors[keep], fit_ses[keep])
     return RateReport(template, z, ns, errors, ses, status="ok",
                       points_used=int(keep.sum()),
                       slope=slope, slope_stderr=slope_se)
@@ -194,15 +197,14 @@ def circulant_ks_experiment(d: int, N_grid, trials: int,
     ns = check_n_grid(N_grid, 1)
     cdf = circulant_limit_cdf(d)
     weights, variances = circulant_mixture(d)
+    template = ModelSpec(model="circulant", d=d, N=ns[0])
     means = np.empty(len(ns))
     ses = np.empty(len(ns))
     for i, n in enumerate(ns):
-        spec = ModelSpec(model="circulant", d=d, N=n,
-                         seed=derived_seed(seed, i))
+        spec = replace(template, N=n, seed=derived_seed(seed, i))
         means[i], ses[i] = trial_mean(
-            lambda t: list(hermitian_blocks(spec, t)), trials,
-            reduce=lambda blocks: kolmogorov_distance(
-                EmpiricalCDF(block_spectrum(blocks)), cdf))
+            lambda t: spectrum(spec, t), trials,
+            reduce=lambda ev: kolmogorov_distance(EmpiricalCDF(ev), cdf))
     return CirculantKsReport(d=d, N_grid=ns, mean_ks=means, stderr=ses,
                              trials=trials, weights=weights,
                              variances=variances)

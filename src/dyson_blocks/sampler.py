@@ -8,8 +8,9 @@ Hermitian exactly (by construction, not within tolerance).
 
 from __future__ import annotations
 
+import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,8 +204,7 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.d < 1 or self.N < 1:
             raise ValueError("need d >= 1 and N >= 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in 64 bits")
+        _check_u64("seed", self.seed)
         _, _, required, optional = _MODELS[self.model]
         for key in ("law", "betas", "sigma_l", "tensor"):
             if getattr(self, key) is None:
@@ -231,11 +231,12 @@ class ModelSpec:
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
 
-    def with_n(self, n: int) -> "ModelSpec":
-        return replace(self, N=n)
 
-    def with_seed(self, seed: int) -> "ModelSpec":
-        return replace(self, seed=seed)
+def _check_u64(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, in [0, 2^64)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 2 ** 64):
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
 def rng_for(seed: int, trial: int) -> np.random.Generator:
@@ -244,8 +245,8 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
     The key is uint64: numpy stores a list key holding 2^63 or more as
     float64, which merges neighbouring seeds.
     """
-    if not 0 <= trial < 2 ** 64:
-        raise ValueError(f"trial index must be in [0, 2^64), got {trial}")
+    _check_u64("seed", seed)
+    _check_u64("trial index", trial)
     return np.random.Generator(np.random.Philox(
         key=np.array([int(seed), int(trial)], dtype=np.uint64)))
 
@@ -258,16 +259,15 @@ def _standard_complex(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def _hermitian_fill(blocks: np.ndarray, N: int, lower: bool = True) -> np.ndarray:
-    """(N d, N d) matrix whose slots on and below the diagonal (on and above
-    it unless ``lower``) take the d x d blocks in row-major order, the order
-    of np.tril_indices(N) (np.triu_indices(N)).
+def _hermitian_fill(blocks: np.ndarray, N: int) -> np.ndarray:
+    """(N d, N d) matrix whose slots on and below the diagonal take the
+    d x d blocks in row-major order, the order of np.tril_indices(N).
 
     The mirrored slot (c, r) gets the adjoint and a diagonal slot the
     Hermitian part (b + b^*) / 2, so the result is exactly Hermitian.
     """
     d = blocks.shape[-1]
-    mask = np.tri(N, dtype=bool) if lower else ~np.tri(N, k=-1, dtype=bool)
+    mask = np.tri(N, dtype=bool)
     out = np.zeros((N, d, N, d), dtype=np.complex128)
     slots = out.transpose(0, 2, 1, 3)          # slots[r, c] is block (r, c)
     adj = blocks.conj().transpose(0, 2, 1)
@@ -278,8 +278,7 @@ def _hermitian_fill(blocks: np.ndarray, N: int, lower: bool = True) -> np.ndarra
     slots.swapaxes(0, 1)[mask] = adj           # the mirror, diagonal included
     slots[mask] = blocks
     r = np.arange(N)
-    # slot (r, r) comes r(r + 3)/2th in tril order, r(2N + 1 - r)/2th in triu
-    on_diag = r * (r + 3) // 2 if lower else r * (2 * N + 1 - r) // 2
+    on_diag = r * (r + 3) // 2                 # slot (r, r) in tril order
     slots[r, r] = (blocks[on_diag] + adj[on_diag]) / 2.0
     return out.reshape(N * d, N * d)
 
@@ -329,6 +328,15 @@ def _sample_kronecker(spec: ModelSpec, trial: int) -> np.ndarray:
     return m
 
 
+def _mirror_to_tril(blocks: np.ndarray, N: int) -> np.ndarray:
+    """Adjoints of blocks drawn in np.triu_indices(N) order, in the tril
+    order of their mirror slots: _hermitian_fill then puts each block back
+    on its own slot, byte for byte."""
+    order = np.empty((N, N), dtype=np.intp)
+    order[np.triu_indices(N)] = np.arange(len(blocks))
+    return blocks.conj().transpose(0, 2, 1)[order.T[np.tril_indices(N)]]
+
+
 def _sample_correlated_blocks(spec: ModelSpec, trial: int) -> np.ndarray:
     """Hermitian block matrix with same-position entries correlated across blocks.
 
@@ -342,8 +350,8 @@ def _sample_correlated_blocks(spec: ModelSpec, trial: int) -> np.ndarray:
     N, d = spec.N, spec.d
     rng = rng_for(spec.seed, trial)
     n = N * (N + 1) // 2
-    v = _standard_complex(rng, (n, d * d)) @ spec.tensor.factor.T
-    return _hermitian_fill(v.reshape(n, d, d), N, lower=False) / np.sqrt(d * N)
+    v = (_standard_complex(rng, (n, d * d)) @ spec.tensor.factor.T).reshape(n, d, d)
+    return _hermitian_fill(_mirror_to_tril(v, N), N) / np.sqrt(d * N)
 
 
 def _circulant_draws(spec: ModelSpec, trial: int) -> list[np.ndarray]:
@@ -402,7 +410,8 @@ def _circulant_blocks(spec: ModelSpec, trial: int):
             c = 1.0 if 2 * k == d else 2.0
             b += c * np.cos(2 * np.pi * j * k / d) * draws[k]
         b /= np.sqrt(d)
-        yield _hermitian_fill(b.reshape(-1, 1, 1), N), 2 if 0 < 2 * j < d else 1
+        b = _hermitian_fill(b.reshape(-1, 1, 1), N)    # frees the triangle
+        yield b, 2 if 0 < 2 * j < d else 1
 
 
 def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
@@ -485,18 +494,14 @@ def hermitian_blocks(spec: ModelSpec, trial: int = 0):
         yield sample_matrix(spec, trial), 1
 
 
-def block_spectrum(blocks) -> np.ndarray:
-    """Sorted eigenvalues of the direct sum given by ``hermitian_blocks``
-    (block, multiplicity) pairs, one eigensolve per block."""
-    parts = []
-    for block, mult in blocks:
-        parts += [linalg.hermitian_eigenvalues(block)] * mult
-    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-
-
 def spectrum(spec: ModelSpec, trial: int = 0) -> np.ndarray:
-    """Sorted eigenvalues of one sampled matrix, one eigensolve per block."""
-    return block_spectrum(hermitian_blocks(spec, trial))
+    """Sorted eigenvalues of one sampled matrix, one eigensolve per block
+    of ``hermitian_blocks``."""
+    parts = []
+    for block, mult in hermitian_blocks(spec, trial):
+        parts += [linalg.hermitian_eigenvalues(block)] * mult
+        del block                   # freed before the next block is built
+    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

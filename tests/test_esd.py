@@ -219,38 +219,34 @@ class TestTrialMean:
         assert mean.shape == se.shape == (2,)
         assert np.array_equal(mean, [1.0, 10.0])
 
-    def test_workers_draw_and_the_caller_reduces_in_trial_order(self):
-        lock = threading.Lock()
-        alive, peak, draw_threads, reduced = [0], [0], set(), []
+    def test_serial_one_sample_alive_reduced_in_trial_order(self):
+        alive, peak, stages = [0], [0], []
 
         class Sample:
             def __init__(self, t):
                 self.t = t
-                with lock:
-                    alive[0] += 1
-                    peak[0] = max(peak[0], alive[0])
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
 
             def __del__(self):
-                with lock:
-                    alive[0] -= 1
+                alive[0] -= 1
 
         def draw(t):
-            draw_threads.add(threading.get_ident())
+            stages.append(("draw", t, threading.get_ident()))
             return Sample(t)
 
         def reduce(sample):
-            reduced.append((sample.t, threading.get_ident()))
+            stages.append(("reduce", sample.t, threading.get_ident()))
             return complex(sample.t, sample.t ** 2)
 
-        mean, se = trial_mean(draw, 7, workers=3, reduce=reduce)
+        mean, se = trial_mean(draw, 7, reduce=reduce)
         caller = threading.get_ident()
-        assert reduced == [(t, caller) for t in range(7)]
-        assert caller not in draw_threads
-        assert peak[0] == 3 and alive[0] == 0
-
-        reduced.clear()
-        serial = trial_mean(draw, 7, reduce=reduce)
-        assert mean == serial[0] and se == serial[1]
+        assert stages == [(stage, t, caller) for t in range(7)
+                          for stage in ("draw", "reduce")]
+        assert peak[0] == 1 and alive[0] == 0
+        data = np.array([complex(t, t ** 2) for t in range(7)])
+        assert mean == data.mean()
+        assert se == data.imag.std(ddof=1) / np.sqrt(7)
 
     @pytest.mark.parametrize("trials", [1, 0, -1])
     def test_rejects_fewer_than_two_trials_before_running(self, trials):

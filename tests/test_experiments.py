@@ -150,6 +150,17 @@ class TestRateExperiment:
         width = 2 * np.hypot(report.slope_stderr, double.slope_stderr) + 0.1
         assert abs(double.slope - report.slope) <= width
 
+    def test_zero_stderr_fits_a_finite_slope(self):
+        # every entry is 1, so all trials draw the same matrix and each SE
+        # is 0; the fit floors it at eps |mean| instead of dividing by 0
+        template = ModelSpec(model="hermitized_iid", d=1, N=4,
+                             law=TwoPoint(1.0, 1.0, 0.5), seed=0)
+        report = rate_experiment(template, 3j, [4, 8, 16], trials=3, seed=1)
+        assert np.all(report.stderrs == 0.0)
+        assert report.status == "ok" and report.points_used == 3
+        assert np.isfinite(report.slope) and np.isfinite(report.slope_stderr)
+        assert -1.2 <= report.slope <= -0.6
+
     def test_noise_floor_detected(self):
         # few trials: |mean - g| is statistically indistinguishable from 0
         template = ModelSpec(model="hermitized_iid", d=1, N=8,
@@ -181,6 +192,11 @@ class TestRateExperiment:
     def test_rejects_bad_grid(self, grid):
         with pytest.raises(ValueError, match="3 or more strictly increasing N >= 1"):
             rate_experiment(self.zero_model(), 3j, grid, trials=4, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.9, -1])
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rate_experiment(self.zero_model(), 3j, [4, 8, 16], trials=3, seed=seed)
 
 
 class TestUniversality:

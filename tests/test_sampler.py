@@ -1,6 +1,7 @@
 import collections
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from dyson_blocks.eta import CovarianceTensor
 from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   PermutationPool, Rademacher, RealGaussian,
-                                  TwoPoint, block_spectrum, hermitian_blocks,
+                                  TwoPoint, hermitian_blocks,
                                   matrix_from_bytes, matrix_to_bytes, rng_for,
                                   sample_matrix, sample_wishart_factor,
                                   spectrum)
@@ -93,6 +94,21 @@ class TestEntryLaws:
         with pytest.raises(ValueError, match="trial index"):
             rng_for(1, trial)
 
+    @pytest.mark.parametrize("trial", [1.5, 1.0, True, np.float64(2.0)])
+    def test_non_integer_trial_rejected(self, trial):
+        # int(1.5) would key trial 1's stream
+        with pytest.raises(ValueError, match="trial index must be an integer"):
+            rng_for(3, trial)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2 ** 64, True])
+    def test_rng_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rng_for(seed, 0)
+
+    def test_numpy_integers_accepted(self):
+        assert (rng_for(np.uint64(3), np.int64(1)).integers(2 ** 62)
+                == rng_for(3, 1).integers(2 ** 62))
+
     def test_largest_trial_accepted(self):
         assert rng_for(1, 2 ** 64 - 1).integers(2 ** 62) != rng_for(1, 0).integers(2 ** 62)
 
@@ -169,18 +185,21 @@ class TestHermitianFill:
                 out[c * d:(c + 1) * d, r * d:(r + 1) * d] = adj
         return out
 
+    # tril: the fill of its own lower-triangle blocks; triu: the blocks
+    # correlated_blocks draws for the upper triangle, which it passes as
+    # the adjoints of their mirror slots (_mirror_to_tril)
     @pytest.mark.parametrize("lower", [True, False], ids=["tril", "triu"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 7])
     def test_matches_loop_byte_for_byte(self, N, d, lower):
-        from dyson_blocks.sampler import _hermitian_fill
+        from dyson_blocks.sampler import _hermitian_fill, _mirror_to_tril
         gen = rng_for(40 + d, N)
         n = N * (N + 1) // 2
         blocks = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
         blocks[0, 0, 0] = complex(-0.0, -0.0)       # on slot (0, 0)
         blocks[-1, 0, -1] = complex(-0.0, 0.0)      # on slot (N - 1, N - 1)
         blocks[n // 2, -1, 0] = complex(0.0, -0.0)  # off the diagonal for N > 1
-        out = _hermitian_fill(blocks, N, lower)
+        out = _hermitian_fill(blocks if lower else _mirror_to_tril(blocks, N), N)
         assert out.shape == (N * d, N * d)
         assert out.tobytes() == self.loop_fill(blocks, N, lower).tobytes()
 
@@ -310,6 +329,17 @@ class TestCorrelatedBlocks:
         se = 2.0 * np.sqrt(np.outer(np.diag(sig).real, np.diag(sig).real)) / np.sqrt(n)
         assert np.all(np.abs(emp - sig) <= 3 * se)
 
+    @pytest.mark.parametrize("N, d", [(1, 2), (3, 1), (5, 3)])
+    def test_draws_fill_the_upper_triangle(self, N, d):
+        # the sample is the upper-triangle loop fill of the draws, to the byte
+        from dyson_blocks.sampler import _standard_complex
+        spec = ModelSpec(model="correlated_blocks", d=d, N=N, seed=21,
+                         tensor=delta_tensor(d))
+        n = N * (N + 1) // 2
+        v = _standard_complex(rng_for(21, 4), (n, d * d)) @ spec.tensor.factor.T
+        want = TestHermitianFill.loop_fill(v.reshape(n, d, d), N, lower=False)
+        assert sample_matrix(spec, 4).tobytes() == (want / np.sqrt(d * N)).tobytes()
+
     def test_rejects_tensor_without_adjoint_symmetry(self):
         gen = np.random.Generator(np.random.Philox(key=[11, 0]))
         f = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
@@ -425,7 +455,9 @@ class TestHermitianBlocks:
                 for (b, _), (r, _) in zip(blocks, ref):
                     assert np.array_equal(b, r)
                     assert b[lower].tobytes() == r[lower].tobytes()
-                assert spectrum(spec, 1).tobytes() == block_spectrum(ref).tobytes()
+                ev = np.sort(np.concatenate([np.linalg.eigvalsh(r) for r, m in ref
+                                             for _ in range(m)]))
+                assert spectrum(spec, 1).tobytes() == ev.tobytes()
 
     def test_dense_models_yield_the_sample_once(self):
         spec = ModelSpec(model="wigner_blocks", d=2, N=5, law=Rademacher(),
@@ -445,7 +477,7 @@ class TestWishart:
         spec = ModelSpec(model="wishart_correlated", d=2, N=20, seed=0,
                          tensor=delta_tensor(2))
         for t in range(5):
-            ev = np.linalg.eigvalsh(sample_matrix(spec.with_seed(t), t))
+            ev = np.linalg.eigvalsh(sample_matrix(replace(spec, seed=t), t))
             assert ev.min() >= -1e-9
 
     def test_mean_eigenvalue(self):
@@ -557,15 +589,22 @@ class TestModelSpecAndIO:
     def test_copies_keep_fields_and_revalidate(self):
         spec = ModelSpec(model="kronecker", d=2, N=4, seed=3,
                          betas=(I2, E12), sigma_l=np.eye(2))
-        copy = spec.with_n(9).with_seed(5)
+        copy = replace(spec, N=9, seed=5)
         assert (copy.model, copy.d, copy.N, copy.seed) == ("kronecker", 2, 9, 5)
         assert all(a is b for a, b in zip(copy.betas, spec.betas))
         assert copy.sigma_l is spec.sigma_l
+        assert np.array_equal(copy.sigma_factor, spec.sigma_factor)
         assert (spec.N, spec.seed) == (4, 3)
         with pytest.raises(ValueError):
-            spec.with_n(0)
+            replace(spec, N=0)
         with pytest.raises(ValueError):
-            spec.with_seed(-1)
+            replace(spec, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.9, -0.5, 1.0, True, -1, 2 ** 64])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # int(1.9) would draw seed 1's matrices
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ModelSpec(model="circulant", d=2, N=4, seed=seed)
 
     @pytest.mark.parametrize("kwargs, stray", [
         (dict(model="kronecker", d=2, N=4, betas=(I2, E12), sigma_l=np.eye(2)),

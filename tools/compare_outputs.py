@@ -17,7 +17,9 @@ invalid value for each of the three variant tables; ``z`` with
 ``density`` grids too fine for an array, too large for memory and above
 the point cap), two solver failures (``max_iter`` and a Kraus-rank-1
 map), solves at d = 3 through both spectral edges and a d = 3 Wishart
-tensor, circulant DFT blocks at odd and even d with complex, real and
+tensor and correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
+correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
+circulant DFT blocks at odd and even d with complex, real and
 Rademacher entries, and the Monte Carlo commands at several
 ``--threads`` and ``DYSON_BLOCKS_THREADS`` values.  The configs are
 small: the whole set takes about 50 s on 2 cores.  ``compare`` takes any other list of
@@ -127,6 +129,11 @@ RUNS = [
                                "model": {"model": "circulant", "d": 4, "N": 4,
                                          "law": {"variant": "real_gaussian"}},
                                "spectrum_out": "spectrum.csv"}, [], {}),
+    # the upper-triangle draws of correlated_blocks, filled through their
+    # mirror slots in the lower triangle
+    ("sample-correlated-d3", {"command": "sample",
+                              "model": {"model": "correlated_blocks", "d": 3, "N": 5,
+                                        "tensor": TENSOR3}}, [], {}),
     ("sample-wishart", {"command": "sample",
                         "model": {"model": "wishart_correlated", "d": 2, "N": 3,
                                   "tensor": TENSOR}}, [], {}),
@@ -151,6 +158,21 @@ RUNS = [
                         "model": {"model": "kronecker", "d": 2, "N": 8,
                                   "betas": BETAS, "sigma_l": DIAGONAL},
                         "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4}, [], {}),
+    # a correlated sigma_l, factorized when each arm's ModelSpec is validated
+    ("rate-kronecker-d3", {"command": "rate",
+                           "model": {"model": "kronecker", "d": 3, "N": 4,
+                                     "betas": KRONECKER3["betas"],
+                                     "sigma_l": [[0.25, 0.1], [0.1, 0.25]]},
+                           "z": [0.0, 3.0], "N_grid": [4, 8, 16], "trials": 3},
+     [], {}),
+    # every entry is 1, so each trial draws the same matrix and every
+    # standard error is 0
+    ("rate-zero-stderr", {"command": "rate",
+                          "model": {"model": "hermitized_iid", "d": 1, "N": 4,
+                                    "law": {"variant": "two_point", "a": 1.0,
+                                            "b": 1.0, "p": 0.5}},
+                          "z": [0.0, 3.0], "N_grid": [4, 8, 16], "trials": 3},
+     [], {}),
     ("universality", {"command": "universality",
                       "model": {"model": "wigner_blocks", "d": 2, "N": 6,
                                 "law": {"variant": "rademacher"}},
