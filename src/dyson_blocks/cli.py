@@ -40,8 +40,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-THREADS_ENV = "DYSON_BLOCKS_THREADS"
-
 # the largest density grid: a d = 2 grid peaks at about 1.0 kB per point
 # under tracemalloc (20 000 and 100 000 points) and grows the RSS by
 # 1.2 kB per point, so this one holds about 1.2 GB and takes about 35 s on
@@ -257,7 +255,7 @@ class RunConfig:
 
     def __init__(self, data: dict):
         command = _variant(data, "config", "command", {
-            name: (run, ("out",) + required, ("seed", "threads", "solver") + optional)
+            name: (run, ("out",) + required, ("seed",) + optional)
             for name, (run, required, optional) in _COMMANDS.items()})
         if command in _ONE_OF:
             a, b = _ONE_OF[command]
@@ -269,8 +267,6 @@ class RunConfig:
         self.command = command
         self.out = _out(data["out"], "config.out")
         self.seed = _u64(data.get("seed", 0), "config.seed", "seed")
-        if data.get("threads") is not None:
-            _at_least(data["threads"], "config.threads", "threads", 1)
         self.solver = _solver_options(data.get("solver", {}), "config.solver")
 
     def __eq__(self, other):
@@ -479,15 +475,15 @@ def _run_wishart(cfg: RunConfig):
 
 
 # name: (runner, required keys, optional keys); every command also takes
-# "out" (required) and "seed", "threads", "solver" (optional)
+# "out" (required) and "seed" (optional), and those that solve take "solver"
 _COMMANDS = {
-    "solve": (_run_solve, ("eta",), ("z", "z_grid")),
-    "density": (_run_density, ("grid",), ("eta", "mixture", "eps")),
+    "solve": (_run_solve, ("eta",), ("z", "z_grid", "solver")),
+    "density": (_run_density, ("grid",), ("eta", "mixture", "eps", "solver")),
     "sample": (_run_sample, ("model",), ("trial", "spectrum_out")),
-    "rate": (_run_rate, ("model", "z", "N_grid", "trials"), ()),
+    "rate": (_run_rate, ("model", "z", "N_grid", "trials"), ("solver",)),
     "universality": (_run_universality, ("model", "laws", "z", "N", "trials"), ()),
     "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), ()),
-    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ()),
+    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ("solver",)),
 }
 # command: its two optional keys of which a config gives exactly one
 _ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}
@@ -495,21 +491,14 @@ _ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}
 
 def _run(args) -> int:
     cfg = parse_config(args.config)
-    # the overrides are written into the config, so --print-config echoes them
+    # --seed and --out are written into the config, so --print-config echoes
+    # them; --threads is checked and otherwise unused, since trials run serially
     if args.seed is not None:
         cfg.seed = cfg.data["seed"] = _u64(args.seed, "--seed", "seed")
     if args.threads is not None:
-        cfg.data["threads"] = _at_least(args.threads, "--threads", "threads", 1)
+        _at_least(args.threads, "--threads", "threads", 1)
     if args.out is not None:
         cfg.out = cfg.data["out"] = _out(args.out, "--out")
-    # DYSON_BLOCKS_THREADS is the fallback; like --threads and config.threads
-    # it is checked but unused, since trials run serially
-    env = os.environ.get(THREADS_ENV)
-    if cfg.data.get("threads") is None and env:
-        try:
-            _at_least(int(env), THREADS_ENV, "threads", 1)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV}: {env!r} is not an integer") from exc
     if args.print_config:
         print(cfg.canonical_json())
         return EXIT_OK

@@ -3,6 +3,9 @@ Kolmogorov distance and seeded Monte Carlo averaging."""
 
 from __future__ import annotations
 
+# no pool runs; this import and _map_trials's unused ``workers`` stay
+# because bench/tracer.py subclasses esd.ThreadPoolExecutor and calls the
+# mapper with ``workers``
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,10 +74,7 @@ def kolmogorov_distance(f, g) -> float:
 
 
 def _map_trials(fn, trials: int, workers: int | None) -> list:
-    """[fn(0), ..., fn(trials - 1)] in trial order, on up to ``workers`` threads."""
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(trials)))
+    """[fn(0), ..., fn(trials - 1)] in trial order, on the calling thread."""
     return [fn(t) for t in range(trials)]
 
 

@@ -60,6 +60,9 @@ class RateReport:
 
 
 def _weighted_loglog_fit(ns, errs, ses):
+    """Weighted least-squares slope of log(err) on log(N), and its standard
+    error scaled by sqrt(max(1, chi2 / (k - 2))) over the k points (the PDG
+    scale factor), so a scatter that the SEs do not explain widens it."""
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(errs)
     w = (errs / ses) ** 2          # inverse variance of log(err)
@@ -68,7 +71,9 @@ def _weighted_loglog_fit(ns, errs, ses):
     ybar = (w * y).sum() / sw
     sxx = (w * (x - xbar) ** 2).sum()
     slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
-    return float(slope), float(1.0 / np.sqrt(sxx))
+    chi2 = (w * (y - ybar - slope * (x - xbar)) ** 2).sum()
+    scale = max(1.0, chi2 / (len(x) - 2))
+    return float(slope), float(np.sqrt(scale) / np.sqrt(sxx))
 
 
 def check_n_grid(N_grid, least: int) -> list:

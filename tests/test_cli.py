@@ -359,7 +359,7 @@ class TestConfigValidation:
         (SAMPLE, ("model", "d"), "x", "config.model.d"),
         (DENSITY, ("grid", "min"), "a", "config.grid.min"),
         (SAMPLE, ("seed",), "abc", "config.seed"),
-        (SAMPLE, ("threads",), "x", "config.threads"),
+        (RATE, ("solver",), {"tol": -1.0}, "config.solver"),
         (SAMPLE, ("trial",), 1.5, "config.trial"),
         (SAMPLE, ("trial",), -1, "config.trial"),
         (SAMPLE, ("model", "law", "variance"), [1.0], "config.model.law.variance"),
@@ -376,8 +376,8 @@ class TestConfigValidation:
         (RATE, ("seed",), -1, "config.seed"),
         (WISHART, ("seed",), 2 ** 64, "config.seed"),
         (SAMPLE, ("seed",), -1, "config.seed"),
-        (SAMPLE, ("threads",), -1, "config.threads"),
-        (WISHART, ("threads",), 0, "config.threads"),
+        (WISHART, ("solver",), {"max_iter": "x"}, "config.solver.max_iter"),
+        (RATE, ("solver",), {"max_iter": 0}, "config.solver"),
         (SOLVE, ("eta",), {"form": "flat", "d": 0}, "config.eta"),
         (SOLVE, ("eta",), {"form": "scalar", "d": 0, "t": 1.0}, "config.eta"),
         (SOLVE, ("eta",), {"form": "flat", "d": 2, "c": -1.0}, "config.eta"),
@@ -465,20 +465,22 @@ class TestConfigValidation:
         assert "config error: --seed: need 0 <= seed < 2^64" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv, env, named", [
-        (["--threads", "0"], None, "--threads"),
-        (["--threads", "-3"], None, "--threads"),
-        ([], "-2", "DYSON_BLOCKS_THREADS"),
-        ([], "0", "DYSON_BLOCKS_THREADS"),
-    ])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch,
-                                        argv, env, named):
-        if env is not None:
-            monkeypatch.setenv("DYSON_BLOCKS_THREADS", env)
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         data = dict(self.SAMPLE, out=str(tmp_path / "o"))
-        assert main(["--config", write_config(tmp_path, data), *argv]) == EXIT_CONFIG
-        assert f"config error: {named}: need threads >= 1" in capsys.readouterr().err
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg, "--threads", threads]) == EXIT_CONFIG
+        assert "config error: --threads: need threads >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_threads_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, dict(self.SAMPLE, out=str(out)))
+        assert main(["--config", cfg]) == EXIT_OK
+        plain = out.read_bytes()
+        monkeypatch.setenv("DYSON_BLOCKS_THREADS", "zebra")
+        assert main(["--config", cfg]) == EXIT_OK
+        assert out.read_bytes() == plain
 
     @pytest.mark.parametrize("base", [WISHART, CIRCULANT_KS])
     def test_single_trial_rejected(self, tmp_path, capsys, base):
@@ -522,6 +524,24 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    # a top-level input that changes no run is refused: the thread count on
+    # every command, and the solver options on the commands that never solve
+    @pytest.mark.parametrize("base, key, value", [
+        (SOLVE, "threads", 2), (DENSITY, "threads", 2), (SAMPLE, "threads", 2),
+        (RATE, "threads", 2), (UNIVERSALITY, "threads", 1),
+        (CIRCULANT_KS, "threads", 2), (WISHART, "threads", 2),
+        (SAMPLE, "solver", {"tol": 1e-10}), (UNIVERSALITY, "solver", {}),
+        (CIRCULANT_KS, "solver", {"max_iter": 5}),
+    ], ids=["solve-threads", "density-threads", "sample-threads", "rate-threads",
+            "universality-threads", "circulant-ks-threads", "wishart-threads",
+            "sample-solver", "universality-solver", "circulant-ks-solver"])
+    def test_inputs_that_change_no_run_are_unknown_keys(self, tmp_path, capsys,
+                                                        base, key, value):
+        data = dict(base, out=str(tmp_path / "o"), **{key: value})
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config: unknown key {key!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg = scalar_solve_config(tmp_path)
         assert main(["--config", cfg, "--print-config"]) == EXIT_OK
@@ -539,7 +559,7 @@ class TestConfigValidation:
         assert main(["--config", cfg, *flags, "--print-config"]) == EXIT_OK
         echo_path.write_text(capsys.readouterr().out)
         assert parse_config(str(echo_path)).data == dict(
-            data, seed=7, out=str(other), threads=2)
+            data, seed=7, out=str(other))
         assert main(["--config", cfg, *flags]) == EXIT_OK
         flagged = other.read_bytes()
         other.unlink()
@@ -630,14 +650,12 @@ class TestDensityCommand:
 
 
 class TestExperimentCommands:
-    def rate_config(self, tmp_path, threads=None):
+    def rate_config(self, tmp_path):
         data = {"command": "rate", "out": str(tmp_path / "rate.csv"),
                 "model": {"model": "hermitized_iid", "d": 1, "N": 8,
                           "law": {"variant": "rademacher"}},
                 "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 6,
                 "seed": 21}
-        if threads is not None:
-            data["threads"] = threads
         return write_config(tmp_path, data)
 
     def test_rate_format_contract(self, tmp_path):
@@ -687,9 +705,9 @@ class TestExperimentCommands:
                 outputs.append(out.read_bytes())
             assert len(set(outputs)) == 1, out.name
 
-    @pytest.mark.parametrize("argv, env", [(["--threads", "4"], None),
-                                           ([], "4")], ids=["flag", "env"])
-    def test_no_thread_pool(self, tmp_path, monkeypatch, argv, env):
+    @pytest.mark.parametrize("argv", [["--threads", "4"], []],
+                             ids=["flag", "default"])
+    def test_no_thread_pool(self, tmp_path, monkeypatch, argv):
         # trials run serially at any thread count
         from dyson_blocks import esd
 
@@ -697,8 +715,6 @@ class TestExperimentCommands:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(esd, "ThreadPoolExecutor", no_pool)
-        if env is not None:
-            monkeypatch.setenv("DYSON_BLOCKS_THREADS", env)
         configs = [self.rate_config(tmp_path)]
         for name, data in {
                 "universality": TestConfigValidation.UNIVERSALITY,
@@ -709,13 +725,6 @@ class TestExperimentCommands:
                                         name=f"{name}.json"))
         for cfg in configs:
             assert main(["--config", cfg, *argv]) == EXIT_OK
-
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DYSON_BLOCKS_THREADS", "2")
-        cfg = self.rate_config(tmp_path)
-        assert main(["--config", cfg]) == EXIT_OK
-        monkeypatch.setenv("DYSON_BLOCKS_THREADS", "zebra")
-        assert main(["--config", cfg]) == EXIT_CONFIG
 
     def test_universality_command(self, tmp_path):
         data = {"command": "universality", "out": str(tmp_path / "u.csv"),

@@ -218,6 +218,15 @@ class TestSolveDyson:
             alone = solve_semicircular(eta, z)
             assert np.array_equal(sol.G, alone.G)
             assert sol.iterations == alone.iterations
+        # near x = 0 the Kraus-rank-1 map rejects some points' heights in
+        # sweeps where the other points take Newton steps
+        eta = _kraus_rank_one_map()
+        zs = [complex(x, 1e-6) for x in np.linspace(-0.3, 0.3, 61)]
+        for z, sol in zip(zs, solve_dyson(eta, zs)):
+            alone = solve_semicircular(eta, z)
+            assert np.array_equal(sol.G, alone.G)
+            assert (sol.residual, sol.iterations, sol.converged) == (
+                alone.residual, alone.iterations, alone.converged)
 
     def test_wishart_grid(self):
         pair = eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1))))
@@ -250,6 +259,93 @@ def _kronecker_d3():
 def _wishart_pair_d2():
     m = rng().standard_normal((4, 4))
     return eta_wishart_pair(CovarianceTensor((m @ m.T / 4).reshape(2, 2, 2, 2)))
+
+
+class TestDriverFallbacks:
+    """The driver's paths for a singular Newton system and a failed step."""
+
+    def test_singular_row_of_a_batched_solve(self):
+        gen = rng()
+        a = gen.standard_normal((5, 4, 4)) + 1j * gen.standard_normal((5, 4, 4))
+        b = gen.standard_normal((5, 4, 1)) + 1j * gen.standard_normal((5, 4, 1))
+        a[2, :, 1] = 0                  # a zero column: exactly singular
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        x, ok = dyson._batched_solve(a, b)
+        assert ok.tolist() == [True, True, False, True, True]
+        assert np.isnan(x[2]).all()
+        for m in (0, 1, 3, 4):
+            assert x[m].tobytes() == np.linalg.solve(a[m], b[m]).tobytes()
+
+    ETA = flat_map(2, 1.0)              # the semicircle of variance 1
+    ZS = [complex(x, 1e-3) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+
+    def _fail_one_step(self, monkeypatch, m, descended):
+        """Solve ZS with the Newton step of point m failing once: its first
+        step, or when ``descended`` its first step below the start height.
+        Returns the solutions and the driver's (G, accepted G, z, accepted
+        height, mode) of point m just after the failure."""
+        start = dyson.START_HEIGHT_FACTOR * np.sqrt(self.ETA.cp_norm())
+        jacobian, solve, shorten = (dyson._newton_jacobian, dyson._batched_solve,
+                                    dyson._Driver._shorten)
+        row_zs, seen = [], {}
+
+        def spy_jacobian(A, G, action):
+            # the z of each row, up to rounding: A = z I - eta(G)
+            k, d = G.shape[0], G.shape[1]
+            eta_g = (action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
+            row_zs.append((A + eta_g)[:, 0, 0])
+            return jacobian(A, G, action)
+
+        def fail_once(a, b):
+            x, ok = solve(a, b)
+            z = row_zs[-1]
+            r = int(np.argmin(abs(z.real - self.ZS[m].real)))
+            if "failed" not in seen and (z[r].imag < 0.5 * start) == descended:
+                seen["failed"] = True
+                x[r], ok[r] = np.nan, False
+            return x, ok
+
+        def spy_shorten(driver, idx):
+            shorten(driver, idx)
+            if m in idx and "state" not in seen:
+                seen["state"] = (driver.G[m].copy(), driver.accepted[m].copy(),
+                                 driver.z[m], driver.accepted_height[m],
+                                 driver.mode[m])
+
+        monkeypatch.setattr(dyson, "_newton_jacobian", spy_jacobian)
+        monkeypatch.setattr(dyson, "_batched_solve", fail_once)
+        monkeypatch.setattr(dyson._Driver, "_shorten", spy_shorten)
+        return solve_dyson(self.ETA, self.ZS), seen["state"]
+
+    @pytest.mark.parametrize("descended", [False, True],
+                             ids=["first-step", "below-start"])
+    def test_failed_newton_step(self, monkeypatch, descended):
+        plain = solve_dyson(self.ETA, self.ZS)
+        m = 2                                       # x = 0
+        sols, (G, accepted, z, height, mode) = self._fail_one_step(
+            monkeypatch, m, descended)
+        for k in range(len(self.ZS)):
+            if k != m:
+                assert sols[k].G.tobytes() == plain[k].G.tobytes()
+                assert (sols[k].residual, sols[k].iterations, sols[k].converged) == (
+                    plain[k].residual, plain[k].iterations, plain[k].converged)
+        if not descended:
+            # no certified height yet: the point fails with I/z, in the
+            # sweep of its failed step
+            assert np.isnan(height) and mode == dyson._FAILED
+            assert not sols[m].converged and sols[m].iterations == 1
+            assert np.array_equal(sols[m].G, np.eye(2) / self.ZS[m])
+        else:
+            # it retries from its last certified height, at a height between
+            # that one and the target, and still converges
+            assert mode == dyson._NEWTON
+            assert np.array_equal(G, accepted)
+            assert self.ZS[m].imag <= z.imag < height
+            assert sols[m].converged
+            assert sols[m].iterations > plain[m].iterations
+            assert abs(sols[m].trace()
+                       - scalar_semicircle_cauchy(1.0, self.ZS[m])) <= 1e-9
 
 
 def _solver_digest(solutions) -> str:

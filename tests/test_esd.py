@@ -137,6 +137,24 @@ class TestKolmogorovDistance:
         d2 = kolmogorov_distance(EmpiricalCDF(fine), lambda x: ecdf(x))
         assert abs(d1 - d2) <= 1.0 / n + 1.0 / m
 
+    def test_raw_points_as_the_step_function(self):
+        pts = rng_for(5, 1).standard_normal(40)
+        assert kolmogorov_distance(pts, normal_cdf) == kolmogorov_distance(
+            EmpiricalCDF(pts), normal_cdf)
+
+    @pytest.mark.parametrize("f_pts, g_pts", [
+        ([0.0, 1.0, 2.0], [0.5, 1.0, 1.5, 3.0]),
+        ([0.0, 0.0, 1.0], [-1.0, 2.0]),         # g jumps below and above f
+        ([1.0, 2.0], [1.2, 1.4, 1.6, 1.8]),      # every jump of g is off f
+    ])
+    def test_step_against_step_is_the_sup_over_both_samples(self, f_pts, g_pts):
+        # both one-sided gaps at every point of the union of the samples
+        f, g = EmpiricalCDF(f_pts), EmpiricalCDF(g_pts)
+        brute = max(max(abs(f(t) - g(t)), abs(f.left_limit(t) - g.left_limit(t)))
+                    for t in set(f_pts) | set(g_pts))
+        assert kolmogorov_distance(f, g) == brute
+        assert kolmogorov_distance(g, f) == brute
+
 
 class TestMeanCauchy:
     def test_deterministic_model_zero_stderr(self):

@@ -175,6 +175,16 @@ class TestWignerBlocks:
         assert np.allclose(m.apply(b), E12 @ b @ E21)
         assert np.allclose(m.apply(I2), E11)
 
+    def test_entry_covariance_gives_the_sampled_map(self):
+        # for the samples [A, -A], Gamma[k,i,l,j] = A[k,i] conj(A[l,j])
+        a = random_b(rng())
+        gamma = np.einsum("ki,lj->kilj", a, a.conj())
+        exact = eta_wigner_blocks(entry_cov=gamma)
+        sampled = eta_wigner_blocks(samples=[a, -a])
+        assert np.allclose(exact.choi4, sampled.choi4, rtol=0, atol=1e-14)
+        b = random_b(rng())
+        assert np.allclose(exact.apply(b), a @ b @ a.conj().T, rtol=0, atol=1e-13)
+
 
 class TestCorrelatedTensor:
     def test_uncorrelated_reduces_to_flat(self):

@@ -161,6 +161,28 @@ class TestRateExperiment:
         assert np.isfinite(report.slope) and np.isfinite(report.slope_stderr)
         assert -1.2 <= report.slope <= -0.6
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zero_stderr_slope_stderr_reflects_the_scatter(self, seed):
+        # the SE weights alone claim a slope SE of about 2e-15, but the
+        # pairwise slopes of the three points are -0.778 and -0.857
+        template = ModelSpec(model="hermitized_iid", d=1, N=4,
+                             law=TwoPoint(1.0, 1.0, 0.5), seed=0)
+        report = rate_experiment(template, 3j, [4, 8, 16], trials=3, seed=seed)
+        assert report.status == "ok"
+        assert report.slope_stderr > 0.01
+
+    @pytest.mark.parametrize("y, slope_se", [
+        ([0.0, 1.0, 0.0], np.sqrt(1 / 2)),     # chi2 / (k - 2) = 2/3: unscaled
+        ([0.0, 3.0, 0.0], np.sqrt(6 / 2)),     # chi2 / (k - 2) = 6
+    ])
+    def test_fit_scales_the_slope_variance_by_chi2(self, y, slope_se):
+        # unit weights at log N = 0, 1, 2: sxx = 2 and the slope is 0
+        errs = np.exp(y)
+        slope, se = experiments._weighted_loglog_fit(np.exp([0.0, 1.0, 2.0]),
+                                                     errs, errs)
+        assert slope == pytest.approx(0.0, abs=1e-14)
+        assert se == pytest.approx(slope_se, rel=1e-13)
+
     def test_noise_floor_detected(self):
         # few trials: |mean - g| is statistically indistinguishable from 0
         template = ModelSpec(model="hermitized_iid", d=1, N=8,

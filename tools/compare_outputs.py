@@ -21,8 +21,12 @@ tensor and correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
 correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
 circulant DFT blocks at odd and even d with complex, real and
 Rademacher entries, and the Monte Carlo commands at several
-``--threads`` and ``DYSON_BLOCKS_THREADS`` values.  The configs are
-small: the whole set takes about 50 s on 2 cores.  ``compare`` takes any other list of
+``--threads`` values.  ``--threads`` is checked and otherwise unused;
+``DYSON_BLOCKS_THREADS`` is set on two runs, though no command reads it.
+A ``threads`` key, and a ``solver`` key on a command that never solves,
+are unknown keys; the ``--print-config`` echo carries ``--seed`` and
+``--out`` but not ``--threads``.  The configs are small: the whole set
+takes about 50 s on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -223,6 +227,12 @@ RUNS = [
     ("error-env-threads", {"command": "sample", "model": HERMITIZED},
      [], {"DYSON_BLOCKS_THREADS": "zebra"}),
     ("print-config", dict(RATE, threads=2), ["--print-config"], {}),
+    ("error-threads-key", {"command": "sample", "model": HERMITIZED, "threads": 2},
+     [], {}),
+    ("error-solver-on-circulant-ks", {"command": "circulant-ks", "d": 2,
+                                      "N_grid": [8, 16], "trials": 2,
+                                      "solver": {"tol": 1e-10}}, [], {}),
+    ("print-config-flags", RATE, ["--threads", "2", "--print-config"], {}),
     # every entry law, eta form and model variant, and an error of each kind
     # for each of the three tables
     ("sample-real-gaussian", sample({"variant": "real_gaussian", "variance": 2.0}),
