@@ -4,12 +4,14 @@ Reads a JSON config (nested key-value sections with brace/quote notation),
 dispatches to the solver / sampler / experiment operations and writes
 machine-readable outputs atomically (temp file + rename).
 
-Each command is one row of ``_COMMANDS``: its runner and its required and
-optional config keys.  Each entry law, eta form and model is one row of
-``_LAWS``, ``_ETAS`` or ``_MODELS``: its builder and its keys, which
-``_build`` parses.  Runners raise; ``main`` alone turns an exception
+Each command is one row of ``_COMMANDS``: its runner, its required and
+optional config keys and its own rules for some keys.  Each entry law, eta
+form and model is one row of ``_LAWS``, ``_ETAS`` or ``_MODELS``: its
+builder and its keys.  ``RunConfig`` parses the whole config through
+``_object``, each key by its ``_FIELDS`` rule, before anything runs, so a
+runner takes parsed values.  Runners raise; ``main`` alone turns an exception
 into an exit code: 0 success, 2 config error (``ConfigError``, or a
-``ValueError`` from the library), 3 solver non-convergence
+``ValueError`` or ``MemoryError`` from the library), 3 solver non-convergence
 (``dyson.SolverFailure``), 4 output I/O failure (``OSError``).  Numeric
 CSV fields use shortest-roundtrip decimal formatting so reruns diff
 bit-faithfully.  Complex numbers in configs are [re, im] pairs; matrices
@@ -27,6 +29,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -70,28 +73,42 @@ def fmt(x) -> str:
 # schema-checked parsing
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-
 def _variant(obj, path: str, key: str, table: dict) -> str:
-    """obj[key], a variant named in ``table``, once obj is checked to hold
-    exactly that variant's keys: table[name] = (_, required, optional)."""
+    """obj[key], checked to name a row of ``table``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     name = obj.get(key)
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"{path}.{key}: expected one of {list(table)}, got {name!r}")
-    _, required, optional = table[name]
-    _check_keys(obj, path, (key,) + required, optional)
     return name
+
+
+def _object(obj, path: str, build, required: tuple, optional: tuple = (),
+            variant: tuple = (), rules=None):
+    """build(**values) for the config object obj, which holds every required
+    key and no other key but the optional ones and its ``variant`` key.  Keys
+    parse in that order, not the file's, each by its rule in ``rules`` or else
+    ``_FIELDS``; an omitted optional key takes the builder's default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in obj:
+        if key not in variant + required + optional:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    values = {k: (rules or {}).get(k, _FIELDS[k])(obj[k], f"{path}.{k}")
+              for k in required + optional if k in obj}
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build(obj, path: str, key: str, table: dict):
+    """What the variant obj[key] builds: table[name] = (builder, required, optional)."""
+    build, required, optional = table[_variant(obj, path, key, table)]
+    return _object(obj, path, build, required, optional, variant=(key,))
 
 
 def _is_number(value) -> bool:
@@ -135,6 +152,19 @@ def _complex(value, path: str) -> complex:
     return z
 
 
+def _upper_z(value, path: str) -> complex:
+    z = _complex(value, path)
+    if not z.imag > 0:
+        raise ConfigError(f"{path}: need Im z > 0, got {fmt(z.imag)}")
+    return z
+
+
+def _z_grid(value, path: str) -> list:
+    if not _list(value, path):
+        raise ConfigError(f"{path}: need at least one point")
+    return [_upper_z(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         rows = [[_complex(v, path) for v in row] for row in value]
@@ -157,59 +187,6 @@ def _tensor(value, path: str) -> CovarianceTensor:
         raise ConfigError(f"{path}: expected a d x d x d x d nested list") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build(obj, path: str, key: str, table: dict, **fixed):
-    """The object that the variant obj[key] builds.  table[name] is
-    (builder, required keys, optional keys): each key given is parsed by
-    its ``_FIELDS`` parser and passed to the builder by name, with
-    ``fixed``; an omitted optional key takes the builder's default."""
-    build, required, optional = table[_variant(obj, path, key, table)]
-    kwargs = {k: _FIELDS[k](obj[k], f"{path}.{k}")
-              for k in required + optional if k in obj}
-    try:
-        return build(**kwargs, **fixed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _completely_positive(eta):
-    if not eta.is_completely_positive():
-        raise ValueError("the Choi matrix is not Hermitian positive semidefinite, "
-                         "so the map is not completely positive")
-    return eta
-
-
-# name: (builder, required keys, optional keys) of each variant of a config
-# object: entry laws, eta forms and models
-_LAWS = {
-    "complex_gaussian": (sampler.ComplexGaussian, (), ("variance",)),
-    "real_gaussian": (sampler.RealGaussian, (), ("variance",)),
-    "rademacher": (sampler.Rademacher, (), ()),
-    "two_point": (sampler.TwoPoint, ("a", "b", "p"), ()),
-    "permutation_pool": (sampler.PermutationPool, ("values",), ()),
-}
-_ETAS = {
-    "scalar": (scalar_map, ("d", "t"), ()),
-    "flat": (flat_map, ("d",), ("c",)),
-    "kronecker": (eta_kronecker, ("betas", "sigma_l"), ()),
-    "tensor": (lambda sigma: eta_correlated_tensor(sigma), ("sigma",), ()),
-    # only a Choi matrix can fail complete positivity, so only it is checked:
-    # the check's first eigensolve faults in LAPACK pages in a fresh process
-    "choi": (lambda matrix: _completely_positive(choi_map(matrix)), ("matrix",), ()),
-}
-_MODELS = {name: (partial(sampler.ModelSpec, model=name), ("d", "N") + required, optional)
-           for name, (_, _, required, optional) in sampler._MODELS.items()}
-_law = partial(_build, key="variant", table=_LAWS)
-_eta = partial(_build, key="form", table=_ETAS)
-_model = partial(_build, key="model", table=_MODELS)
-
-_FIELDS = {
-    **dict.fromkeys(("d", "N"), partial(_real, kind=int)),
-    **dict.fromkeys(("t", "c", "variance", "a", "b", "p"), _real),
-    "values": _reals, "betas": _matrices, "sigma_l": _matrix, "matrix": _matrix,
-    "sigma": _tensor, "tensor": _tensor, "law": _law,
-}
 
 
 def _u64(value, path: str, name: str) -> int:
@@ -239,35 +216,117 @@ def _out(value, path: str) -> str:
     return value
 
 
-def _solver_options(obj, path: str) -> dyson.SolverOptions:
-    defaults = vars(dyson.SolverOptions())
-    _check_keys(obj, path, (), tuple(defaults))
-    try:
-        return dyson.SolverOptions(**{
-            key: _real(obj.get(key, default), f"{path}.{key}", type(default))
-            for key, default in defaults.items()})
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _eps(value, path: str) -> float:
+    eps = _real(value, path)
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"{path}: need a finite eps > 0, got {fmt(eps)}")
+    return eps
+
+
+def _laws(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected exactly two entry laws")
+    return tuple(_law(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _completely_positive(eta):
+    if not eta.is_completely_positive():
+        raise ValueError("the Choi matrix is not Hermitian positive semidefinite, "
+                         "so the map is not completely positive")
+    return eta
+
+
+def _density_grid(min: float, max: float, step: float) -> np.ndarray:
+    """np.arange(min, max + step/2, step), refused before it is built when
+    it is not finite or holds more than ``DENSITY_MAX_POINTS`` points."""
+    if not (np.isfinite([min, max, step]).all() and max > min and step > 0):
+        raise ValueError("need finite max > min and step > 0")
+    points = np.ceil((max + step / 2 - min) / step)      # np.arange's length
+    if not points <= DENSITY_MAX_POINTS:
+        raise ValueError(f"{points:.15g} points, more than the "
+                         f"{DENSITY_MAX_POINTS} that density solves")
+    return np.arange(min, max + step / 2, step)
+
+
+# a density's source is its eta or its mixture, each with its output label
+def _density_eta(value, path: str):
+    return _eta(value, path), f"eta form={value['form']}"
+
+
+def _mixture(weights: list, variances: list):
+    dyson.mixture_cauchy(weights, variances, 1j)       # checks both lists
+    return (lambda z: dyson.mixture_cauchy(weights, variances, z),
+            f"mixture weights={weights} variances={variances}")
+
+
+def _circulant_d(value, path: str) -> int:
+    d = _real(value, path, int)
+    if d < 2:
+        raise ConfigError(f"{path}: circulant-ks needs d >= 2, got {d}")
+    return d
+
+
+# name: (builder, required keys, optional keys) of each variant of a config
+# object: entry laws, eta forms and models
+_LAWS = {
+    "complex_gaussian": (sampler.ComplexGaussian, (), ("variance",)),
+    "real_gaussian": (sampler.RealGaussian, (), ("variance",)),
+    "rademacher": (sampler.Rademacher, (), ()),
+    "two_point": (sampler.TwoPoint, ("a", "b", "p"), ()),
+    "permutation_pool": (sampler.PermutationPool, ("values",), ()),
+}
+_ETAS = {
+    "scalar": (scalar_map, ("d", "t"), ()),
+    "flat": (flat_map, ("d",), ("c",)),
+    "kronecker": (eta_kronecker, ("betas", "sigma_l"), ()),
+    "tensor": (lambda sigma: eta_correlated_tensor(sigma), ("sigma",), ()),
+    # only a Choi matrix can fail complete positivity, so only it is checked:
+    # the check's first eigensolve faults in LAPACK pages in a fresh process
+    "choi": (lambda matrix: _completely_positive(choi_map(matrix)), ("matrix",), ()),
+}
+# a model's seed is the command's: sample sets it, the experiments derive theirs
+_MODELS = {name: (partial(sampler.ModelSpec, model=name), ("d", "N") + required, optional)
+           for name, (_, _, required, optional) in sampler._MODELS.items()}
+_law = partial(_build, key="variant", table=_LAWS)
+_eta = partial(_build, key="form", table=_ETAS)
+_model = partial(_build, key="model", table=_MODELS)
+
+# the rule of every config key at every depth, unless a command row has its own
+_FIELDS = {
+    **dict.fromkeys(("d", "N", "max_iter"), partial(_real, kind=int)),
+    **dict.fromkeys(("t", "c", "variance", "a", "b", "p", "tol", "min", "max",
+                     "step"), _real),
+    **dict.fromkeys(("values", "weights", "variances"), _reals),
+    "betas": _matrices, "sigma_l": _matrix, "matrix": _matrix,
+    "sigma": _tensor, "tensor": _tensor,
+    "law": _law, "laws": _laws, "eta": _eta, "model": _model,
+    "grid": partial(_object, build=_density_grid, required=("min", "max", "step")),
+    "mixture": partial(_object, build=_mixture, required=("weights", "variances")),
+    "solver": partial(_object, build=dyson.SolverOptions, required=(),
+                      optional=("tol", "max_iter")),
+    "out": _out, "spectrum_out": _out, "eps": _eps,
+    "seed": partial(_u64, name="seed"), "trial": partial(_u64, name="trial"),
+    "trials": partial(_at_least, name="trials", least=2),
+    "z": _complex, "z_grid": _z_grid, "N_grid": _n_grid,
+}
 
 
 class RunConfig:
-    """Normalized configuration; equal iff the normalized JSON trees match."""
+    """A config parsed once, whole: ``values`` holds each top-level key's
+    parsed value.  Equal iff the normalized JSON trees ``data`` match."""
 
     def __init__(self, data: dict):
-        command = _variant(data, "config", "command", {
-            name: (run, ("out",) + required, ("seed",) + optional)
-            for name, (run, required, optional) in _COMMANDS.items()})
+        command = _variant(data, "config", "command", _COMMANDS)
         if command in _ONE_OF:
             a, b = _ONE_OF[command]
             if a not in data and b not in data:
                 raise ConfigError(f"config: {command} needs {a!r} or {b!r}")
             if a in data and b in data:
                 raise ConfigError(f"config: {command} takes {a!r} or {b!r}, not both")
-        self.data = data
-        self.command = command
-        self.out = _out(data["out"], "config.out")
-        self.seed = _u64(data.get("seed", 0), "config.seed", "seed")
-        self.solver = _solver_options(data.get("solver", {}), "config.solver")
+        _, required, optional, rules = _COMMANDS[command]
+        self.data, self.command = data, command
+        self.values = _object(data, "config", dict, ("out",) + required,
+                              ("seed",) + optional, ("command",), rules)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.data == other.data
@@ -318,27 +377,10 @@ def _csv(rows, header: str, comments: list[str] | None = None) -> str:
 # command runners
 # ---------------------------------------------------------------------------
 
-def _upper_z(value, path: str) -> complex:
-    z = _complex(value, path)
-    if not z.imag > 0:
-        raise ConfigError(f"{path}: need Im z > 0, got {fmt(z.imag)}")
-    return z
-
-
-def _z_list(cfg: RunConfig):
-    if "z" in cfg.data:
-        return [_upper_z(cfg.data["z"], "config.z")]
-    grid = _list(cfg.data["z_grid"], "config.z_grid")
-    if not grid:
-        raise ConfigError("config.z_grid: need at least one point")
-    return [_upper_z(v, f"config.z_grid[{i}]") for i, v in enumerate(grid)]
-
-
-def _run_solve(cfg: RunConfig):
-    eta = _eta(cfg.data["eta"], "config.eta")
-    zs = _z_list(cfg)
+def _run_solve(eta, z=None, z_grid=None, solver=None, seed=0):
+    zs = [z] if z_grid is None else z_grid
     rows = []
-    for z, sol in zip(zs, dyson.solve_dyson(eta, zs, cfg.solver)):
+    for z, sol in zip(zs, dyson.solve_dyson(eta, zs, solver)):
         if not sol.converged:
             raise dyson.SolverFailure(
                 f"solver failed at z={z!r} (residual {sol.residual:.3e})")
@@ -347,48 +389,18 @@ def _run_solve(cfg: RunConfig):
     return _csv(rows, "z_re,z_im,g_re,g_im")
 
 
-def _run_density(cfg: RunConfig):
-    grid_obj = cfg.data["grid"]
-    _check_keys(grid_obj, "config.grid", ("min", "max", "step"))
-    lo, hi, step = (_real(grid_obj[k], f"config.grid.{k}")
-                    for k in ("min", "max", "step"))
-    if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0):
-        raise ConfigError("config.grid: need finite max > min and step > 0")
-    points = np.ceil((hi + step / 2 - lo) / step)      # np.arange's length
-    if not points <= DENSITY_MAX_POINTS:
-        raise ConfigError(f"config.grid: {points:.15g} points, more than the "
-                          f"{DENSITY_MAX_POINTS} that density solves")
-    xs = np.arange(lo, hi + step / 2, step)
-    eps = _real(cfg.data.get("eps", 1e-4), "config.eps")
-    if not 0 < eps < np.inf:
-        raise ConfigError(f"config.eps: need a finite eps > 0, got {fmt(eps)}")
-    if "eta" in cfg.data:
-        source = _eta(cfg.data["eta"], "config.eta")
-        label = f"eta form={cfg.data['eta'].get('form')}"
-    else:
-        mix = cfg.data["mixture"]
-        _check_keys(mix, "config.mixture", ("weights", "variances"))
-        w = _reals(mix["weights"], "config.mixture.weights")
-        t = _reals(mix["variances"], "config.mixture.variances")
-        try:
-            dyson.mixture_cauchy(w, t, 1j)
-        except ValueError as exc:
-            raise ConfigError(f"config.mixture: {exc}") from exc
-        source = lambda z: dyson.mixture_cauchy(w, t, z)
-        label = f"mixture weights={w} variances={t}"
-    xs, rho = dyson.stieltjes_density(source, xs, eps, cfg.solver)
+def _run_density(grid, eta=None, mixture=None, eps=1e-4, solver=None, seed=0):
+    source, label = eta or mixture
+    xs, rho = dyson.stieltjes_density(source, grid, eps, solver)
     rows = [(fmt(x), fmt(r)) for x, r in zip(xs, rho)]
     return _csv(rows, "x,rho", comments=[label, f"eps={fmt(eps)}"])
 
 
-def _run_sample(cfg: RunConfig):
-    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
-    trial = _u64(cfg.data.get("trial", 0), "config.trial", "trial")
-    spectrum_out = (_out(cfg.data["spectrum_out"], "config.spectrum_out")
-                    if "spectrum_out" in cfg.data else None)
+def _run_sample(model, trial=0, spectrum_out=None, seed=0):
+    spec = replace(model, seed=seed)
     try:
         matrix = sampler.sample_matrix(spec, trial)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"config.model: {exc}") from exc
     if spectrum_out is not None:
         from .linalg import hermitian_eigenvalues
@@ -401,22 +413,17 @@ def _run_sample(cfg: RunConfig):
     return sampler.matrix_to_bytes(matrix)
 
 
-def _run_rate(cfg: RunConfig):
-    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
-    if isinstance(spec.law, sampler.PermutationPool):
+def _run_rate(model, z, N_grid, trials, solver=None, seed=0):
+    if isinstance(model.law, sampler.PermutationPool):
         # a pool's size is the entry draws of one N, and N_grid holds >= 3
         raise ConfigError("config.model.law: rate draws at every N in N_grid, "
                           "but a permutation_pool fits one N only")
-    z = _complex(cfg.data["z"], "config.z")
-    threshold = experiments.rate_threshold(spec)
+    threshold = experiments.rate_threshold(model)
     if z.imag <= threshold:
         raise ConfigError(f"config.z: need Im z above the model threshold "
                           f"{threshold:.3g}, got {fmt(z.imag)}")
-    report = experiments.rate_experiment(
-        spec, z, _n_grid(cfg.data["N_grid"], "config.N_grid",
-                         experiments.MIN_FIT_POINTS),
-        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed,
-        opts=cfg.solver)
+    report = experiments.rate_experiment(model, z, N_grid, trials, seed=seed,
+                                         opts=solver)
     rows = [(str(n), fmt(e), fmt(s))
             for n, e, s in zip(report.N_grid, report.errors, report.stderrs)]
     body = _csv(rows, "N,error,stderr",
@@ -427,15 +434,9 @@ def _run_rate(cfg: RunConfig):
     return body + "slope,slope_stderr\n" + f"{fmt(slope)},{fmt(slope_se)}\n"
 
 
-def _run_universality(cfg: RunConfig):
-    laws = cfg.data["laws"]
-    if not isinstance(laws, list) or len(laws) != 2:
-        raise ConfigError("config.laws: expected exactly two entry laws")
-    spec = _model(cfg.data["model"], "config.model", seed=cfg.seed)
-    report = experiments.universality_experiment(
-        spec, _law(laws[0], "config.laws[0]"), _law(laws[1], "config.laws[1]"),
-        _complex(cfg.data["z"], "config.z"), _at_least(cfg.data["N"], "config.N", "N", 1),
-        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed)
+def _run_universality(model, laws, z, N, trials, seed=0):
+    report = experiments.universality_experiment(model, *laws, z, N, trials,
+                                                 seed=seed)
     row = (fmt(report.mean_a.real), fmt(report.mean_a.imag),
            fmt(report.mean_b.real), fmt(report.mean_b.imag),
            fmt(report.se_a), fmt(report.se_b),
@@ -444,13 +445,8 @@ def _run_universality(cfg: RunConfig):
                 "mean_a_re,mean_a_im,mean_b_re,mean_b_im,se_a,se_b,diff,combined_se")
 
 
-def _run_circulant_ks(cfg: RunConfig):
-    d = _real(cfg.data["d"], "config.d", int)
-    if d < 2:
-        raise ConfigError(f"config.d: circulant-ks needs d >= 2, got {d}")
-    report = experiments.circulant_ks_experiment(
-        d, _n_grid(cfg.data["N_grid"], "config.N_grid"),
-        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed)
+def _run_circulant_ks(d, N_grid, trials, seed=0):
+    report = experiments.circulant_ks_experiment(d, N_grid, trials, seed=seed)
     rows = [(str(n), fmt(m), fmt(s))
             for n, m, s in zip(report.N_grid, report.mean_ks, report.stderr)]
     return _csv(rows, "N,mean_ks,stderr",
@@ -459,13 +455,9 @@ def _run_circulant_ks(cfg: RunConfig):
                           f"variances={[fmt(t) for t in report.variances]}"])
 
 
-def _run_wishart(cfg: RunConfig):
-    tensor = _tensor(cfg.data["tensor"], "config.tensor")
+def _run_wishart(tensor, z, N, trials, solver=None, seed=0):
     report = experiments.wishart_consistency_experiment(
-        tensor, _complex(cfg.data["z"], "config.z"),
-        _at_least(cfg.data["N"], "config.N", "N", 1),
-        _at_least(cfg.data["trials"], "config.trials", "trials", 2), seed=cfg.seed,
-        opts=cfg.solver)
+        tensor, z, N, trials, seed=seed, opts=solver)
     row = (fmt(report.max_identity_residual),
            fmt(report.solver_trace.real), fmt(report.solver_trace.imag),
            fmt(report.mc_mean.real), fmt(report.mc_mean.imag),
@@ -474,16 +466,22 @@ def _run_wishart(cfg: RunConfig):
                 "max_identity_residual,solver_re,solver_im,mc_re,mc_im,mc_stderr")
 
 
-# name: (runner, required keys, optional keys); every command also takes
-# "out" (required) and "seed" (optional), and those that solve take "solver"
+_SIZE = {"N": partial(_at_least, name="N", least=1)}
+# name: (runner, required keys, optional keys, its own rules for some keys);
+# every command also takes "out" (required; _run writes the runner's payload
+# there) and "seed" (optional; solve and density draw nothing and ignore it)
 _COMMANDS = {
-    "solve": (_run_solve, ("eta",), ("z", "z_grid", "solver")),
-    "density": (_run_density, ("grid",), ("eta", "mixture", "eps", "solver")),
-    "sample": (_run_sample, ("model",), ("trial", "spectrum_out")),
-    "rate": (_run_rate, ("model", "z", "N_grid", "trials"), ("solver",)),
-    "universality": (_run_universality, ("model", "laws", "z", "N", "trials"), ()),
-    "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), ()),
-    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ("solver",)),
+    "solve": (_run_solve, ("eta",), ("z", "z_grid", "solver"), {"z": _upper_z}),
+    "density": (_run_density, ("grid",), ("eta", "mixture", "eps", "solver"),
+                {"eta": _density_eta}),
+    "sample": (_run_sample, ("model",), ("trial", "spectrum_out"), {}),
+    "rate": (_run_rate, ("model", "z", "N_grid", "trials"), ("solver",),
+             {"N_grid": partial(_n_grid, least=experiments.MIN_FIT_POINTS)}),
+    "universality": (_run_universality, ("model", "laws", "z", "N", "trials"), (),
+                     _SIZE),
+    "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), (),
+                     {"d": _circulant_d}),
+    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ("solver",), _SIZE),
 }
 # command: its two optional keys of which a config gives exactly one
 _ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}
@@ -491,19 +489,19 @@ _ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}
 
 def _run(args) -> int:
     cfg = parse_config(args.config)
+    values = cfg.values
     # --seed and --out are written into the config, so --print-config echoes
     # them; --threads is checked and otherwise unused, since trials run serially
     if args.seed is not None:
-        cfg.seed = cfg.data["seed"] = _u64(args.seed, "--seed", "seed")
+        values["seed"] = cfg.data["seed"] = _FIELDS["seed"](args.seed, "--seed")
     if args.threads is not None:
         _at_least(args.threads, "--threads", "threads", 1)
     if args.out is not None:
-        cfg.out = cfg.data["out"] = _out(args.out, "--out")
+        values["out"] = cfg.data["out"] = _FIELDS["out"](args.out, "--out")
     if args.print_config:
         print(cfg.canonical_json())
         return EXIT_OK
-    payload = _COMMANDS[cfg.command][0](cfg)
-    atomic_write(cfg.out, payload)
+    atomic_write(values.pop("out"), _COMMANDS[cfg.command][0](**values))
     return EXIT_OK
 
 
@@ -548,7 +546,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"config error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dyson.SolverFailure as exc:

@@ -217,7 +217,6 @@ class _Driver:
         self.height_steps = np.zeros(m, dtype=int)
         self.iterations = np.zeros(m, dtype=int)
         self.mode = np.full(m, _NEWTON)
-        self.residual = np.full(m, np.inf)
 
     def run(self):
         while self.sweep():
@@ -242,7 +241,6 @@ class _Driver:
 
         done = certified & (z.imag == self.target[live].imag)
         self.mode[live[done]] = _DONE
-        self.residual[live[done]] = res[done]
         out = ~done & (self.iterations[live] >= self.opts.max_iter)
         self.mode[live[out]] = _FAILED
         go = ~done & ~out
@@ -313,7 +311,6 @@ class _Driver:
         A = self.target[:, None, None] * self.eye - self._eta(self.G)
         res = _frobenius(A @ self.G - self.eye)
         converged = self.mode == _DONE
-        res[converged] = self.residual[converged]
         Gs = [G.copy() for G in self.G]
         margins = _Margins(Gs, self.action)
         return [DysonSolution(complex(self.target[m]), Gs[m], float(res[m]),

@@ -542,6 +542,64 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: config: unknown key {key!r}\n"
         assert not (tmp_path / "o").exists()
 
+    # a value that fails its key's rule is found by the parse, so the echo
+    # refuses it with the run's message
+    @pytest.mark.parametrize("base, key, value, named", [
+        (RATE, ("trials",), 1, "config.trials"),
+        (RATE, ("z",), "x", "config.z"),
+        (RATE, ("N_grid",), [8, 16], "config.N_grid"),
+        (SAMPLE, ("model", "law"), {"variant": "cauchy"}, "config.model.law.variant"),
+        (DENSITY, ("grid", "step"), 0.0, "config.grid"),
+        (WISHART, ("solver",), {"tol": "x"}, "config.solver.tol"),
+        (SAMPLE, ("spectrum_out",), "", "config.spectrum_out"),
+    ], ids=["trials", "z", "N_grid", "model.law", "grid.step", "solver.tol",
+            "spectrum_out"])
+    def test_print_config_refuses_what_the_run_refuses(self, tmp_path, capsys, base,
+                                                       key, value, named):
+        data = copy.deepcopy(base)
+        data["out"] = str(tmp_path / "o")
+        node = data
+        for k in key[:-1]:
+            node = node[k]
+        node[key[-1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}:")
+        assert main(["--config", cfg, "--print-config"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "o").exists()
+
+    # keys parse in the command row's order, whatever their order in the file
+    @pytest.mark.parametrize("bad, named", [
+        ({"trials": 1, "z": "x"}, "config.z"),
+        ({"solver": {"tol": 0.0}, "model": dict(RATE["model"], d=0)}, "config.model"),
+        ({"seed": -1, "N_grid": [8]}, "config.N_grid"),
+    ], ids=["trials-z", "solver-model", "seed-N_grid"])
+    def test_two_bad_keys_name_the_same_key_in_any_order(self, tmp_path, capsys,
+                                                         bad, named):
+        errors = []
+        for order in (list(bad), list(reversed(bad))):
+            data = {k: v for k, v in self.RATE.items() if k not in bad}
+            data.update({k: bad[k] for k in order}, out=str(tmp_path / "o"))
+            assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"config error: {named}:")
+
+    # sizes that no allocation can hold fail at once, without using memory
+    @pytest.mark.parametrize("data, named", [
+        (dict(SAMPLE, model=dict(RATE["model"], N=10 ** 9)), "config.model"),
+        (dict(RATE, N_grid=[10 ** 9, 2 * 10 ** 9, 3 * 10 ** 9]), "config"),
+    ], ids=["sample", "rate"])
+    def test_allocation_failure_is_a_config_error(self, tmp_path, capsys, data, named):
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, dict(data, out=str(out)))]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {named}: Unable to allocate")
+        assert not out.exists()
+
     def test_print_config_roundtrip(self, tmp_path, capsys):
         cfg = scalar_solve_config(tmp_path)
         assert main(["--config", cfg, "--print-config"]) == EXIT_OK

@@ -25,8 +25,10 @@ Rademacher entries, and the Monte Carlo commands at several
 ``DYSON_BLOCKS_THREADS`` is set on two runs, though no command reads it.
 A ``threads`` key, and a ``solver`` key on a command that never solves,
 are unknown keys; the ``--print-config`` echo carries ``--seed`` and
-``--out`` but not ``--threads``.  The configs are small: the whole set
-takes about 50 s on 2 cores.  ``compare`` takes any other list of
+``--out`` but not ``--threads``, and refuses a config with a value that
+fails its key's rule, as the run does.  A ``sample`` too large to
+allocate exits 2.  The configs are small: the whole set takes about 50 s
+on 2 cores.  ``compare`` takes any other list of
 runs when imported.
 """
 
@@ -233,6 +235,10 @@ RUNS = [
                                       "N_grid": [8, 16], "trials": 2,
                                       "solver": {"tol": 1e-10}}, [], {}),
     ("print-config-flags", RATE, ["--threads", "2", "--print-config"], {}),
+    # a value that fails its key's rule: the echo refuses it like the run
+    ("print-config-invalid", dict(RATE, trials=1), ["--print-config"], {}),
+    # N^2 = 10^18 entry draws: the allocation fails at once and exits 2
+    ("error-sample-too-large", sample(N=10 ** 9), [], {}),
     # every entry law, eta form and model variant, and an error of each kind
     # for each of the three tables
     ("sample-real-gaussian", sample({"variant": "real_gaussian", "variance": 2.0}),
