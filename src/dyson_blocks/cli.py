@@ -88,10 +88,11 @@ def _object(obj, path: str, build, required: tuple, optional: tuple = (),
     """build(**values) for the config object obj, which holds every required
     key and no other key but the optional ones and its ``variant`` key.  Keys
     parse in that order, not the file's, each by its rule in ``rules`` or else
-    ``_FIELDS``; an omitted optional key takes the builder's default."""
+    ``_FIELDS``; an omitted optional key takes the builder's default.  Of
+    several unknown keys, the first in sorted order is named."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    for key in obj:
+    for key in sorted(obj):
         if key not in variant + required + optional:
             raise ConfigError(f"{path}: unknown key {key!r}")
     for key in required:
@@ -156,6 +157,13 @@ def _upper_z(value, path: str) -> complex:
     z = _complex(value, path)
     if not z.imag > 0:
         raise ConfigError(f"{path}: need Im z > 0, got {fmt(z.imag)}")
+    return z
+
+
+def _wishart_z(value, path: str) -> complex:
+    z = _upper_z(value, path)
+    if not (z * z).imag > 0:
+        raise ConfigError(f"{path}: need Im z^2 > 0, got {fmt((z * z).imag)}")
     return z
 
 
@@ -379,13 +387,9 @@ def _csv(rows, header: str, comments: list[str] | None = None) -> str:
 
 def _run_solve(eta, z=None, z_grid=None, solver=None, seed=0):
     zs = [z] if z_grid is None else z_grid
-    rows = []
-    for z, sol in zip(zs, dyson.solve_dyson(eta, zs, solver)):
-        if not sol.converged:
-            raise dyson.SolverFailure(
-                f"solver failed at z={z!r} (residual {sol.residual:.3e})")
-        g = sol.trace()
-        rows.append((fmt(z.real), fmt(z.imag), fmt(g.real), fmt(g.imag)))
+    gs = [sol.certified_trace() for sol in dyson.solve_dyson(eta, zs, solver)]
+    rows = [(fmt(z.real), fmt(z.imag), fmt(g.real), fmt(g.imag))
+            for z, g in zip(zs, gs)]
     return _csv(rows, "z_re,z_im,g_re,g_im")
 
 
@@ -481,7 +485,8 @@ _COMMANDS = {
                      _SIZE),
     "circulant-ks": (_run_circulant_ks, ("d", "N_grid", "trials"), (),
                      {"d": _circulant_d}),
-    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ("solver",), _SIZE),
+    "wishart": (_run_wishart, ("tensor", "z", "N", "trials"), ("solver",),
+                {**_SIZE, "z": _wishart_z}),
 }
 # command: its two optional keys of which a config gives exactly one
 _ONE_OF = {"solve": ("z", "z_grid"), "density": ("eta", "mixture")}

@@ -76,6 +76,10 @@ class SolverOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
+class SolverFailure(RuntimeError):
+    """A solve missed its certificate; the message names the point."""
+
+
 @dataclass
 class DysonSolution:
     """One solved point.
@@ -90,6 +94,7 @@ class DysonSolution:
     run the first time a point reads it, for all the points of its
     ``solve_dyson`` batch together (``_Margins``), so a caller that never
     reads it pays nothing.
+    ``certified_trace()`` is the one place the certificate is enforced.
 
     For a Wishart point, ``z`` is w and ``G`` is G_W(w), while
     ``residual``, ``iterations``, ``converged`` and ``stability_margin``
@@ -115,6 +120,14 @@ class DysonSolution:
     def trace(self) -> complex:
         """Normalized trace of G, the scalar Cauchy transform."""
         return complex(np.trace(self.G)) / self.G.shape[0]
+
+    def certified_trace(self) -> complex:
+        """``trace()`` of a point that met the certificate; SolverFailure,
+        naming ``z`` and ``residual``, for one that missed it."""
+        if not self.converged:
+            raise SolverFailure(
+                f"solver failed at z={self.z!r} (residual {self.residual:.3e})")
+        return self.trace()
 
 
 def _require_upper_half_plane(z: complex) -> complex:
@@ -426,18 +439,6 @@ def circulant_mixture(d: int, exact: bool = False):
     return [float(x) for x in w], [float(x) for x in t]
 
 
-class SolverFailure(RuntimeError):
-    """A solve missed its certificate; the message names the point."""
-
-
-class DensityEvaluationError(SolverFailure):
-    """Solver failed while evaluating the density at a grid point."""
-
-    def __init__(self, x: float, message: str):
-        super().__init__(f"density evaluation failed at x={x!r}: {message}")
-        self.x = x
-
-
 def stieltjes_density(g, grid, eps: float,
                       opts: SolverOptions | None = None):
     """Boundary-value density rho(x) = -Im g(x + i eps) / pi on a grid.
@@ -445,8 +446,8 @@ def stieltjes_density(g, grid, eps: float,
     ``g`` is either a vectorised callable, called once on the array of
     grid points x + i eps and returning one Cauchy value per point, or a
     CovarianceMap (then the whole grid is solved in one ``solve_dyson``
-    call and its normalized traces are used; the first grid point that
-    misses the certificate raises DensityEvaluationError).  Values are
+    call and its ``certified_trace`` values are used, so the first grid
+    point that misses the certificate raises SolverFailure).  Values are
     clipped to 0 from below; the clipped mass is O(eps) + O(grid step^2)
     away from a unit integral for a probability law whose support the
     grid covers.
@@ -459,12 +460,8 @@ def stieltjes_density(g, grid, eps: float,
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
     if isinstance(g, CovarianceMap):
-        solutions = solve_dyson(g, xs + 1j * eps, opts)
-        for sol in solutions:
-            if not sol.converged:
-                raise DensityEvaluationError(
-                    sol.z.real, f"solver residual {sol.residual:.3e}")
-        values = np.array([sol.trace() for sol in solutions])
+        values = np.array([sol.certified_trace()
+                           for sol in solve_dyson(g, xs + 1j * eps, opts)])
     elif callable(g):
         values = np.asarray(g(xs + 1j * eps), dtype=np.complex128)
         if values.shape != xs.shape:

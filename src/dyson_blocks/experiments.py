@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .dyson import (SolverFailure, SolverOptions, circulant_mixture,
-                    mixture_cauchy, cdf_from_density, solve_semicircular,
-                    solve_wishart, stieltjes_density)
+from .dyson import (SolverOptions, circulant_mixture, mixture_cauchy,
+                    cdf_from_density, solve_semicircular, solve_wishart,
+                    stieltjes_density)
 # experiments._map_trials stays a name of the trial mapper: bench/tracer.py
 # wraps the mapper under it
 from .esd import (EmpiricalCDF, _map_trials, kolmogorov_distance,
@@ -37,13 +37,10 @@ def derived_seed(seed: int, arm: int) -> int:
 
 def analytic_trace_cauchy(spec: ModelSpec, z: complex,
                           opts: SolverOptions | None = None) -> complex:
-    """Limit-law scalar Cauchy transform for a model at one z."""
+    """Certified limit-law scalar Cauchy transform for a model at one z."""
     eta = model_eta(spec)
     solve = solve_wishart if isinstance(eta, EtaPair) else solve_semicircular
-    sol = solve(eta, z, opts)
-    if not sol.converged:
-        raise SolverFailure(f"solver did not converge at z={z!r}")
-    return sol.trace()
+    return solve(eta, z, opts).certified_trace()
 
 
 @dataclass
@@ -281,11 +278,9 @@ def wishart_consistency_experiment(tensor, z: complex, N: int, trials: int,
 
     mc_mean, mc_se = trial_mean(lambda t: sample_wishart_factor(spec, t),
                                 trials, reduce=reduce)
-    sol = solve_wishart(model_eta(spec), z * z, opts)
-    if not sol.converged:
-        raise SolverFailure(f"wishart solver did not converge at z^2={z * z!r}")
     return WishartConsistencyReport(
         z=z, N=int(N), trials=trials, identity_residuals=np.array(residuals),
-        solver_trace=sol.trace(), mc_mean=complex(mc_mean),
+        solver_trace=analytic_trace_cauchy(spec, z * z, opts),
+        mc_mean=complex(mc_mean),
         mc_stderr=float(mc_se),
     )

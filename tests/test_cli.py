@@ -70,10 +70,10 @@ class TestSolveCommand:
           "model": {"model": "hermitized_iid", "d": 2, "N": 8,
                     "law": {"variant": "complex_gaussian"}},
           "z": [0.0, 3.0], "N_grid": [8, 16, 32], "trials": 4},
-         "solver did not converge at z=3j"),
+         "solver failed at z=3j (residual 7.438e-03)"),
         ({"command": "wishart", "tensor": [[[[1.0]]]],
           "z": [1.4142135623730951, 1.4142135623730951], "N": 6, "trials": 2},
-         "wishart solver did not converge at z^2="),
+         "solver failed at z=4.000000000000001j (residual 6.863e-02)"),
     ], ids=["rate", "wishart"])
     def test_experiment_reference_solve_failure(self, tmp_path, capsys, data,
                                                 message):
@@ -81,6 +81,17 @@ class TestSolveCommand:
         data = dict(data, out=str(out), solver={"max_iter": 1})
         assert main(["--config", write_config(tmp_path, data)]) == EXIT_SOLVER
         assert f"solver error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_density_solve_failure(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        data = {"command": "density", "out": str(out),
+                "eta": {"form": "flat", "d": 2, "c": 2.0},
+                "grid": {"min": -2.7, "max": 2.7, "step": 0.9},
+                "solver": {"max_iter": 1}}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "solver error: solver failed at z=(-2.7+0.0001j) (residual 8.756e-01)\n")
         assert not out.exists()
 
     def test_roundtrip_formatting(self, tmp_path):
@@ -552,8 +563,10 @@ class TestConfigValidation:
         (DENSITY, ("grid", "step"), 0.0, "config.grid"),
         (WISHART, ("solver",), {"tol": "x"}, "config.solver.tol"),
         (SAMPLE, ("spectrum_out",), "", "config.spectrum_out"),
+        (WISHART, ("z",), [1.0, -1.0], "config.z"),
+        (WISHART, ("z",), [-1.0, 1.0], "config.z"),
     ], ids=["trials", "z", "N_grid", "model.law", "grid.step", "solver.tol",
-            "spectrum_out"])
+            "spectrum_out", "wishart-im-z", "wishart-im-z2"])
     def test_print_config_refuses_what_the_run_refuses(self, tmp_path, capsys, base,
                                                        key, value, named):
         data = copy.deepcopy(base)
@@ -570,12 +583,14 @@ class TestConfigValidation:
         assert capsys.readouterr() == ("", err)
         assert not (tmp_path / "o").exists()
 
-    # keys parse in the command row's order, whatever their order in the file
+    # keys parse in the command row's order, whatever their order in the
+    # file, and of two unknown keys the first in sorted order is named
     @pytest.mark.parametrize("bad, named", [
         ({"trials": 1, "z": "x"}, "config.z"),
         ({"solver": {"tol": 0.0}, "model": dict(RATE["model"], d=0)}, "config.model"),
         ({"seed": -1, "N_grid": [8]}, "config.N_grid"),
-    ], ids=["trials-z", "solver-model", "seed-N_grid"])
+        ({"zork": 1, "wibble": 1}, "config"),
+    ], ids=["trials-z", "solver-model", "seed-N_grid", "unknown-keys"])
     def test_two_bad_keys_name_the_same_key_in_any_order(self, tmp_path, capsys,
                                                          bad, named):
         errors = []

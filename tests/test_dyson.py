@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dyson_blocks import dyson, sampler
-from dyson_blocks.dyson import (SolverOptions, cdf_from_density,
-                                circulant_mixture, mixture_cauchy,
-                                scalar_semicircle_cauchy, solve_dyson,
-                                solve_semicircular, solve_wishart,
-                                stieltjes_density)
+from dyson_blocks.dyson import (SolverFailure, SolverOptions,
+                                cdf_from_density, circulant_mixture,
+                                mixture_cauchy, scalar_semicircle_cauchy,
+                                solve_dyson, solve_semicircular,
+                                solve_wishart, stieltjes_density)
 from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
                               eta_kronecker, eta_wishart_pair, flat_map,
                               scalar_map)
@@ -531,6 +531,35 @@ class TestSolveWishart:
             solve_wishart(pair, 1 - 1j)
 
 
+class TestCertifiedTrace:
+    """``certified_trace`` is the one check of the certificate: the trace of
+    a point that met it, SolverFailure naming z and the residual otherwise."""
+
+    @pytest.mark.parametrize("model, z", [
+        (scalar_map(1, 1.0), 2j),
+        (flat_map(2, 1.0), 0.5 + 0.1j),
+        (eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1)))), 2 + 1j),
+    ], ids=["scalar", "flat", "wishart"])
+    def test_converged_point_gives_the_trace_bits(self, model, z):
+        sol = solve_dyson(model, [z])[0]
+        assert sol.converged
+        assert (np.complex128(sol.certified_trace()).tobytes()
+                == np.complex128(sol.trace()).tobytes())
+
+    @pytest.mark.parametrize("model, z, named", [
+        (scalar_map(1, 1.0), 1e-6 + 1e-6j, "(1e-06+1e-06j)"),
+        # a Wishart point names w = z^2, not the Hermitized sqrt(w)
+        (eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1)))), 4j, "4j"),
+    ], ids=["semicircular", "wishart"])
+    def test_failed_point_raises_naming_z_and_residual(self, model, z, named):
+        sol = solve_dyson(model, [z], SolverOptions(max_iter=1))[0]
+        assert not sol.converged
+        with pytest.raises(SolverFailure) as err:
+            sol.certified_trace()
+        assert str(err.value) == (f"solver failed at z={named} "
+                                  f"(residual {sol.residual:.3e})")
+
+
 class TestStieltjesDensity:
     def test_semicircle_density_at_zero(self):
         xs, rho = stieltjes_density(
@@ -587,12 +616,10 @@ class TestStieltjesDensity:
             stieltjes_density(lambda z: 1 / z[0], np.array([0.0, 1.0]), 1e-3)
 
     def test_solver_failure_names_offending_point(self):
-        from dyson_blocks.dyson import DensityEvaluationError
-        with pytest.raises(DensityEvaluationError) as err:
+        with pytest.raises(SolverFailure,
+                           match=r"^solver failed at z=0\.0001j \(residual "):
             stieltjes_density(scalar_map(1, 1.0), np.array([0.0]), 1e-4,
                               SolverOptions(max_iter=10))
-        assert err.value.x == 0.0
-        assert "0.0" in str(err.value)
 
 
 class TestCdfFromDensity:

@@ -15,9 +15,10 @@ config errors (an unknown variant, a stray key, a missing key and an
 invalid value for each of the three variant tables; ``z`` with
 ``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture``, and
 ``density`` grids too fine for an array, too large for memory and above
-the point cap), two solver failures (``max_iter`` and a Kraus-rank-1
-map), solves at d = 3 through both spectral edges and a d = 3 Wishart
-tensor and correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
+the point cap), solver failures (``max_iter`` on ``solve``, ``density``,
+``rate`` and ``wishart``, and a Kraus-rank-1 map), solves at d = 3
+through both spectral edges and a d = 3 Wishart tensor and
+correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
 correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
 circulant DFT blocks at odd and even d with complex, real and
 Rademacher entries, and the Monte Carlo commands at several
@@ -26,10 +27,11 @@ Rademacher entries, and the Monte Carlo commands at several
 A ``threads`` key, and a ``solver`` key on a command that never solves,
 are unknown keys; the ``--print-config`` echo carries ``--seed`` and
 ``--out`` but not ``--threads``, and refuses a config with a value that
-fails its key's rule, as the run does.  A ``sample`` too large to
-allocate exits 2.  The configs are small: the whole set takes about 50 s
-on 2 cores.  ``compare`` takes any other list of
-runs when imported.
+fails its key's rule, as the run does (``wishart``'s ``z`` rule among
+them).  Two unknown keys are named the same way in either file order.  A
+``sample`` too large to allocate exits 2.  The configs are small: the
+whole set takes about 50 s on 2 cores.  ``compare`` takes any other list
+of runs when imported.
 """
 
 from __future__ import annotations
@@ -239,6 +241,24 @@ RUNS = [
     ("print-config-invalid", dict(RATE, trials=1), ["--print-config"], {}),
     # N^2 = 10^18 entry draws: the allocation fails at once and exits 2
     ("error-sample-too-large", sample(N=10 ** 9), [], {}),
+    # a point that misses the certificate: every command that solves names
+    # it the same way (exit 3); a Wishart point is named by z^2
+    ("density-fails", {"command": "density",
+                       "eta": {"form": "flat", "d": 2, "c": 2.0},
+                       "grid": {"min": -2.7, "max": 2.7, "step": 0.9},
+                       "solver": {"max_iter": 1}}, [], {}),
+    ("rate-solver-fails", dict(RATE, solver={"max_iter": 1}), [], {}),
+    ("wishart-solver-fails", {"command": "wishart", "tensor": [[[[1.0]]]],
+                              "z": WISHART_Z, "N": 6, "trials": 2,
+                              "solver": {"max_iter": 1}}, [], {}),
+    # wishart's z rule runs in the parse: the echo refuses Im z < 0
+    ("print-config-wishart-z", {"command": "wishart", "tensor": [[[[1.0]]]],
+                                "z": [1.0, -1.0], "N": 4, "trials": 2},
+     ["--print-config"], {}),
+    # of two unknown keys the first in sorted order is named, in either
+    # file order
+    ("error-two-unknown-keys", dict(sample(), zork=1, wibble=2), [], {}),
+    ("error-two-unknown-keys-reversed", dict(sample(), wibble=2, zork=1), [], {}),
     # every entry law, eta form and model variant, and an error of each kind
     # for each of the three tables
     ("sample-real-gaussian", sample({"variant": "real_gaussian", "variance": 2.0}),
