@@ -132,7 +132,7 @@ class DysonSolution:
 
 def _require_upper_half_plane(z: complex) -> complex:
     z = complex(z)
-    if z.imag <= 0:
+    if not (0 < z.imag < np.inf and abs(z.real) < np.inf):
         raise ValueError(f"z must lie in the upper half-plane, got {z}")
     return z
 
@@ -386,10 +386,12 @@ def scalar_semicircle_cauchy(t: float, z):
     computed cancellation-free as g = 2 / (z + s) with the larger-modulus
     denominator.  Accepts scalar or array z (upper half-plane).
     """
-    if t <= 0:
-        raise ValueError("variance t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("variance t must be positive and finite")
     z = np.asarray(z, dtype=np.complex128)
-    if np.any(z.imag <= 0):
+    # min and max propagate a NaN and, unlike a mask, allocate nothing
+    if z.size and not (0 < z.imag.min() <= z.imag.max() < np.inf
+                       and -np.inf < z.real.min() <= z.real.max() < np.inf):
         raise ValueError("z must lie in the upper half-plane")
     s = np.sqrt(z * z - 4 * t)
     den = np.where(np.abs(z + s) >= np.abs(z - s), z + s, z - s)
@@ -452,8 +454,8 @@ def stieltjes_density(g, grid, eps: float,
     away from a unit integral for a probability law whose support the
     grid covers.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
@@ -490,8 +492,8 @@ def cdf_from_density(xs, rho):
         [[0.0], np.cumsum(steps * (rho[1:] + rho[:-1]) / 2.0)]
     )
     total = cumulative[-1]
-    if total <= 0:
-        raise ValueError("density table has zero total mass")
+    if not 0 < total < np.inf:
+        raise ValueError(f"density table needs a positive finite mass, got {total!r}")
     cumulative /= total
 
     def cdf(x):

@@ -22,25 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, operator_norm, require_square
+from .linalg import (HERMITICITY_RTOL, as_matrix, is_hermitian, operator_norm,
+                     require_square, within_tolerance)
 
-CP_EIGENVALUE_TOL = -1e-10
-SYMMETRY_RTOL = 1e-12
+CP_EIGENVALUE_RTOL = 1e-10
 
 
 def psd_factor(mat: np.ndarray, not_hermitian: str, not_psd: str) -> np.ndarray:
     """F = U diag(sqrt(max(lambda, 0))) from eigh(mat), so F F^* = mat.
 
-    The one validity test of a covariance matrix: with s = 1 + ||mat||_F,
-    ValueError(not_hermitian) unless max|mat - mat^*| <= SYMMETRY_RTOL * s
-    (so NaN entries fail) and ValueError(not_psd) unless
-    lambda_min >= CP_EIGENVALUE_TOL * s.
+    The one validity test of a covariance matrix, by linalg's
+    within_tolerance (s = 1 + ||mat||_F): ValueError(not_hermitian) unless
+    is_hermitian(mat) (max|mat - mat^*| <= 1e-12 s) and ValueError(not_psd)
+    unless -lambda_min <= CP_EIGENVALUE_RTOL * s.
     """
-    scale = 1.0 + frobenius_norm(mat)
-    if not np.max(np.abs(mat - mat.conj().T)) <= SYMMETRY_RTOL * scale:
+    if not is_hermitian(mat):
         raise ValueError(not_hermitian)
     w, u = np.linalg.eigh(mat)
-    if not w.min() >= CP_EIGENVALUE_TOL * scale:
+    if not within_tolerance(-w.min(), mat, CP_EIGENVALUE_RTOL):
         raise ValueError(not_psd)
     return u @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
@@ -61,6 +60,8 @@ class CovarianceTensor:
     ``factor`` (F F^* = Sigma), the Gaussian factor every draw reuses:
       * Hermitian pair symmetry  sigma(i,j;k,l) = conj(sigma(k,l;i,j))
       * the d^2 x d^2 matrix Sigma[(i,j),(k,l)] is positive semidefinite
+    ``has_adjoint_symmetry`` is within_tolerance (rtol 1e-12) too;
+    ``is_real`` is absolute, max|Im sigma| <= 1e-12.
     """
 
     def __init__(self, sigma):
@@ -76,15 +77,13 @@ class CovarianceTensor:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.sigma.imag)) <= SYMMETRY_RTOL)
+        return bool(np.max(np.abs(self.sigma.imag)) <= HERMITICITY_RTOL)
 
     @property
     def has_adjoint_symmetry(self) -> bool:
         """sigma(i,j;k,l) = sigma(l,k;j,i): blocks distributed like their adjoints."""
-        return bool(
-            np.max(np.abs(self.sigma - self.sigma.transpose(3, 2, 1, 0)))
-            <= SYMMETRY_RTOL * (1.0 + frobenius_norm(self.sigma))
-        )
+        return within_tolerance(
+            np.max(np.abs(self.sigma - self.sigma.transpose(3, 2, 1, 0))), self.sigma)
 
 
 @dataclass(eq=False)

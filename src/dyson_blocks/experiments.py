@@ -194,8 +194,6 @@ def circulant_limit_cdf(d: int):
 def circulant_ks_experiment(d: int, N_grid, trials: int,
                             seed: int) -> CirculantKsReport:
     """Mean Kolmogorov distance of circulant ESDs to the mixture law per N."""
-    if d < 2:
-        raise ValueError("circulant experiment needs d >= 2")
     ns = check_n_grid(N_grid, 1)
     cdf = circulant_limit_cdf(d)
     weights, variances = circulant_mixture(d)

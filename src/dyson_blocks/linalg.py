@@ -59,23 +59,27 @@ def hermiticity_defect(m) -> float:
                          for i in range(0, a.shape[0], k)], initial=0.0))
 
 
+def within_tolerance(defect, m, rtol: float = HERMITICITY_RTOL) -> bool:
+    """defect <= rtol (1 + ||m||_F), the package's one relative test.  A
+    zero defect reads no norm; a NaN or inf one fails, as the bound is
+    capped at the largest float (an inf entry makes the norm inf too)."""
+    return bool(defect == 0.0 or defect <= min(
+        rtol * (1.0 + frobenius_norm(m)), _FLOAT_MAX))
+
+
 def is_hermitian(m) -> bool:
-    a = require_square(m)
-    # exact symmetry needs no norm; a NaN defect is nonzero and fails below,
-    # and so does an inf one: an inf entry makes the norm inf too, so the
-    # bound is capped at the largest float
-    defect = hermiticity_defect(a)
-    return defect == 0.0 or defect <= min(
-        HERMITICITY_RTOL * (1.0 + frobenius_norm(a)), _FLOAT_MAX)
+    """hermiticity_defect(m) within_tolerance (rtol 1e-12)."""
+    return within_tolerance(hermiticity_defect(m), m)
 
 
 def require_hermitian(m) -> np.ndarray:
     """Square complex matrix, or HermiticityError when the symmetry defect
     exceeds 1e-12 * (1 + ||M||_F) or is not finite."""
     a = require_square(m)
-    if not is_hermitian(a):
+    defect = hermiticity_defect(a)
+    if not within_tolerance(defect, a):
         raise HermiticityError(
-            f"matrix is not Hermitian within tolerance (defect {hermiticity_defect(a):.3e})"
+            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
     return a
 
@@ -189,7 +193,16 @@ def invert(m) -> np.ndarray:
 
 
 def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
+    """np.linalg.norm's bits, except that finite entries whose squares
+    overflow (above about 1.3e154) are first divided by the largest
+    |real or imaginary part|, and the norm scaled back."""
+    a = np.asarray(m, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf and np.isfinite(a).all():
+        scale = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+        norm = scale * float(np.linalg.norm(a / scale))
+    return norm
 
 
 def operator_norm(m) -> float:

@@ -135,6 +135,26 @@ class TestEtaForms:
             "config error: config.eta: correlated-blocks tensor needs "
             "sigma(i,j;k,l) = sigma(l,k;j,i)\n")
 
+    @pytest.mark.parametrize("eta, message", [
+        # not Hermitian, and a negative eigenvalue, at entries whose
+        # squares overflow: at -1 both are refused the same way
+        ({"form": "choi", "matrix": [[1e200, 0, 0, 1e200], [0, 0, 0, 0],
+                                     [0, 0, 0, 0], [-1e200, 0, 0, 1e200]]},
+         "config.eta: the Choi matrix is not Hermitian positive semidefinite, "
+         "so the map is not completely positive"),
+        ({"form": "choi", "matrix": np.diag([1e200, 1e200, -1e200, 0.0]).tolist()},
+         "config.eta: the Choi matrix is not Hermitian positive semidefinite, "
+         "so the map is not completely positive"),
+        ({"form": "kronecker", "betas": [[[1.0]]], "sigma_l": [[-1e200]]},
+         "config.eta: sigma_l must be positive semidefinite"),
+        ({"form": "tensor", "sigma": [[[[-1e200]]]]},
+         "config.eta.sigma: tensor pair matrix Sigma[(ij),(kl)] is not PSD"),
+    ], ids=["choi-not-hermitian", "choi-not-psd", "kronecker-sigma-l", "tensor"])
+    def test_overflowing_entries_are_refused(self, tmp_path, capsys, eta, message):
+        assert self.solve(tmp_path, eta) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("form", list(FORMS))
     def test_complete_positivity_checked_for_choi_only(self, tmp_path, monkeypatch,
                                                        form):

@@ -59,6 +59,15 @@ class TestScalarSemicircle:
         with pytest.raises(ValueError):
             scalar_semicircle_cauchy(1.0, 2.0 - 1j)
 
+    @pytest.mark.parametrize("t, z", [
+        (np.nan, 1j), (np.inf, 1j), (1.0, complex(0, np.nan)),
+        (1.0, complex(0, np.inf)), (1.0, complex(np.nan, 1.0)),
+        (1.0, [1j, complex(0, np.nan)])])
+    def test_rejects_non_finite_inputs(self, t, z):
+        # these gave nan+nanj, or -0j at t = inf
+        with pytest.raises(ValueError):
+            scalar_semicircle_cauchy(t, z)
+
 
 class TestMixture:
     def test_single_component(self):
@@ -237,6 +246,13 @@ class TestSolveDyson:
             exact = min([(w + s) / (2 * w), (w - s) / (2 * w)],
                         key=lambda r: r.imag)
             assert abs(sol.trace() - exact) < 1e-9
+
+    @pytest.mark.parametrize("z", [complex(0, np.nan), complex(0, np.inf),
+                                   complex(np.nan, 1.0), complex(np.inf, 1.0)])
+    def test_rejects_non_finite_z(self, z):
+        # complex(0, nan) gave an unconverged point with a NaN G
+        with pytest.raises(ValueError, match="upper half-plane"):
+            solve_dyson(scalar_map(1, 1.0), [1j, z])
 
     def test_rejects_other_models(self):
         assert solve_dyson(scalar_map(1, 1.0), []) == []
@@ -595,6 +611,14 @@ class TestStieltjesDensity:
         with pytest.raises(ValueError):
             stieltjes_density(lambda z: 1 / z, np.array([0.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    @pytest.mark.parametrize("g", [lambda z: scalar_semicircle_cauchy(1.0, z),
+                                   scalar_map(1, 1.0)], ids=["callable", "map"])
+    def test_rejects_non_finite_eps(self, g, eps):
+        # a callable gave an all-NaN density, a map a SolverFailure
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            stieltjes_density(g, np.array([0.0, 1.0]), eps)
+
     def test_calls_g_once_on_the_grid(self):
         calls = []
 
@@ -652,6 +676,12 @@ class TestCdfFromDensity:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             cdf_from_density(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, value):
+        # the renormalized CDF was NaN everywhere
+        with pytest.raises(ValueError, match="positive finite mass"):
+            cdf_from_density(np.array([0.0, 1.0, 2.0]), np.array([0.5, value, 0.5]))
 
 
 class TestSolverOptions:

@@ -5,7 +5,7 @@ from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
                               eta_correlated_tensor, eta_exchangeable_pool,
                               eta_iid_blocks, eta_kronecker,
                               eta_wigner_blocks, eta_wishart_pair, flat_map,
-                              scalar_map)
+                              psd_factor, scalar_map)
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -441,3 +441,49 @@ class TestChoiAndNorms:
         stack = np.stack(samples[-1]) - np.mean(samples[-1], axis=0)
         assert np.array_equal(
             maps[-2].choi4, _conjugation_choi(stack, np.full(60, 1 / 60)))
+
+
+class TestToleranceScaling:
+    """psd_factor and has_adjoint_symmetry decide the same for M and
+    M * 10^k: a defect of half the bound's norm term is inside at every
+    scale, one of twice the whole bound at k = 0 outside at every scale.
+    Above 1e154 np.linalg.norm overflowed to inf and both tests passed
+    anything finite."""
+
+    SCALES = [10.0 ** k for k in range(0, 301, 50)]
+
+    @staticmethod
+    def defect(norm, rtol, inside):
+        assert norm >= 1.0
+        return 0.5 * rtol * norm if inside else 2 * rtol * (1.0 + norm)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_negative_eigenvalue(self, inside):
+        # an exactly Hermitian Choi matrix with eigenvalues 3, 2, 1, -x
+        gen = rng()
+        q, _ = np.linalg.qr(random_b(gen, 4))
+        x = self.defect(np.sqrt(14.0), 1e-10, inside)
+        m = q @ np.diag([3.0, 2.0, 1.0, -x]) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        for scale in self.SCALES:
+            assert choi_map(m * scale).is_completely_positive() is inside, scale
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_hermitian_half(self, inside):
+        m = np.diag([3.0, 2.0, 1.0, 1.0]).astype(complex)
+        m[0, 1] = self.defect(np.sqrt(15.0), 1e-12, inside)
+        for scale in self.SCALES:
+            if inside:
+                psd_factor(m * scale, "not Hermitian", "not PSD")
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    psd_factor(m * scale, "not Hermitian", "not PSD")
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_adjoint_symmetry(self, inside):
+        # sigma(0,1;0,1) is a diagonal entry of the pair matrix; its
+        # adjoint partner is sigma(1,0;1,0)
+        sigma = 2.0 * delta_tensor(2).astype(complex)      # ||sigma||_F = 4
+        sigma[0, 1, 0, 1] += self.defect(4.0, 1e-12, inside)
+        for scale in self.SCALES:
+            assert CovarianceTensor(sigma * scale).has_adjoint_symmetry is inside, scale

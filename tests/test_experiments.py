@@ -449,6 +449,10 @@ class TestCirculantKs:
         with pytest.raises(ValueError, match="1 or more strictly increasing N >= 1"):
             circulant_ks_experiment(2, grid, 2, 0)
 
+    def test_d_one_refused_by_the_mixture(self):
+        with pytest.raises(ValueError, match="circulant mixture needs d >= 2"):
+            circulant_ks_experiment(1, [8], 2, 0)
+
     def test_determinism(self):
         a = circulant_ks_experiment(2, [16, 32], trials=4, seed=3)
         b = circulant_ks_experiment(2, [16, 32], trials=4, seed=3)

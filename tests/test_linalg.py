@@ -5,7 +5,8 @@ from dyson_blocks import linalg
 from dyson_blocks.linalg import (HermiticityError, SingularMatrixError,
                                  frobenius_norm, hermitian_eigenvalues,
                                  hermiticity_defect, invert, is_hermitian,
-                                 operator_norm, resolvent_trace)
+                                 operator_norm, resolvent_trace,
+                                 within_tolerance)
 
 
 def rng():
@@ -240,6 +241,46 @@ class TestIsHermitian:
             with pytest.raises(HermiticityError):
                 resolvent_trace(m, [1j])
 
+    @pytest.mark.parametrize("n", [2, 70])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_decision_does_not_depend_on_scale(self, n, inside):
+        # a defect of half the bound's norm term stays inside at every
+        # scale, and one of twice the whole bound at k = 0 stays outside;
+        # above 1e154 np.linalg.norm overflowed and everything passed
+        m = random_hermitian(n, rng())
+        norm = np.linalg.norm(m)
+        assert norm >= 1.0
+        m[0, 1] += 0.5e-12 * norm if inside else 2e-12 * (1.0 + norm)
+        assert is_hermitian(m) is inside
+        for k in range(0, 301, 50):
+            assert is_hermitian(m * 10.0 ** k) is inside, k
+
+    def test_antisymmetric_pair_beyond_the_norm_overflow(self):
+        assert not is_hermitian([[0.0, 1e250], [-1e250, 0.0]])
+        with pytest.raises(HermiticityError, match="defect 2.000e\\+250"):
+            hermitian_eigenvalues([[0.0, 1e250], [-1e250, 0.0]])
+
+
+class TestWithinTolerance:
+    def test_zero_defect_skips_the_norm(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("norm taken for a zero defect")
+        monkeypatch.setattr(linalg, "frobenius_norm", forbidden)
+        assert within_tolerance(0.0, np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("defect", [np.nan, np.inf])
+    def test_non_finite_defect_fails(self, defect):
+        # the norm of an inf matrix is inf; the bound is capped below it
+        assert not within_tolerance(defect, np.eye(2))
+        assert not within_tolerance(defect, [[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_relative_bound(self):
+        m = 3.0 * np.eye(4)                          # ||m||_F = 6
+        assert within_tolerance(7e-12, m)
+        assert not within_tolerance(7.01e-12, m)
+        assert within_tolerance(7e-10, m, rtol=1e-10)
+        assert not within_tolerance(7.01e-10, m, rtol=1e-10)
+
 
 class TestInvert:
     def test_scaled_identity(self):
@@ -296,3 +337,17 @@ class TestNorms:
         for _ in range(5):
             m = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
             assert operator_norm(m) <= frobenius_norm(m) + 1e-12
+
+    def test_entries_beyond_the_square_root_of_the_float_range(self):
+        # np.linalg.norm squares 1e200 to inf
+        assert abs(frobenius_norm([[1e200, 1e200]]) / (np.sqrt(2) * 1e200) - 1) <= 1e-15
+        assert np.isclose(frobenius_norm([[3e300j, 4e300]]), 5e300, rtol=1e-15)
+        assert frobenius_norm([[1e308 + 1e308j, 1e308 + 1e308j]]) == np.inf
+        assert frobenius_norm([[np.inf, 1.0]]) == np.inf
+        assert np.isnan(frobenius_norm([[np.nan, 1e300]]))
+
+    def test_other_inputs_keep_the_bits_of_np_linalg_norm(self):
+        gen = rng()
+        for scale in (1e-300, 1.0, 1e150):
+            m = scale * (gen.standard_normal((9, 9)) + 1j * gen.standard_normal((9, 9)))
+            assert frobenius_norm(m) == np.linalg.norm(m)

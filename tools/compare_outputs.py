@@ -29,7 +29,9 @@ are unknown keys; the ``--print-config`` echo carries ``--seed`` and
 ``--out`` but not ``--threads``, and refuses a config with a value that
 fails its key's rule, as the run does (``wishart``'s ``z`` rule among
 them).  Two unknown keys are named the same way in either file order.  A
-``sample`` too large to allocate exits 2.  The configs are small: the
+``sample`` too large to allocate exits 2, and so does an ``eta`` whose
+Choi matrix, ``sigma_l`` or tensor is not Hermitian PSD at entries of
+1e200, whose squares overflow a float.  The configs are small: the
 whole set takes about 50 s on 2 cores.  ``compare`` takes any other list
 of runs when imported.
 """
@@ -285,6 +287,18 @@ RUNS = [
     ("error-eta-missing-key", solve({"form": "scalar", "d": 2}), [], {}),
     ("error-eta-builder", solve({"form": "flat", "d": 2, "c": -1}), [], {}),
     ("error-eta-not-cp", solve({"form": "choi", "matrix": NOT_CP_CHOI}), [], {}),
+    # entries whose squares overflow a float: refused as at -1 (exit 2)
+    ("error-choi-overflow-not-hermitian", dict(solve({"form": "choi", "matrix": [
+        [1e200, 0.0, 0.0, 1e200], [0.0] * 4, [0.0] * 4, [-1e200, 0.0, 0.0, 1e200]]}),
+        z=[0.0, 1.0]), [], {}),
+    ("error-choi-overflow-not-psd", dict(solve({"form": "choi", "matrix": [
+        [1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0], [0.0, 0.0, -1e200, 0.0],
+        [0.0] * 4]}), z=[0.0, 1.0]), [], {}),
+    ("error-kronecker-overflow-sigma-l", dict(solve(
+        {"form": "kronecker", "betas": [[[1.0]]], "sigma_l": [[-1e200]]}), z=[0.0, 1.0]),
+     [], {}),
+    ("error-tensor-overflow", dict(solve({"form": "tensor", "sigma": [[[[-1e200]]]]}),
+                                   z=[0.0, 1.0]), [], {}),
     ("error-model-unknown", sample(model="gue"), [], {}),
     ("error-model-stray-key", sample(tensor=TENSOR), [], {}),
     ("error-model-missing-key", {"command": "sample", "model": {
