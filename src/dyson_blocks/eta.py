@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (HERMITICITY_RTOL, as_matrix, is_hermitian, operator_norm,
-                     require_square, within_tolerance)
+from .linalg import (as_matrix, is_hermitian, operator_norm, require_square,
+                     within_tolerance)
 
 CP_EIGENVALUE_RTOL = 1e-10
 
@@ -60,8 +60,8 @@ class CovarianceTensor:
     ``factor`` (F F^* = Sigma), the Gaussian factor every draw reuses:
       * Hermitian pair symmetry  sigma(i,j;k,l) = conj(sigma(k,l;i,j))
       * the d^2 x d^2 matrix Sigma[(i,j),(k,l)] is positive semidefinite
-    ``has_adjoint_symmetry`` is within_tolerance (rtol 1e-12) too;
-    ``is_real`` is absolute, max|Im sigma| <= 1e-12.
+    ``has_adjoint_symmetry`` and ``is_real`` are within_tolerance
+    (rtol 1e-12) of sigma too.
     """
 
     def __init__(self, sigma):
@@ -77,7 +77,7 @@ class CovarianceTensor:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.sigma.imag)) <= HERMITICITY_RTOL)
+        return within_tolerance(np.max(np.abs(self.sigma.imag)), self.sigma)
 
     @property
     def has_adjoint_symmetry(self) -> bool:
@@ -220,18 +220,6 @@ def _centered(stack: np.ndarray) -> np.ndarray:
     return stack - stack.mean(axis=0)
 
 
-def _entry_cov(samples, entry_cov) -> np.ndarray | None:
-    """entry_cov as a (d,d,d,d) array, or None if exactly samples is given."""
-    if (samples is None) == (entry_cov is None):
-        raise ValueError("provide exactly one of samples / entry_cov")
-    if entry_cov is None:
-        return None
-    gamma = np.asarray(entry_cov, dtype=np.complex128)
-    if gamma.ndim != 4 or len(set(gamma.shape)) != 1:
-        raise ValueError("entry_cov must be a (d,d,d,d) tensor")
-    return gamma
-
-
 def _sampled_map(ops: np.ndarray) -> CovarianceMap:
     """Empirical map B -> mean_m a_m B a_m^* over an op stack.
 
@@ -242,30 +230,19 @@ def _sampled_map(ops: np.ndarray) -> CovarianceMap:
     return CovarianceMap(_conjugation_choi(ops, np.full(m, 1.0 / m)))
 
 
-def eta_iid_blocks(samples=None, entry_cov=None) -> CovarianceMap:
-    """Covariance map of the Hermitized i.i.d.-block model.
-
-    eta(B) = (E[Abar B Abar^*] + E[Abar^* B Abar]) / 2 with Abar the
-    centered block.  Built either from Monte Carlo ``samples`` (a list of
-    d x d draws) or from the exact ``entry_cov`` tensor
-    Gamma[k,i,l,j] = Cov(a_{ki}, conj(a_{lj})).
-    """
-    gamma = _entry_cov(samples, entry_cov)
-    if gamma is None:
-        stack = _centered(_as_op_stack(samples))
-        return _sampled_map(
-            np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
-    plus = gamma.transpose(1, 0, 3, 2)          # choi of E[Abar B Abar^*]
-    minus = gamma.conj()                        # choi of E[Abar^* B Abar]
-    return CovarianceMap((plus + minus) / 2)
+def eta_iid_blocks(samples) -> CovarianceMap:
+    """Covariance map of the Hermitized i.i.d.-block model from ``samples``,
+    a list of d x d draws: eta(B) = (E[Abar B Abar^*] + E[Abar^* B Abar]) / 2
+    with Abar the centered block."""
+    stack = _centered(_as_op_stack(samples))
+    return _sampled_map(np.concatenate([stack, stack.conj().transpose(0, 2, 1)]))
 
 
-def eta_wigner_blocks(samples=None, entry_cov=None) -> CovarianceMap:
-    """Single-conjugation covariance eta(B) = E[Abar B Abar^*] (Wigner fill)."""
-    gamma = _entry_cov(samples, entry_cov)
-    if gamma is None:
-        return _sampled_map(_centered(_as_op_stack(samples)))
-    return CovarianceMap(gamma.transpose(1, 0, 3, 2))
+def eta_wigner_blocks(samples) -> CovarianceMap:
+    """Single-conjugation covariance eta(B) = E[Abar B Abar^*] of ``samples``;
+    a Wigner fill's limit only when it equals E[Abar^* B Abar], and so the
+    half-sum ``eta_iid_blocks``."""
+    return _sampled_map(_centered(_as_op_stack(samples)))
 
 
 def eta_kronecker(betas, sigma_l) -> CovarianceMap:

@@ -150,14 +150,15 @@ class UniversalityReport:
 
 def universality_experiment(template: ModelSpec, law_a, law_b, z: complex,
                             N: int, trials: int, seed: int) -> UniversalityReport:
-    """Paired mean-Cauchy comparison of two centered matched-variance laws."""
+    """Paired mean-Cauchy comparison of two centered matched-variance laws;
+    |mean| is tested against the standard deviation and the variance gap
+    against the larger variance, by linalg.within_tolerance."""
     for law in (law_a, law_b):
-        if abs(complex(law.mean)) > 1e-12:
+        if not linalg.within_tolerance(abs(complex(law.mean)), np.sqrt(law.variance)):
             raise ValueError(f"law {law!r} is not centered")
-    if abs(law_a.variance - law_b.variance) > 1e-12:
-        raise ValueError(
-            f"variance mismatch: {law_a.variance!r} vs {law_b.variance!r}"
-        )
+    va, vb = law_a.variance, law_b.variance
+    if not linalg.within_tolerance(abs(va - vb), max(va, vb)):
+        raise ValueError(f"variance mismatch: {va!r} vs {vb!r}")
     z = complex(z)
     res_a, res_b = (
         mean_cauchy(replace(template, N=int(N), law=law, seed=derived_seed(seed, arm)),

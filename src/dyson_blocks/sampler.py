@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
                   eta_correlated_tensor, eta_exchangeable_pool, eta_kronecker,
-                  eta_wishart_pair, flat_map, sigma_l_factor)
+                  eta_wigner_blocks, eta_wishart_pair, flat_map, sigma_l_factor)
 
 # ---------------------------------------------------------------------------
 # entry laws
@@ -183,10 +183,11 @@ class ModelSpec:
     A model's row of ``_MODELS`` holds its draw, its limit map and the data
     fields it takes.  Every input a draw relies on is checked here, once,
     except a permutation pool's size and block shape: they depend on the
-    model's fill, so the draw checks them.  The Gaussian factor of sigma_l,
-    ``sigma_factor``, is made here too; a tensor's is ``tensor.factor``,
-    made by CovarianceTensor.  Equality is identity, since the fields hold
-    arrays.
+    model's fill, so the draw checks them.  A ``wigner_blocks`` matrix
+    pool is checked here for a single limit (``_require_adjoint_pool``).
+    The Gaussian factor of sigma_l, ``sigma_factor``, is made here too; a
+    tensor's is ``tensor.factor``, made by CovarianceTensor.  Equality is
+    identity, since the fields hold arrays.
     """
 
     model: str
@@ -230,6 +231,9 @@ class ModelSpec:
                 raise ValueError("wishart tensor must be real-valued")
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
+        if (self.model == "wigner_blocks" and isinstance(self.law, PermutationPool)
+                and self.law.is_matrix_pool):
+            _require_adjoint_pool(self.law.values)
 
 
 def _check_u64(name: str, value) -> None:
@@ -446,6 +450,21 @@ def _entry_limit(spec: ModelSpec) -> CovarianceMap:
     # i.i.d. (or exchangeable) scalar entries of variance v give
     # eta(B) = v * tr(B) * I regardless of the fill pattern
     return flat_map(spec.d, spec.law.variance * spec.d)
+
+
+def _require_adjoint_pool(values) -> None:
+    """Refuse a ``wigner_blocks`` matrix pool without a single d x d limit.
+
+    That fill puts x below the diagonal and x^* above, in proportions that
+    change along the rows, so it has one limit only when
+    E[x B x^*] = E[x^* B x]; both then equal the half-sum map
+    ``eta_exchangeable_pool`` of the pool, which ``model_eta`` returns.
+    """
+    half_sum = eta_exchangeable_pool(values).choi_matrix()
+    one_sided = eta_wigner_blocks(values).choi_matrix()
+    if not linalg.within_tolerance(np.max(np.abs(one_sided - half_sum)), half_sum):
+        raise ValueError("wigner_blocks matrix pool needs E[x B x^*] = E[x^* B x]"
+                         " (blocks distributed like their adjoints)")
 
 
 def _circulant_limit(spec: ModelSpec) -> CovarianceMap:

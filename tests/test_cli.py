@@ -843,6 +843,18 @@ class TestExperimentCommands:
             "config error: config: correlated_blocks model takes no law\n")
         assert not (tmp_path / "u.csv").exists()
 
+    def test_universality_at_a_large_scale(self, tmp_path):
+        # a + b rounds to a mean of -7.45e-9, relative 5e-17 of the standard
+        # deviation 1.4e8: centred under the relative rule, as at scale 1
+        data = {"command": "universality", "out": str(tmp_path / "u.csv"),
+                "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                          "law": {"variant": "rademacher"}},
+                "laws": [{"variant": "two_point", "a": 2e8, "b": -1e8, "p": 1 / 3},
+                         {"variant": "real_gaussian", "variance": 2e16}],
+                "z": [0.0, 3.0], "N": 8, "trials": 2}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert (tmp_path / "u.csv").exists()
+
     def test_circulant_ks_command(self, tmp_path):
         data = {"command": "circulant-ks", "out": str(tmp_path / "ks.csv"),
                 "d": 2, "N_grid": [8, 16], "trials": 3, "seed": 5}
@@ -871,6 +883,15 @@ class TestExperimentCommands:
                 "tensor": pair_tensor(np.diag([100.0, 100.0, 100.0, -1.5e-8])),
                 "z": [1.4142135623730951, 1.4142135623730951],
                 "N": 6, "trials": 2, "seed": 3}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_OK
+        assert (tmp_path / "w.csv").exists()
+
+    def test_wishart_tensor_real_up_to_rounding(self, tmp_path):
+        # Im sigma is 1e-17 of sigma: real under the relative rule
+        data = {"command": "wishart", "out": str(tmp_path / "w.csv"),
+                "tensor": [[[[[1e6, 1e-11]]]]],
+                "z": [1.4142135623730951, 1.4142135623730951],
+                "N": 8, "trials": 2}
         assert main(["--config", write_config(tmp_path, data)]) == EXIT_OK
         assert (tmp_path / "w.csv").exists()
 

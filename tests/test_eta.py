@@ -89,23 +89,22 @@ class TestIidBlocks:
             eta_iid_blocks(samples=[np.eye(2), np.eye(3)])
 
     def test_empirical_matches_analytic_choi(self):
-        # 1e5 draws of a known gaussian block law vs the exact entry
-        # covariance: every Choi entry within 3 standard errors
+        # 1e5 draws of a known gaussian block law vs its exact half-sum
+        # map: every Choi entry within 3 standard errors
         gen = rng()
         d, n = 2, 100_000
         base = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
         base /= np.sqrt(2)
         mix = np.array([[1.0, 0.0], [0.5, np.sqrt(1 - 0.25)]])
         samples = np.einsum("ab,nbj->naj", mix, base)   # row-correlated entries
-        exact_gamma = np.zeros((d, d, d, d), dtype=complex)
-        cov_rows = mix @ mix.T          # Cov(a_k., conj a_l.) row structure
-        for k in range(d):
-            for l in range(d):
-                for i in range(d):
-                    exact_gamma[k, i, l, i] = cov_rows[k, l]
-        analytic = eta_iid_blocks(entry_cov=exact_gamma)
+        # E[a_ki conj a_lj] = delta_ij C[k, l], so choi4[i, k, j, l] is
+        # (delta_ij C[k, l] + delta_kl C[i, j]) / 2, C = mix mix^T real
+        cov_rows = mix @ mix.T
+        eye = np.eye(d)
+        exact = (np.einsum("ij,kl->ikjl", eye, cov_rows)
+                 + np.einsum("kl,ij->ikjl", eye, cov_rows)) / 2
         empirical = eta_iid_blocks(samples=list(samples))
-        diff = np.abs(empirical.choi4 - analytic.choi4)
+        diff = np.abs(empirical.choi4 - exact)
         centered = samples - samples.mean(axis=0)
         plus = np.einsum("nki,nlj->nikjl", centered, centered.conj())
         minus = np.einsum("nik,njl->nikjl", centered.conj(), centered)
@@ -174,16 +173,6 @@ class TestWignerBlocks:
         b = random_b(rng())
         assert np.allclose(m.apply(b), E12 @ b @ E21)
         assert np.allclose(m.apply(I2), E11)
-
-    def test_entry_covariance_gives_the_sampled_map(self):
-        # for the samples [A, -A], Gamma[k,i,l,j] = A[k,i] conj(A[l,j])
-        a = random_b(rng())
-        gamma = np.einsum("ki,lj->kilj", a, a.conj())
-        exact = eta_wigner_blocks(entry_cov=gamma)
-        sampled = eta_wigner_blocks(samples=[a, -a])
-        assert np.allclose(exact.choi4, sampled.choi4, rtol=0, atol=1e-14)
-        b = random_b(rng())
-        assert np.allclose(exact.apply(b), a @ b @ a.conj().T, rtol=0, atol=1e-13)
 
 
 class TestCorrelatedTensor:
@@ -444,8 +433,8 @@ class TestChoiAndNorms:
 
 
 class TestToleranceScaling:
-    """psd_factor and has_adjoint_symmetry decide the same for M and
-    M * 10^k: a defect of half the bound's norm term is inside at every
+    """psd_factor, has_adjoint_symmetry and is_real decide the same for M
+    and M * 10^k: a defect of half the bound's norm term is inside at every
     scale, one of twice the whole bound at k = 0 outside at every scale.
     Above 1e154 np.linalg.norm overflowed to inf and both tests passed
     anything finite."""
@@ -487,3 +476,13 @@ class TestToleranceScaling:
         sigma[0, 1, 0, 1] += self.defect(4.0, 1e-12, inside)
         for scale in self.SCALES:
             assert CovarianceTensor(sigma * scale).has_adjoint_symmetry is inside, scale
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_is_real(self, inside):
+        # +-i x on the mirrored pair entries (0,0;1,1) and (1,1;0,0) keeps
+        # the pair matrix 2 I Hermitian
+        x = self.defect(4.0, 1e-12, inside)
+        sigma = 2.0 * delta_tensor(2).astype(complex)      # ||sigma||_F = 4
+        sigma[0, 0, 1, 1], sigma[1, 1, 0, 0] = 1j * x, -1j * x
+        for scale in [1e4, 1e8, 1e12] + self.SCALES:
+            assert CovarianceTensor(sigma * scale).is_real is inside, scale

@@ -81,7 +81,8 @@ class TestModelEta:
     # positive, or an EtaPair of two completely positive maps
     MODEL_DATA = {
         "hermitized_iid": dict(law=ComplexGaussian(2.0)),
-        "wigner_blocks": dict(law=PermutationPool([E12, -E12, I2, -I2])),
+        "wigner_blocks": dict(law=PermutationPool([E12, -E12, E12.T, -E12.T,
+                                                   I2, -I2])),
         "kronecker": dict(betas=(I2, E12), sigma_l=np.eye(2)),
         "correlated_blocks": dict(tensor=adjoint_symmetric_tensor(2, key=9)),
         "circulant": dict(law=TwoPoint(2.0, -2.0, 0.5)),
@@ -242,6 +243,33 @@ class TestUniversality:
         with pytest.raises(ValueError):
             universality_experiment(template, TwoPoint(1.0, 0.5, 0.5),
                                     Rademacher(), 3j, N=16, trials=4, seed=0)
+
+    # both tests are relative: a defect of f 1e-12 times the law's scale s,
+    # against the bound 1e-12 (1 + s), decides alike at s = 10^k; f = 0.5
+    # is inside at every s, f = 2.5 outside from s = 1 on
+    SCALES = [10.0 ** k for k in (0, 4, 8, 12)]
+
+    @staticmethod
+    def accepted(law_a, law_b):
+        template = ModelSpec(model="hermitized_iid", d=1, N=2, law=Rademacher())
+        try:
+            universality_experiment(template, law_a, law_b, 3j, N=2, trials=2, seed=0)
+        except ValueError as exc:
+            assert "not centered" in str(exc) or "variance mismatch" in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize("f, inside", [(0.5, True), (2.5, False)])
+    def test_centring_is_relative(self, f, inside):
+        for s in self.SCALES:
+            law = TwoPoint(s * (1 + 2e-12 * f), -s, 0.5)    # mean f 1e-12 s
+            assert self.accepted(law, RealGaussian(law.variance)) is inside, s
+
+    @pytest.mark.parametrize("f, inside", [(0.5, True), (2.5, False)])
+    def test_variance_match_is_relative(self, f, inside):
+        for s in self.SCALES:
+            pair = (RealGaussian(s), RealGaussian(s * (1 + 1e-12 * f)))
+            assert self.accepted(*pair) is inside, s
 
     def test_arms_use_independent_streams(self):
         assert derived_seed(3, 0) != derived_seed(3, 1)

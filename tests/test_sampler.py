@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dyson_blocks import sampler
 from dyson_blocks.eta import CovarianceTensor
 from dyson_blocks.sampler import (MODELS, ComplexGaussian, ModelSpec,
                                   PermutationPool, Rademacher, RealGaussian,
@@ -227,6 +228,17 @@ class TestWignerBlocks:
         var = np.mean(np.abs(entries) ** 2)
         se = np.sqrt(2.0) / n / np.sqrt(entries.size)
         assert abs(var - 1.0 / n) <= 3 * se
+
+    def test_one_sided_matrix_pool_refused(self):
+        # x below the diagonal and x^* above: for the pool +-E12,
+        # E[x B x^*] != E[x^* B x], so no single d x d limit exists;
+        # hermitized_iid puts both in every slot and takes the pool, and
+        # the golden pool, closed under adjoints, is taken by both
+        pool = PermutationPool([E12, -E12] * 3)
+        with pytest.raises(ValueError, match=r"E\[x B x\^\*\] = E\[x\^\* B x\]"):
+            ModelSpec(model="wigner_blocks", d=2, N=2, law=pool)
+        ModelSpec(model="hermitized_iid", d=2, N=2, law=pool)
+        ModelSpec(model="wigner_blocks", d=2, N=3, law=TestGoldenHashes.POOL)
 
 
 class TestKronecker:
@@ -579,6 +591,20 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError, match="wishart tensor must be real-valued"):
             ModelSpec(model="wishart_correlated", d=2, N=4,
                       tensor=CovarianceTensor(sig.reshape(2, 2, 2, 2)))
+
+    def test_making_a_spec_builds_no_limit_map(self, monkeypatch):
+        # a limit map is a d^4 Choi tensor even for a scalar law, so only
+        # model_eta builds it: a spec's cost stays that of its input
+        def forbidden(*args, **kwargs):
+            raise AssertionError("limit map built")
+        for name in ("CovarianceMap", "flat_map", "eta_kronecker",
+                     "eta_correlated_tensor", "eta_wishart_pair"):
+            monkeypatch.setattr(sampler, name, forbidden)
+        for model in ("hermitized_iid", "wigner_blocks", "circulant"):
+            ModelSpec(model=model, d=64, N=2, law=Rademacher())
+        ModelSpec(model="kronecker", d=2, N=2, betas=(I2, E12), sigma_l=np.eye(2))
+        for model in ("correlated_blocks", "wishart_correlated"):
+            ModelSpec(model=model, d=2, N=2, tensor=delta_tensor(2))
 
     @pytest.mark.parametrize("law", [ComplexGaussian, RealGaussian])
     @pytest.mark.parametrize("variance", [-1.0, np.inf, np.nan])

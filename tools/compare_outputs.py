@@ -31,8 +31,11 @@ fails its key's rule, as the run does (``wishart``'s ``z`` rule among
 them).  Two unknown keys are named the same way in either file order.  A
 ``sample`` too large to allocate exits 2, and so does an ``eta`` whose
 Choi matrix, ``sigma_l`` or tensor is not Hermitian PSD at entries of
-1e200, whose squares overflow a float.  The configs are small: the
-whole set takes about 50 s on 2 cores.  ``compare`` takes any other list
+1e200, whose squares overflow a float.  The tolerances are relative: a
+``wishart`` tensor whose imaginary part is 1e-17 of it and a
+``universality`` two-point law at a scale of 1e8 whose mean rounds to
+-7.45e-9 both run, while a mean of -0.2 at that scale is refused.  The
+configs are small: the whole set takes about 50 s on 2 cores.  ``compare`` takes any other list
 of runs when imported.
 """
 
@@ -304,6 +307,23 @@ RUNS = [
     ("error-model-missing-key", {"command": "sample", "model": {
         "model": "kronecker", "d": 2, "N": 3, "betas": BETAS}}, [], {}),
     ("error-model-builder", sample(N=0), [], {}),
+    # relative tolerances: a Wishart tensor real up to 1e-17 of its size,
+    # and a two-point law whose mean rounds to -7.45e-9 at a standard
+    # deviation of 1.4e8, run; a mean of -0.2 at that scale is refused
+    ("wishart-tensor-rounded-imaginary", {"command": "wishart",
+                                          "tensor": [[[[[1e6, 1e-11]]]]],
+                                          "z": WISHART_Z, "N": 8, "trials": 2},
+     [], {}),
+    ("universality-large-two-point", {
+        "command": "universality", "model": HERMITIZED,
+        "laws": [{"variant": "two_point", "a": 2e8, "b": -1e8, "p": 1 / 3},
+                 {"variant": "real_gaussian", "variance": 2e16}],
+        "z": [0.0, 3.0], "N": 8, "trials": 2}, [], {}),
+    ("universality-not-centered", {
+        "command": "universality", "model": HERMITIZED,
+        "laws": [{"variant": "two_point", "a": 2e8, "b": -1e8 - 0.3, "p": 1 / 3},
+                 {"variant": "real_gaussian", "variance": 2e16}],
+        "z": [0.0, 3.0], "N": 8, "trials": 2}, [], {}),
 ]
 
 
