@@ -2,7 +2,7 @@
 statistics for block random matrices."""
 
 from .dyson import (DysonSolution, SolverOptions, cdf_from_density,
-                    circulant_mixture, mixture_cauchy,
+                    certified_traces, circulant_mixture, mixture_cauchy,
                     scalar_semicircle_cauchy, solve_dyson, solve_semicircular,
                     solve_wishart, stieltjes_density)
 from .esd import (EmpiricalCDF, MeanCauchyResult, empirical_cauchy,

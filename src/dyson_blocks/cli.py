@@ -387,7 +387,7 @@ def _csv(rows, header: str, comments: list[str] | None = None) -> str:
 
 def _run_solve(eta, z=None, z_grid=None, solver=None, seed=0):
     zs = [z] if z_grid is None else z_grid
-    gs = [sol.certified_trace() for sol in dyson.solve_dyson(eta, zs, solver)]
+    gs = dyson.certified_traces(eta, zs, solver).tolist()
     rows = [(fmt(z.real), fmt(z.imag), fmt(g.real), fmt(g.imag))
             for z, g in zip(zs, gs)]
     return _csv(rows, "z_re,z_im,g_re,g_im")

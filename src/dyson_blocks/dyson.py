@@ -94,7 +94,9 @@ class DysonSolution:
     run the first time a point reads it, for all the points of its
     ``solve_dyson`` batch together (``_Margins``), so a caller that never
     reads it pays nothing.
-    ``certified_trace()`` is the one place the certificate is enforced.
+    ``certified_trace()`` enforces the certificate for one point, as
+    ``certified_traces`` does for a stack of them; both raise the
+    ``SolverFailure`` of ``_solver_failure``.
 
     For a Wishart point, ``z`` is w and ``G`` is G_W(w), while
     ``residual``, ``iterations``, ``converged`` and ``stability_margin``
@@ -125,16 +127,28 @@ class DysonSolution:
         """``trace()`` of a point that met the certificate; SolverFailure,
         naming ``z`` and ``residual``, for one that missed it."""
         if not self.converged:
-            raise SolverFailure(
-                f"solver failed at z={self.z!r} (residual {self.residual:.3e})")
+            raise _solver_failure(self.z, self.residual)
         return self.trace()
 
 
-def _require_upper_half_plane(z: complex) -> complex:
-    z = complex(z)
-    if not (0 < z.imag < np.inf and abs(z.real) < np.inf):
-        raise ValueError(f"z must lie in the upper half-plane, got {z}")
-    return z
+def _solver_failure(z: complex, residual: float) -> SolverFailure:
+    """The report of a point that missed the certificate."""
+    return SolverFailure(f"solver failed at z={complex(z)!r} "
+                         f"(residual {float(residual):.3e})")
+
+
+def _upper_half_plane(zs) -> np.ndarray:
+    """The points ``zs`` as a 1-D complex128 array; ValueError naming the
+    first one that is not finite with Im z > 0."""
+    target = np.asarray(zs, dtype=np.complex128)
+    if target.ndim != 1:
+        raise ValueError(
+            f"z points must form a 1-D sequence, got shape {target.shape}")
+    bad = ~((0 < target.imag) & (target.imag < np.inf) & (abs(target.real) < np.inf))
+    if bad.any():
+        raise ValueError("z must lie in the upper half-plane, "
+                         f"got {complex(target[np.argmax(bad)])}")
+    return target
 
 
 def _batched_solve(a: np.ndarray, b: np.ndarray):
@@ -320,9 +334,13 @@ class _Driver:
             self.target[idx].imag, self.accepted_height[idx] * ratio)
         self.height_steps[idx] = 0
 
-    def solutions(self) -> list:
+    def residuals(self) -> np.ndarray:
+        """||R(G)||_F of every point's returned G at its requested z."""
         A = self.target[:, None, None] * self.eye - self._eta(self.G)
-        res = _frobenius(A @ self.G - self.eye)
+        return _frobenius(A @ self.G - self.eye)
+
+    def solutions(self) -> list:
+        res = self.residuals()
         converged = self.mode == _DONE
         Gs = [G.copy() for G in self.G]
         margins = _Margins(Gs, self.action)
@@ -343,8 +361,7 @@ def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
     Each point's result does not depend on the other points in the call.
     """
     opts = opts or SolverOptions()
-    target = np.array([_require_upper_half_plane(z) for z in zs],
-                      dtype=np.complex128)
+    target = _upper_half_plane(zs)
     if isinstance(model, EtaPair):
         d = model.d
         return [replace(sol, z=complex(w), G=sol.G[:d, :d] / sol.z)
@@ -353,13 +370,46 @@ def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
     if not isinstance(model, CovarianceMap):
         raise TypeError("model must be a CovarianceMap (semicircular) or an "
                         "EtaPair (Wishart)")
-    chunk = max(1, JACOBIAN_ENTRIES // model.d ** 4)
-    solutions = []
+    return [sol for _, driver in _drivers(model, target, opts)
+            for sol in driver.solutions()]
+
+
+def _drivers(eta: CovarianceMap, target: np.ndarray, opts: SolverOptions):
+    """Run ``target`` in chunks whose Jacobians hold at most JACOBIAN_ENTRIES
+    entries, one ``_Driver`` each; yields (offset of the chunk, its driver)."""
+    chunk = max(1, JACOBIAN_ENTRIES // eta.d ** 4)
     for lo in range(0, len(target), chunk):
-        driver = _Driver(model, target[lo:lo + chunk], opts)
+        driver = _Driver(eta, target[lo:lo + chunk], opts)
         driver.run()
-        solutions.extend(driver.solutions())
-    return solutions
+        yield lo, driver
+
+
+def certified_traces(eta: CovarianceMap, zs,
+                     opts: SolverOptions | None = None) -> np.ndarray:
+    """Normalized traces tr G(z)/d of the certified solutions at every z.
+
+    The values of ``[s.certified_trace() for s in solve_dyson(eta, zs,
+    opts)]``, bit for bit, as one complex128 array, read from the driver's
+    G stack without a DysonSolution per point.  The first z that misses the
+    certificate raises that list's SolverFailure, residual included; the
+    chunks after its own are not solved.
+    """
+    if not isinstance(eta, CovarianceMap):
+        raise TypeError("eta must be a CovarianceMap")
+    target = _upper_half_plane(zs)
+    traces = np.empty(len(target), dtype=np.complex128)
+    for lo, driver in _drivers(eta, target, opts or SolverOptions()):
+        missed = np.flatnonzero(driver.mode != _DONE)
+        if missed.size:
+            m = missed[0]
+            raise _solver_failure(driver.target[m], driver.residuals()[m])
+        t = np.trace(driver.G, axis1=1, axis2=2)
+        # CPython's complex(t) / d, which divides by d + 0j: the same bits
+        # as DysonSolution.trace(), where numpy's t / d multiplies by 1/d
+        part = traces[lo:lo + len(t)]
+        part.real = (t.real + t.imag * 0.0) / eta.d
+        part.imag = (t.imag - t.real * 0.0) / eta.d
+    return traces
 
 
 def solve_semicircular(eta: CovarianceMap, z: complex,
@@ -447,9 +497,9 @@ def stieltjes_density(g, grid, eps: float,
 
     ``g`` is either a vectorised callable, called once on the array of
     grid points x + i eps and returning one Cauchy value per point, or a
-    CovarianceMap (then the whole grid is solved in one ``solve_dyson``
-    call and its ``certified_trace`` values are used, so the first grid
-    point that misses the certificate raises SolverFailure).  Values are
+    CovarianceMap (then the whole grid is solved by one
+    ``certified_traces`` call, so the first grid point that misses the
+    certificate raises SolverFailure).  Values are
     clipped to 0 from below; the clipped mass is O(eps) + O(grid step^2)
     away from a unit integral for a probability law whose support the
     grid covers.
@@ -462,8 +512,7 @@ def stieltjes_density(g, grid, eps: float,
     if np.any(np.diff(xs) <= 0):
         raise ValueError("grid must be strictly increasing")
     if isinstance(g, CovarianceMap):
-        values = np.array([sol.certified_trace()
-                           for sol in solve_dyson(g, xs + 1j * eps, opts)])
+        values = certified_traces(g, xs + 1j * eps, opts)
     elif callable(g):
         values = np.asarray(g(xs + 1j * eps), dtype=np.complex128)
         if values.shape != xs.shape:

@@ -161,11 +161,15 @@ class PermutationPool:
             raise ValueError("matrix pools fill block slots, not scalar slots")
         return self._permuted(rng, n, "entry")
 
-    def draw_blocks(self, rng, n: int, d: int) -> np.ndarray:
+    def require_blocks(self, d: int) -> None:
+        """Refuse a pool that cannot fill d x d block slots."""
         if not self.is_matrix_pool:
             raise ValueError("scalar pool cannot fill block slots")
         if self.values.shape[1:] != (d, d):
             raise ValueError(f"pool blocks must be {d}x{d}")
+
+    def draw_blocks(self, rng, n: int, d: int) -> np.ndarray:
+        self.require_blocks(d)
         return self._permuted(rng, n, "block")
 
 
@@ -182,9 +186,9 @@ class ModelSpec:
 
     A model's row of ``_MODELS`` holds its draw, its limit map and the data
     fields it takes.  Every input a draw relies on is checked here, once,
-    except a permutation pool's size and block shape: they depend on the
-    model's fill, so the draw checks them.  A ``wigner_blocks`` matrix
-    pool is checked here for a single limit (``_require_adjoint_pool``).
+    except a permutation pool's size: it depends on the model's fill, so
+    the draw checks it.  A matrix pool's blocks must be d x d, and a
+    ``wigner_blocks`` one must have a single limit (``_require_adjoint_pool``).
     The Gaussian factor of sigma_l, ``sigma_factor``, is made here too; a
     tensor's is ``tensor.factor``, made by CovarianceTensor.  Equality is
     identity, since the fields hold arrays.
@@ -231,9 +235,11 @@ class ModelSpec:
                 raise ValueError("wishart tensor must be real-valued")
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
-        if (self.model == "wigner_blocks" and isinstance(self.law, PermutationPool)
-                and self.law.is_matrix_pool):
-            _require_adjoint_pool(self.law.values)
+        if (self.model in ("hermitized_iid", "wigner_blocks")
+                and isinstance(self.law, PermutationPool) and self.law.is_matrix_pool):
+            self.law.require_blocks(self.d)
+            if self.model == "wigner_blocks":
+                _require_adjoint_pool(self.law.values)
 
 
 def _check_u64(name: str, value) -> None:

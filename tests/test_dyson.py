@@ -6,10 +6,11 @@ import pytest
 
 from dyson_blocks import dyson, sampler
 from dyson_blocks.dyson import (SolverFailure, SolverOptions,
-                                cdf_from_density, circulant_mixture,
-                                mixture_cauchy, scalar_semicircle_cauchy,
-                                solve_dyson, solve_semicircular,
-                                solve_wishart, stieltjes_density)
+                                cdf_from_density, certified_traces,
+                                circulant_mixture, mixture_cauchy,
+                                scalar_semicircle_cauchy, solve_dyson,
+                                solve_semicircular, solve_wishart,
+                                stieltjes_density)
 from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
                               eta_kronecker, eta_wishart_pair, flat_map,
                               scalar_map)
@@ -574,6 +575,76 @@ class TestCertifiedTrace:
             sol.certified_trace()
         assert str(err.value) == (f"solver failed at z={named} "
                                   f"(residual {sol.residual:.3e})")
+
+
+def _per_point_traces(model, zs):
+    """``certified_trace`` of each point of one ``solve_dyson`` call: the
+    array of traces, or the text of the SolverFailure it raises."""
+    try:
+        return np.array([sol.certified_trace() for sol in solve_dyson(model, zs)])
+    except SolverFailure as err:
+        return str(err)
+
+
+def _batch_traces(model, zs):
+    try:
+        return certified_traces(model, zs)
+    except SolverFailure as err:
+        return str(err)
+
+
+class TestCertifiedTraces:
+    """``certified_traces`` gives the per-point ``certified_trace`` values
+    bit for bit, and the same SolverFailure for the first failed point."""
+
+    @pytest.mark.parametrize("name", ["circulant-d3", "flat-d2", "kronecker-d3",
+                                      "wishart-d2"])
+    def test_golden_maps(self, name):
+        model, zs, _, _ = TestGoldenSolves.CASES[name]
+        model, zs = model(), zs()
+        if isinstance(model, EtaPair):
+            # the map the driver solves for a Wishart pair
+            model, zs = model.hermitization(), np.sqrt(zs)
+        traces = certified_traces(model, zs)
+        assert traces.dtype == np.complex128
+        assert traces.tobytes() == _per_point_traces(model, zs).tobytes()
+
+    def test_large_d(self):
+        eta = random_cp_map(rng(), 10)
+        scale = np.sqrt(eta.cp_norm())
+        zs = (np.linspace(-2.5, 2.5, 7) + 1e-3j) * scale
+        assert (certified_traces(eta, zs).tobytes()
+                == _per_point_traces(eta, zs).tobytes())
+
+    @pytest.mark.parametrize("name", ["flat-d2", "kraus-rank-1"])
+    def test_chunks(self, monkeypatch, name):
+        # four d = 2 points per driver: flat-d2's 55 points take 14 chunks,
+        # and kraus-rank-1's first failure (x = 0 at Im z = 1e-3) is in the
+        # second of its four
+        model, zs, _, _ = TestGoldenSolves.CASES[name]
+        model, zs = model(), zs()
+        whole = _batch_traces(model, zs)
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", 4 * 2 ** 4)
+        chunked = _batch_traces(model, zs)
+        per_point = _per_point_traces(model, zs)
+        if name == "kraus-rank-1":
+            assert per_point == "solver failed at z=0.001j (residual 4.038e-01)"
+            assert chunked == whole == per_point
+        else:
+            assert chunked.tobytes() == whole.tobytes() == per_point.tobytes()
+
+    @pytest.mark.parametrize("solve", [certified_traces, solve_dyson],
+                             ids=["certified_traces", "solve_dyson"])
+    def test_names_the_first_z_off_the_half_plane(self, solve):
+        zs = [1j, 2 + 1j, complex(0.5, -1.0), complex(np.nan, 1.0), 3j]
+        with pytest.raises(ValueError) as err:
+            solve(scalar_map(1, 1.0), zs)
+        assert str(err.value) == "z must lie in the upper half-plane, got (0.5-1j)"
+
+    def test_rejects_other_models(self):
+        assert certified_traces(scalar_map(1, 1.0), []).shape == (0,)
+        with pytest.raises(TypeError):
+            certified_traces(_wishart_pair_d2(), [1j])
 
 
 class TestStieltjesDensity:

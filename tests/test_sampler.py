@@ -559,6 +559,15 @@ class TestExchangeable:
         with pytest.raises(ValueError, match="pool size"):
             pool.draw_blocks(rng_for(1, 0), 3, 2)
 
+    @pytest.mark.parametrize("model", ["hermitized_iid", "wigner_blocks"])
+    def test_spec_refuses_blocks_of_another_size(self, model):
+        # a 2 x 2 pool at d = 3 gave a d = 2 limit map, and only the draw
+        # refused it
+        pool = PermutationPool([I2, -I2, I2, -I2])
+        with pytest.raises(ValueError, match=r"^pool blocks must be 3x3$"):
+            ModelSpec(model=model, d=3, N=2, law=pool)
+        ModelSpec(model=model, d=2, N=2, law=pool)
+
     def test_matrix_pool_blocks(self):
         n = 2
         pool = PermutationPool([I2, -I2, E12, E12.conj().T])

@@ -16,7 +16,8 @@ invalid value for each of the three variant tables; ``z`` with
 ``z_grid``, an empty ``z_grid``, ``eta`` with ``mixture``, and
 ``density`` grids too fine for an array, too large for memory and above
 the point cap), solver failures (``max_iter`` on ``solve``, ``density``,
-``rate`` and ``wishart``, and a Kraus-rank-1 map), solves at d = 3
+``rate`` and ``wishart``, and a Kraus-rank-1 map on ``solve`` and on a
+``density`` grid that fails only at its interior point x = 0), solves at d = 3
 through both spectral edges and a d = 3 Wishart tensor and
 correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
 correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
@@ -119,6 +120,11 @@ RUNS = [
                                   "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
                                   "z_grid": [[1.0, 0.1], [0.0, 0.1], [0.0, 1e-3],
                                              [0.0, 1e-5], [0.5, 1e-5]]}, [], {}),
+    # only the interior point x = 0 fails: the density path's first failure
+    ("density-kraus-rank-1-fails", {"command": "density",
+                                    "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
+                                    "grid": {"min": -0.5, "max": 0.5, "step": 0.25},
+                                    "eps": 1e-5}, [], {}),
     ("density-mixture", {"command": "density",
                          "mixture": {"weights": [0.5, 0.5], "variances": [1.0, 2.0]},
                          "grid": {"min": -3.0, "max": 3.0, "step": 0.5}}, [], {}),
