@@ -10,9 +10,14 @@ form and model is one row of ``_LAWS``, ``_ETAS`` or ``_MODELS``: its
 builder and its keys.  ``RunConfig`` parses the whole config through
 ``_object``, each key by its ``_FIELDS`` rule, before anything runs, so a
 runner takes parsed values.  Runners raise; ``main`` alone turns an exception
-into an exit code: 0 success, 2 config error (``ConfigError``, or a
-``ValueError`` or ``MemoryError`` from the library), 3 solver non-convergence
-(``dyson.SolverFailure``), 4 output I/O failure (``OSError``).  Numeric
+into an exit code, which it returns and never raises as ``SystemExit``: 0
+success, 2 config error (``ConfigError``, or a ``ValueError`` or
+``MemoryError`` from the library, or a command line that ``_parse_flags``
+refuses: then the usage and ``dyson-blocks: error: ...``), 3 solver
+non-convergence (``dyson.SolverFailure``), 4 output I/O failure
+(``OSError``).  ``-h``/``--help`` prints the help and returns 0.  The five
+flags, their usage line and their help come from one table, ``_FLAGS``,
+read with ``getopt``.  Numeric
 CSV fields use shortest-roundtrip decimal formatting so reruns diff
 bit-faithfully.  Complex numbers in configs are [re, im] pairs; matrices
 are nested lists of numbers or pairs.  ``main`` first keeps the
@@ -23,14 +28,15 @@ See README.md for the full schema of every command.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
+import getopt
 import json
 import os
 import sys
 import tempfile
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -510,6 +516,78 @@ def _run(args) -> int:
     return EXIT_OK
 
 
+_DESCRIPTION = ("Solve operator-valued Dyson equations and run block random-matrix "
+                "experiments\nfrom a JSON config.")
+# flag: (metavar, type, help); a flag without a metavar is a switch, and
+# --config alone is required
+_FLAGS = {
+    "config": ("CONFIG", str, "path to the JSON config"),
+    "out": ("OUT", str, "override the config output path"),
+    "seed": ("SEED", int, "override the config seed (u64)"),
+    "threads": ("THREADS", int, "accepted and checked (>= 1); trials run serially"),
+    "print-config": (None, bool, "echo the parsed config as canonical JSON and exit"),
+}
+
+
+class _UsageError(Exception):
+    """A command line that names no run; the message says why."""
+
+
+def _invocation(name: str) -> str:
+    metavar = _FLAGS[name][0]
+    return f"--{name} {metavar}" if metavar else f"--{name}"
+
+
+def _usage() -> str:
+    """The usage line, wrapped to 78 columns."""
+    lines = ["usage: dyson-blocks"]
+    for word in ["[-h]"] + [_invocation(name) if name == "config"
+                            else f"[{_invocation(name)}]" for name in _FLAGS]:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(" " * 19)
+        lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_invocation(name), text) for name, (_, _, text) in _FLAGS.items()]
+    width = max(len(invocation) for invocation, _ in rows)
+    return "\n".join([_usage(), "", _DESCRIPTION, "", "options:"]
+                     + [f"  {invocation:<{width}}  {text}" for invocation, text in rows])
+
+
+def _parse_flags(argv):
+    """The flags of ``argv`` by name (``print-config`` as ``print_config``),
+    each None (False for the switch) when not given, or None if ``argv``
+    asks for the help.  A flag's value is the argument after it or after its
+    ``=``; a unique prefix names a flag, and a later flag overrides an
+    earlier one."""
+    try:
+        opts, positional = getopt.gnu_getopt(
+            argv, "h", ["help"] + [name if metavar is None else f"{name}="
+                                   for name, (metavar, _, _) in _FLAGS.items()])
+    except getopt.GetoptError as exc:
+        raise _UsageError(exc.msg) from None
+    values = {name: False if kind is bool else None
+              for name, (_, kind, _) in _FLAGS.items()}
+    for flag, value in opts:
+        if flag in ("-h", "--help"):
+            return None
+        name = flag[2:]
+        kind = _FLAGS[name][1]
+        try:
+            values[name] = True if kind is bool else kind(value)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+    if values["config"] is None:
+        raise _UsageError("the following arguments are required: --config")
+    if positional:
+        raise _UsageError(f"unrecognized arguments: {' '.join(positional)}")
+    return SimpleNamespace(**{name.replace("-", "_"): value
+                              for name, value in values.items()})
+
+
 def _keep_heap_resident() -> bool:
     """Keep freed Monte Carlo arrays in this process's heap.
 
@@ -534,20 +612,15 @@ def _keep_heap_resident() -> bool:
 
 def main(argv=None) -> int:
     _keep_heap_resident()
-    parser = argparse.ArgumentParser(
-        prog="dyson-blocks",
-        description="Solve operator-valued Dyson equations and run "
-                    "block random-matrix experiments from a JSON config.")
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", help="override the config output path")
-    parser.add_argument("--seed", type=int, help="override the config seed (u64)")
-    parser.add_argument("--threads", type=int,
-                        help="accepted and checked (>= 1); trials run serially")
-    parser.add_argument("--print-config", action="store_true",
-                        help="echo the parsed config as canonical JSON and exit")
-    args = parser.parse_args(argv)
     try:
+        args = _parse_flags(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help())
+            return EXIT_OK
         return _run(args)
+    except _UsageError as exc:
+        print(f"{_usage()}\ndyson-blocks: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -187,8 +187,9 @@ class ModelSpec:
     A model's row of ``_MODELS`` holds its draw, its limit map and the data
     fields it takes.  Every input a draw relies on is checked here, once,
     except a permutation pool's size: it depends on the model's fill, so
-    the draw checks it.  A matrix pool's blocks must be d x d, and a
-    ``wigner_blocks`` one must have a single limit (``_require_adjoint_pool``).
+    the draw checks it.  A matrix pool's blocks must be d x d, a
+    ``wigner_blocks`` one must have a single limit (``_require_adjoint_pool``),
+    and ``circulant``, whose slots are scalars, takes none.
     The Gaussian factor of sigma_l, ``sigma_factor``, is made here too; a
     tensor's is ``tensor.factor``, made by CovarianceTensor.  Equality is
     identity, since the fields hold arrays.
@@ -235,8 +236,10 @@ class ModelSpec:
                 raise ValueError("wishart tensor must be real-valued")
         if self.model == "circulant" and self.d < 2:
             raise ValueError("circulant model needs d >= 2")
-        if (self.model in ("hermitized_iid", "wigner_blocks")
-                and isinstance(self.law, PermutationPool) and self.law.is_matrix_pool):
+        if isinstance(self.law, PermutationPool) and self.law.is_matrix_pool:
+            if self.model == "circulant":
+                raise ValueError("circulant model fills scalar slots; "
+                                 "a matrix pool cannot fill them")
             self.law.require_blocks(self.d)
             if self.model == "wigner_blocks":
                 _require_adjoint_pool(self.law.values)

@@ -963,3 +963,105 @@ class TestAllocatorPolicy:
 
         few, many = faults(4), faults(16)
         assert many - few < 500, (few, many)
+
+
+def reference_parser():
+    """The argparse parser the CLI used to build, flag for flag."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="dyson-blocks",
+        description="Solve operator-valued Dyson equations and run "
+                    "block random-matrix experiments from a JSON config.")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", help="override the config output path")
+    parser.add_argument("--seed", type=int, help="override the config seed (u64)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and checked (>= 1); trials run serially")
+    parser.add_argument("--print-config", action="store_true",
+                        help="echo the parsed config as canonical JSON and exit")
+    return parser
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--config", "c.json"],
+        ["--config=c.json"],
+        ["--config="],
+        ["--config", "c", "--out", "o.csv", "--seed", "5", "--threads", "2"],
+        ["--config=c", "--out=o.csv", "--seed=5", "--threads=2"],
+        ["--seed", "5", "--out", "o", "--config", "c"],
+        ["--conf", "c", "--o", "o", "--se", "7", "--t", "3", "--p"],
+        ["--c=c", "--ou=o", "--s=7", "--thr=3", "--print"],
+        ["--config", "a", "--config", "b", "--seed", "1", "--seed", "2"],
+        ["--config", "c", "--out", "a", "--out=b", "--threads", "4", "--thread", "1"],
+        ["--config", "c", "--seed", "-1"],
+        ["--config", "c", "--seed=-1"],
+        ["--config", "c", "--seed", str(2 ** 64)],
+        ["--config", "c", "--seed", " 7 "],
+        ["--config", "c", "--threads", "0"],
+        ["--config", "c", "--threads", "-3"],
+        ["--print-config", "--config", "c"],
+        ["--config", "c", "--print-config", "--seed", "3", "--out", "o"],
+        ["--config", "c", "--print-config", "--print-config"],
+    ])
+    def test_same_values_as_argparse(self, argv):
+        expected = vars(reference_parser().parse_args(argv))
+        assert vars(cli._parse_flags(argv)) == expected
+
+    def test_value_is_the_next_argument_whatever_it_starts_with(self):
+        # argparse refused a value that looks like a flag ("expected one
+        # argument"); getopt takes the next argument
+        args = cli._parse_flags(["--config", "--c", "--out", "-x"])
+        assert (args.config, args.out) == ("--c", "-x")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--zork"], "option --zork not recognized"),
+        (["--config", "c.json", "-x"], "option -x not recognized"),
+        (["--config"], "option --config requires argument"),
+        (["--config", "c.json", "--out"], "option --out requires argument"),
+        (["--config", "c.json", "--seed", "x"],
+         "argument --seed: invalid int value: 'x'"),
+        (["--config", "c.json", "--seed", "1.0"],
+         "argument --seed: invalid int value: '1.0'"),
+        (["--config", "c.json", "--threads=two"],
+         "argument --threads: invalid int value: 'two'"),
+        (["--config", "c.json", "extra"], "unrecognized arguments: extra"),
+        (["extra", "--config", "c.json", "more"], "unrecognized arguments: extra more"),
+        (["--config", "c.json", "--", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
+        (["--config", "c.json", "--print-config=1"],
+         "option --print-config must not have an argument"),
+        ([], "the following arguments are required: --config"),
+        (["--seed", "3", "--print-config"],
+         "the following arguments are required: --config"),
+    ])
+    def test_refused_forms(self, tmp_path, capsys, monkeypatch, argv, error):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"command": "solve", "out": "o.csv",
+                                "eta": {"form": "scalar", "d": 1, "t": 1.0},
+                                "z": [0.0, 2.0]}, name="c.json")
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (reference_parser().format_usage()
+                                + f"dyson-blocks: error: {error}\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"],
+                                      ["--config", "c.json", "-h"],
+                                      ["--help", "--seed", "x"]])
+    def test_help(self, capsys, monkeypatch, argv):
+        # argparse's layout at 80 columns, which the help keeps at any width
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = reference_parser().format_help()
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == (expected, "")
+
+    def test_import_leaves_argparse_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_blocks.__file__)))
+        code = "import sys, dyson_blocks.cli; print(sorted({'argparse'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout == "[]\n"

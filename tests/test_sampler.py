@@ -568,6 +568,15 @@ class TestExchangeable:
             ModelSpec(model=model, d=3, N=2, law=pool)
         ModelSpec(model=model, d=2, N=2, law=pool)
 
+    def test_circulant_refuses_a_matrix_pool(self):
+        # the spec constructed, then model_eta and sample_matrix each
+        # refused the pool with a message of its own
+        i3 = np.eye(3)
+        pool = PermutationPool([i3, -i3] * 4)
+        with pytest.raises(ValueError, match=r"^circulant model fills scalar slots; "
+                                             r"a matrix pool cannot fill them$"):
+            ModelSpec(model="circulant", d=3, N=2, law=pool)
+
     def test_matrix_pool_blocks(self):
         n = 2
         pool = PermutationPool([I2, -I2, E12, E12.conj().T])

@@ -36,7 +36,11 @@ Choi matrix, ``sigma_l`` or tensor is not Hermitian PSD at entries of
 ``wishart`` tensor whose imaginary part is 1e-17 of it and a
 ``universality`` two-point law at a scale of 1e8 whose mean rounds to
 -7.45e-9 both run, while a mean of -0.2 at that scale is refused.  The
-configs are small: the whole set takes about 50 s on 2 cores.  ``compare`` takes any other list
+command line is covered too: abbreviated and ``=`` forms of the flags, a
+flag given twice, ``--seed -1``, each form the flag parse refuses, and
+``-h`` and ``--help`` (once with ``COLUMNS=120``); a run whose config is
+None passes no ``--config``.  The configs are small: the whole set takes
+about 2 min on 2 cores for both trees.  ``compare`` takes any other list
 of runs when imported.
 """
 
@@ -330,18 +334,38 @@ RUNS = [
         "laws": [{"variant": "two_point", "a": 2e8, "b": -1e8 - 0.3, "p": 1 / 3},
                  {"variant": "real_gaussian", "variance": 2e16}],
         "z": [0.0, 3.0], "N": 8, "trials": 2}, [], {}),
+    # command-line flags: abbreviated and "=" forms of valid runs, a later
+    # flag over an earlier one, a negative --seed (refused by the config's
+    # seed rule), every form the flag parse refuses (exit 2, the usage and
+    # the error on stderr) and the help (exit 0); a config of None runs with
+    # no --config
+    ("flags-abbreviated", sample(), ["--thr", "2", "--o=other.bin", "--se=9"], {}),
+    ("flags-print-config-abbreviated", RATE, ["--print", "--thre=3", "--s", "4"], {}),
+    ("flags-seed-negative", sample(), ["--seed", "-1"], {}),
+    ("error-flag-unknown", sample(), ["--zork"], {}),
+    ("error-flag-missing-value", sample(), ["--out"], {}),
+    ("error-flag-seed-not-int", sample(), ["--seed", "x"], {}),
+    ("error-flag-threads-not-int", sample(), ["--threads", "1.5"], {}),
+    ("error-flag-positional", sample(), ["extra"], {}),
+    ("error-flag-print-config-value", sample(), ["--print-config=1"], {}),
+    ("error-flag-no-config", None, [], {}),
+    ("help", None, ["--help"], {}),
+    ("help-short", sample(), ["-h"], {}),
+    ("help-wide-terminal", None, ["--help"], {"COLUMNS": "120"}),
 ]
 
 
-def run(src: str, config: dict, argv: list, env: dict, seed: int) -> dict:
+def run(src: str, config: dict | None, argv: list, env: dict, seed: int) -> dict:
     """One CLI process in a fresh directory: its exit code, stdout, stderr
     and every file it wrote, by name."""
     with tempfile.TemporaryDirectory(prefix="compare-outputs.") as cwd:
-        with open(os.path.join(cwd, "config.json"), "w") as fh:
-            json.dump(dict(config, out="out"), fh)
+        flags = ["--seed", str(seed), *argv]
+        if config is not None:
+            with open(os.path.join(cwd, "config.json"), "w") as fh:
+                json.dump(dict(config, out="out"), fh)
+            flags = ["--config", "config.json", *flags]
         proc = subprocess.run(
-            [sys.executable, "-m", "dyson_blocks.cli", "--config", "config.json",
-             "--seed", str(seed), *argv],
+            [sys.executable, "-m", "dyson_blocks.cli", *flags],
             cwd=cwd, capture_output=True,
             env=dict(os.environ, PYTHONPATH=os.path.abspath(src),
                      PYTHONDONTWRITEBYTECODE="1", **env))
