@@ -52,7 +52,8 @@ EXIT_IO = 4
 # the largest density grid: a d = 2 grid peaks at about 1.0 kB per point
 # under tracemalloc (20 000 and 100 000 points) and grows the RSS by
 # 1.2 kB per point, so this one holds about 1.2 GB and takes about 35 s on
-# a 2-vCPU host
+# a 2-vCPU host.  The solver holds two d x d matrices per point, so a map
+# of d > 2 gets the same d^2 entries: 4 DENSITY_MAX_POINTS / d^2 points
 DENSITY_MAX_POINTS = 1_000_000
 
 # mallopt parameters (malloc.h) and the values main sets: the mmap threshold
@@ -401,6 +402,10 @@ def _run_solve(eta, z=None, z_grid=None, solver=None, seed=0):
 
 def _run_density(grid, eta=None, mixture=None, eps=1e-4, solver=None, seed=0):
     source, label = eta or mixture
+    if eta and len(grid) * source.d ** 2 > 4 * DENSITY_MAX_POINTS:
+        raise ConfigError(f"config.grid: {len(grid)} points, more than the "
+                          f"{4 * DENSITY_MAX_POINTS // source.d ** 2} that "
+                          f"density solves at d = {source.d}")
     xs, rho = dyson.stieltjes_density(source, grid, eps, solver)
     rows = [(fmt(x), fmt(r)) for x, r in zip(xs, rho)]
     return _csv(rows, "x,rho", comments=[label, f"eps={fmt(eps)}"])

@@ -4,10 +4,11 @@ One equation is solved, the semicircular one
 
     z G = I + eta(G) G,
 
-by one driver, ``solve_dyson``, that takes a whole stack of z points at
-once.  The Wishart equation w G = I + eta1((I - eta2(G))^{-1}) G is this
-equation for its Hermitization (``EtaPair.hermitization``, the 2d x 2d
-map B -> diag(eta1(B_22), eta2(B_11))) at z = sqrt(w): the root there is
+by one ``_Driver`` per ``solve_dyson`` or ``certified_traces`` call, over
+its whole stack of z points.  The Wishart equation
+w G = I + eta1((I - eta2(G))^{-1}) G is this equation for its
+Hermitization (``EtaPair.hermitization``, the 2d x 2d map
+B -> diag(eta1(B_22), eta2(B_11))) at z = sqrt(w): the root there is
 diag(z G_W(w), z G_V(w)), and G_W(w) is its top-left block over z.
 
 Each point is reached by continuation in Im z: it starts at a height
@@ -15,8 +16,11 @@ where plain iteration contracts (Im z > 1.5 ||eta||^(1/2)) and descends
 geometrically to the requested z, taking Newton steps on
 R(G) = (z - eta(G)) G - I at every height.  The map acts through its
 d^2 x d^2 ``CovarianceMap.action`` matrix, which is also the derivative
-of eta, and the Newton systems of all points are solved in one batched
-``np.linalg.solve``.
+of eta.  The driver sweeps its live points in chunks whose Jacobians
+hold at most ``JACOBIAN_ENTRIES`` entries, each chunk's Newton systems
+solved by one batched ``np.linalg.solve``; the residuals and the
+margins' SVDs are chunked alike.  Between sweeps the driver keeps two
+d x d matrices per point, its G and the last accepted one.
 
 Certificate: a point converges when ||z G - I - eta(G) G||_F <= tol and
 Im G <= 0 (largest eigenvalue of (G - G^*)/2i at most tol).  The branch
@@ -36,7 +40,8 @@ density table, and density-to-CDF conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -54,8 +59,9 @@ MAX_DESCENT_RATIO = 0.99
 NEWTON_STEPS_PER_HEIGHT = 8
 FAST_HEIGHT_STEPS = 3
 
-# points per driver are capped so their d^2 x d^2 Jacobians hold at most
-# this many entries (64 MiB of complex128)
+# one sweep, the residuals and the margins take points in chunks whose
+# d^2 x d^2 Jacobians or stability operators hold at most this many
+# entries (64 MiB of complex128)
 JACOBIAN_ENTRIES = 1 << 22
 
 _NEWTON, _DONE, _FAILED = range(3)
@@ -63,8 +69,8 @@ _NEWTON, _DONE, _FAILED = range(3)
 
 @dataclass
 class SolverOptions:
-    """``tol`` bounds the certificate (residual and Im G); ``max_iter``
-    bounds each point's sweeps (Newton and rejected steps together)."""
+    """``tol`` bounds the certificate (residual and Im G); the integer
+    ``max_iter`` bounds each point's sweeps (Newton and rejected steps)."""
 
     tol: float = 1e-11
     max_iter: int = 20000
@@ -72,6 +78,10 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.tol < float("inf"):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an int, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
@@ -92,8 +102,8 @@ class DysonSolution:
     operator H -> H - G eta(H) G at the returned G; it tends to 0 at a
     spectral edge as Im z -> 0.  It is a property, not a field: the SVDs
     run the first time a point reads it, for all the points of its
-    ``solve_dyson`` batch together (``_Margins``), so a caller that never
-    reads it pays nothing.
+    ``solve_dyson`` call together (``_Driver.margins``), so a caller that
+    never reads it pays nothing.
     ``certified_trace()`` enforces the certificate for one point, as
     ``certified_traces`` does for a stack of them; both raise the
     ``SolverFailure`` of ``_solver_failure``.
@@ -109,15 +119,15 @@ class DysonSolution:
     iterations: int
     converged: bool
     damping_used: float = 1.0
-    # (margins of the call, index of this point)
+    # (driver of the call, index of this point)
     _margin: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def stability_margin(self) -> float:
         if self._margin is None:
             return float("nan")
-        margins, m = self._margin
-        return margins[m]
+        driver, m = self._margin
+        return float(driver.margins()[m])
 
     def trace(self) -> complex:
         """Normalized trace of G, the scalar Cauchy transform."""
@@ -206,21 +216,6 @@ def _frobenius(R):
     return np.sqrt(np.add.reduce((R.conj() * R).real, axis=(1, 2)))
 
 
-class _Margins:
-    """The stability margins of one ``_Driver``'s points: taken together, by
-    ``_stability_margin`` on their returned Gs, the first time any of them
-    is read."""
-
-    def __init__(self, Gs: list, action):
-        self.Gs, self.action, self.values = Gs, action, None
-
-    def __getitem__(self, m) -> float:
-        if self.values is None:
-            self.values = _stability_margin(np.array(self.Gs), self.action)
-            self.Gs = None
-        return float(self.values[m])
-
-
 def _branch_ok(G, tol: float):
     """Im G = (G - G^*)/2i is negative semidefinite up to tol."""
     imag = (G - G.conj().transpose(0, 2, 1)) / 2j
@@ -228,13 +223,17 @@ def _branch_ok(G, tol: float):
 
 
 class _Driver:
-    """Per-point state of one ``solve_dyson`` call; ``run`` sweeps until
-    every point is certified or has failed."""
+    """Per-point state of one ``solve_dyson`` or ``certified_traces`` call;
+    ``run`` sweeps until every point is certified or has failed.  Then
+    ``target``, ``G``, ``iterations``, ``mode``, ``residuals()`` and
+    ``margins()`` are the call's result."""
 
-    def __init__(self, eta: CovarianceMap, target: np.ndarray, opts: SolverOptions):
-        self.action, self.target, self.opts = eta.action, target, opts
+    def __init__(self, eta: CovarianceMap, target: np.ndarray, opts=None):
+        self.action, self.target, self.opts = eta.action, target, opts or SolverOptions()
         m, d = len(target), eta.d
         self.eye = np.eye(d, dtype=np.complex128)
+        # points whose d^2 x d^2 arrays hold at most JACOBIAN_ENTRIES entries
+        self.chunk = max(1, JACOBIAN_ENTRIES // d ** 4)
         start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
         self.z = target.real + 1j * np.maximum(target.imag, start_height)
         self.G = self.eye / self.z[:, None, None]
@@ -244,19 +243,25 @@ class _Driver:
         self.height_steps = np.zeros(m, dtype=int)
         self.iterations = np.zeros(m, dtype=int)
         self.mode = np.full(m, _NEWTON)
+        self._margins = None
 
-    def run(self):
-        while self.sweep():
-            pass
+    def run(self) -> _Driver:
+        while (live := np.flatnonzero(self.mode < _DONE)).size:
+            for part in self._chunks(live.size):
+                self.sweep(live[part])
+        self.accepted = None        # sweep state; the result is read from G
+        return self
+
+    def _chunks(self, n: int):
+        """Slices of at most ``chunk`` of n points: the most that one sweep,
+        ``residuals`` or ``margins`` takes at once."""
+        return (slice(lo, lo + self.chunk) for lo in range(0, n, self.chunk))
 
     def _eta(self, G):
         k, d = G.shape[0], G.shape[1]
         return (self.action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
 
-    def sweep(self) -> bool:
-        live = np.flatnonzero(self.mode < _DONE)
-        if live.size == 0:
-            return False
+    def sweep(self, live):
         G, z = self.G[live], self.z[live]
         A = z[:, None, None] * self.eye - self._eta(G)
         R = A @ G - self.eye
@@ -276,7 +281,6 @@ class _Driver:
                 v[go] for v in (live, G, A, R, res, certified, small))
         self.iterations[live] += 1
         self._newton(live, G, A, R, res, certified, small)
-        return True
 
     def _newton(self, idx, G, A, R, res, certified, small):
         if idx.size == 0:
@@ -336,18 +340,21 @@ class _Driver:
 
     def residuals(self) -> np.ndarray:
         """||R(G)||_F of every point's returned G at its requested z."""
-        A = self.target[:, None, None] * self.eye - self._eta(self.G)
-        return _frobenius(A @ self.G - self.eye)
+        res = np.empty(len(self.G))
+        for part in self._chunks(len(self.G)):
+            G = self.G[part]
+            A = self.target[part, None, None] * self.eye - self._eta(G)
+            res[part] = _frobenius(A @ G - self.eye)
+        return res
 
-    def solutions(self) -> list:
-        res = self.residuals()
-        converged = self.mode == _DONE
-        Gs = [G.copy() for G in self.G]
-        margins = _Margins(Gs, self.action)
-        return [DysonSolution(complex(self.target[m]), Gs[m], float(res[m]),
-                              int(self.iterations[m]), bool(converged[m]),
-                              _margin=(margins, m))
-                for m in range(len(self.target))]
+    def margins(self) -> np.ndarray:
+        """The stability margin of every point's returned G: taken by
+        ``_stability_margin`` chunk by chunk on the first call, then kept."""
+        if self._margins is None:
+            self._margins = np.empty(len(self.G))
+            for part in self._chunks(len(self.G)):
+                self._margins[part] = _stability_margin(self.G[part], self.action)
+        return self._margins
 
 
 def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
@@ -359,29 +366,24 @@ def solve_dyson(model, zs, opts: SolverOptions | None = None) -> list:
     DysonSolution per z, in order; points that miss the certificate come
     back with converged=False and the residual of the returned G at z.
     Each point's result does not depend on the other points in the call.
+    Each solution's G is a view into one (m, d, d) stack of the call.
     """
-    opts = opts or SolverOptions()
     target = _upper_half_plane(zs)
     if isinstance(model, EtaPair):
-        d = model.d
-        return [replace(sol, z=complex(w), G=sol.G[:d, :d] / sol.z)
-                for w, sol in zip(target, solve_dyson(model.hermitization(),
-                                                      np.sqrt(target), opts))]
-    if not isinstance(model, CovarianceMap):
+        driver = _Driver(model.hermitization(), _upper_half_plane(np.sqrt(target)),
+                         opts).run()
+        Gs = driver.G[:, :model.d, :model.d] / driver.target[:, None, None]
+    elif isinstance(model, CovarianceMap):
+        driver = _Driver(model, target, opts).run()
+        Gs = driver.G
+    else:
         raise TypeError("model must be a CovarianceMap (semicircular) or an "
                         "EtaPair (Wishart)")
-    return [sol for _, driver in _drivers(model, target, opts)
-            for sol in driver.solutions()]
-
-
-def _drivers(eta: CovarianceMap, target: np.ndarray, opts: SolverOptions):
-    """Run ``target`` in chunks whose Jacobians hold at most JACOBIAN_ENTRIES
-    entries, one ``_Driver`` each; yields (offset of the chunk, its driver)."""
-    chunk = max(1, JACOBIAN_ENTRIES // eta.d ** 4)
-    for lo in range(0, len(target), chunk):
-        driver = _Driver(eta, target[lo:lo + chunk], opts)
-        driver.run()
-        yield lo, driver
+    res, converged = driver.residuals(), driver.mode == _DONE
+    return [DysonSolution(complex(target[m]), Gs[m], float(res[m]),
+                          int(driver.iterations[m]), bool(converged[m]),
+                          _margin=(driver, m))
+            for m in range(len(target))]
 
 
 def certified_traces(eta: CovarianceMap, zs,
@@ -389,26 +391,24 @@ def certified_traces(eta: CovarianceMap, zs,
     """Normalized traces tr G(z)/d of the certified solutions at every z.
 
     The values of ``[s.certified_trace() for s in solve_dyson(eta, zs,
-    opts)]``, bit for bit, as one complex128 array, read from the driver's
-    G stack without a DysonSolution per point.  The first z that misses the
-    certificate raises that list's SolverFailure, residual included; the
-    chunks after its own are not solved.
+    opts)]``, bit for bit, as one complex128 array, read from the G stack
+    of the call's one ``_Driver`` without a DysonSolution per point.  Every
+    point is solved; then the first z that missed the certificate raises
+    that list's SolverFailure, residual included.
     """
     if not isinstance(eta, CovarianceMap):
         raise TypeError("eta must be a CovarianceMap")
-    target = _upper_half_plane(zs)
-    traces = np.empty(len(target), dtype=np.complex128)
-    for lo, driver in _drivers(eta, target, opts or SolverOptions()):
-        missed = np.flatnonzero(driver.mode != _DONE)
-        if missed.size:
-            m = missed[0]
-            raise _solver_failure(driver.target[m], driver.residuals()[m])
-        t = np.trace(driver.G, axis1=1, axis2=2)
-        # CPython's complex(t) / d, which divides by d + 0j: the same bits
-        # as DysonSolution.trace(), where numpy's t / d multiplies by 1/d
-        part = traces[lo:lo + len(t)]
-        part.real = (t.real + t.imag * 0.0) / eta.d
-        part.imag = (t.imag - t.real * 0.0) / eta.d
+    driver = _Driver(eta, _upper_half_plane(zs), opts).run()
+    missed = np.flatnonzero(driver.mode != _DONE)
+    if missed.size:
+        m = missed[0]
+        raise _solver_failure(driver.target[m], driver.residuals()[m])
+    t = np.trace(driver.G, axis1=1, axis2=2)
+    # CPython's complex(t) / d, which divides by d + 0j: the same bits as
+    # DysonSolution.trace(), where numpy's t / d multiplies by 1/d
+    traces = np.empty(len(t), dtype=np.complex128)
+    traces.real = (t.real + t.imag * 0.0) / eta.d
+    traces.imag = (t.imag - t.real * 0.0) / eta.d
     return traces
 
 
@@ -506,11 +506,7 @@ def stieltjes_density(g, grid, eps: float,
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    xs = _increasing_grid(grid)
     if isinstance(g, CovarianceMap):
         values = certified_traces(g, xs + 1j * eps, opts)
     elif callable(g):
@@ -524,18 +520,31 @@ def stieltjes_density(g, grid, eps: float,
     return xs, rho
 
 
+def _increasing_grid(grid, least: int = 1) -> np.ndarray:
+    """``grid`` as floats, if a strictly increasing 1-D array of ``least``
+    or more points."""
+    xs = np.asarray(grid, dtype=float)
+    if xs.ndim != 1 or xs.size < least:
+        raise ValueError(f"grid must be a 1-D array of {least} or more points")
+    if not (np.diff(xs) > 0).all():
+        raise ValueError("grid must be strictly increasing")
+    return xs
+
+
 def cdf_from_density(xs, rho):
     """Monotone [0,1] CDF from a density table, trapezoid-cumulated.
 
-    The cumulative mass is renormalized to 1; the returned callable
-    evaluates by linear interpolation, clamped to [0,1] outside the grid.
+    ``xs`` is a strictly increasing grid of two points or more, ``rho``
+    nonnegative.  The cumulative mass is renormalized to 1; the returned
+    callable evaluates by linear interpolation, clamped to [0,1] outside
+    the grid.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _increasing_grid(xs, least=2)
     rho = np.asarray(rho, dtype=float)
-    if xs.size == 0 or xs.shape != rho.shape:
-        raise ValueError("empty or mismatched density table")
-    if xs.size == 1:
-        raise ValueError("density table needs at least two points")
+    if xs.shape != rho.shape:
+        raise ValueError("mismatched density table")
+    if (rho < 0).any():
+        raise ValueError("density values must be nonnegative")
     steps = np.diff(xs)
     cumulative = np.concatenate(
         [[0.0], np.cumsum(steps * (rho[1:] + rho[:-1]) / 2.0)]

@@ -39,6 +39,7 @@ def analytic_trace_cauchy(spec: ModelSpec, z: complex,
                           opts: SolverOptions | None = None) -> complex:
     """Certified limit-law scalar Cauchy transform for a model at one z."""
     eta = model_eta(spec)
+    # by these names, not solve_dyson: bench/tracer.py counts solves through them
     solve = solve_wishart if isinstance(eta, EtaPair) else solve_semicircular
     return solve(eta, z, opts).certified_trace()
 

@@ -309,6 +309,23 @@ class TestConfigValidation:
         else:
             assert "config.grid: 11 points, more than the 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points, code", [(3, EXIT_CONFIG), (2, EXIT_OK)])
+    def test_density_grid_cap_counts_d_squared_entries(self, tmp_path, capsys,
+                                                       monkeypatch, points, code):
+        # a d = 4 map gets the d^2 entries of 4 * 10 / 4^2 = 2 points
+        monkeypatch.setattr(cli, "DENSITY_MAX_POINTS", 10)
+        out = tmp_path / "o.csv"
+        data = {"command": "density", "out": str(out), "eta": {"form": "flat", "d": 4},
+                "grid": {"min": 0.0, "max": 0.1 * (points - 1), "step": 0.1}}
+        assert main(["--config", write_config(tmp_path, data)]) == code
+        if code == EXIT_OK:
+            assert len(out.read_text().splitlines()) == 3 + points
+        else:
+            assert not out.exists()
+            assert capsys.readouterr().err == (
+                "config error: config.grid: 3 points, more than the 2 that "
+                "density solves at d = 4\n")
+
     def test_rate_rejects_permutation_pool_up_front(self, tmp_path, capsys,
                                                     monkeypatch):
         # 16 values are the entry draws of N = 2 at d = 2, not of any N here

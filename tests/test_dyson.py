@@ -257,6 +257,7 @@ class TestSolveDyson:
 
     def test_rejects_other_models(self):
         assert solve_dyson(scalar_map(1, 1.0), []) == []
+        assert solve_dyson(_wishart_pair_d2(), []) == []
         with pytest.raises(TypeError):
             solve_dyson(np.eye(2), [1j])
 
@@ -461,11 +462,33 @@ class TestStabilityMarginOnDemand:
         assert calls == []
 
     @pytest.mark.parametrize("name", sorted(MARGIN_DIGESTS))
-    def test_margins_are_the_batched_values(self, name):
+    def test_margins_are_the_batched_values(self, monkeypatch, name):
+        # four d = 2 points per chunk of sweep residuals, Jacobians and
+        # stability operators, as in TestCertifiedTraces.test_chunks (one
+        # point at the Wishart pair's Hermitized d = 4)
         model, zs, _, _ = TestGoldenSolves.CASES[name]
         model, zs = model(), zs()
+        cap, calls = 4 * 2 ** 4, []
+
+        def spied(build, kind, at):
+            def call(*args):
+                G = args[at]                # a (k, d, d) stack
+                calls.append((kind, len(G), max(1, cap // G.shape[1] ** 4)))
+                return build(*args)
+            return call
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", cap)
+        monkeypatch.setattr(dyson, "_frobenius",
+                            spied(dyson._frobenius, "residual", 0))
+        monkeypatch.setattr(dyson, "_newton_jacobian",
+                            spied(dyson._newton_jacobian, "jacobian", 1))
+        monkeypatch.setattr(dyson, "_stability_margin",
+                            spied(dyson._stability_margin, "margin", 0))
         margins = np.array([sol.stability_margin
                             for sol in solve_dyson(model, zs)])
+        assert all(points <= chunk for _, points, chunk in calls)
+        assert sum(points for kind, points, _ in calls if kind == "margin") == len(zs)
+        assert {kind for kind, _, _ in calls} == {"residual", "jacobian", "margin"}
+        monkeypatch.undo()
         assert (hashlib.sha256(margins.tobytes()).hexdigest()
                 == self.MARGIN_DIGESTS[name])
         # the batched value on the G stack of the equation solved: for a
@@ -754,6 +777,19 @@ class TestCdfFromDensity:
         with pytest.raises(ValueError, match="positive finite mass"):
             cdf_from_density(np.array([0.0, 1.0, 2.0]), np.array([0.5, value, 0.5]))
 
+    @pytest.mark.parametrize("xs, rho, error", [
+        # read 0.75 at x = 1 and 0.5 at x = 2
+        ([0.0, 1.0, 2.0, 3.0], [5.0, -2.0, 1.0, 1.0], "nonnegative"),
+        # np.interp read these grids silently
+        ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], "1-D"),
+    ], ids=["negative-density", "decreasing", "repeated", "nan", "2-d"])
+    def test_tables_that_give_no_cdf_rejected(self, xs, rho, error):
+        with pytest.raises(ValueError, match=error):
+            cdf_from_density(xs, rho)
+
 
 class TestSolverOptions:
     def test_validation(self):
@@ -764,3 +800,8 @@ class TestSolverOptions:
                 SolverOptions(tol=tol)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+        # a NaN cap was never reached, so it lifted the sweep cap
+        for max_iter in (float("nan"), 2.5, 20.0, "20"):
+            with pytest.raises(ValueError, match="max_iter must be an int, got"):
+                SolverOptions(max_iter=max_iter)
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3

@@ -1,6 +1,7 @@
 """Compare the CLI's outputs of two source trees, byte for byte.
 
     python tools/compare_outputs.py OLD_SRC NEW_SRC
+    python tools/compare_outputs.py --write-digests PATH [SRC]
 
 OLD_SRC and NEW_SRC are directories holding a ``dyson_blocks`` package,
 such as the ``src`` directories of two checkouts.  Every run of ``RUNS``
@@ -9,6 +10,13 @@ is made at seeds 1-3 against both trees, each in a fresh
 output paths and messages read the same on both sides.  The exit code,
 stdout, stderr and the bytes of every file a run writes are compared,
 and each difference is printed.  The script exits 1 if any run differs.
+
+``--write-digests`` makes the same runs against one tree (SRC, by default
+the ``src`` directory next to this one) and writes the ``digest`` of each,
+with the numpy and BLAS versions, as JSON to PATH.  The committed copy,
+``tests/data/cli_digests.json``, is checked in tier-1 by
+``tests/test_cli_digests.py``, which makes every run in process through
+``run_in_process``; a change that moves an output regenerates the file.
 
 ``RUNS`` covers every command, every entry law, eta form and model,
 config errors (an unknown variant, a stray key, a missing key and an
@@ -46,13 +54,17 @@ of runs when imported.
 
 from __future__ import annotations
 
+import contextlib
 import difflib
+import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 SEEDS = (1, 2, 3)
 
@@ -355,27 +367,89 @@ RUNS = [
 ]
 
 
-def run(src: str, config: dict | None, argv: list, env: dict, seed: int) -> dict:
-    """One CLI process in a fresh directory: its exit code, stdout, stderr
-    and every file it wrote, by name."""
+def _made(call, config: dict | None, argv: list, seed: int) -> dict:
+    """A run made by ``call(cwd, flags) -> (exit code, stdout, stderr)`` in a
+    fresh directory holding its config, with every file it wrote, by name."""
     with tempfile.TemporaryDirectory(prefix="compare-outputs.") as cwd:
         flags = ["--seed", str(seed), *argv]
         if config is not None:
             with open(os.path.join(cwd, "config.json"), "w") as fh:
                 json.dump(dict(config, out="out"), fh)
             flags = ["--config", "config.json", *flags]
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyson_blocks.cli", *flags],
-            cwd=cwd, capture_output=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                     PYTHONDONTWRITEBYTECODE="1", **env))
+        code, stdout, stderr = call(cwd, flags)
         files = {}
         for name in sorted(os.listdir(cwd)):
             if name != "config.json":
                 with open(os.path.join(cwd, name), "rb") as fh:
                     files[name] = fh.read()
-    return {"exit code": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr, "files": files}
+    return {"exit code": code, "stdout": stdout, "stderr": stderr, "files": files}
+
+
+def run(src: str, config: dict | None, argv: list, env: dict, seed: int) -> dict:
+    """One CLI process in a fresh directory: its exit code, stdout, stderr
+    and every file it wrote, by name."""
+    def call(cwd, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyson_blocks.cli", *flags],
+            cwd=cwd, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                     PYTHONDONTWRITEBYTECODE="1", **env))
+        return proc.returncode, proc.stdout, proc.stderr
+    return _made(call, config, argv, seed)
+
+
+def run_in_process(config: dict | None, argv: list, env: dict, seed: int) -> dict:
+    """``run`` made by ``dyson_blocks.cli.main`` in this process, with
+    ``env`` added to the environment and stdout and stderr captured; the
+    working directory and the environment are restored after."""
+    from dyson_blocks import cli
+
+    def call(cwd, flags):
+        stdout, stderr, home = io.StringIO(), io.StringIO(), os.getcwd()
+        with (mock.patch.dict(os.environ, env), contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
+            os.chdir(cwd)
+            try:
+                code = cli.main(flags)
+            finally:
+                os.chdir(home)
+        return code, stdout.getvalue().encode(), stderr.getvalue().encode()
+    return _made(call, config, argv, seed)
+
+
+def digest(result: dict) -> str:
+    """SHA-256 of a run's exit code, stdout, stderr and written files, each
+    part prefixed by its length."""
+    parts = [str(result["exit code"]).encode(), result["stdout"], result["stderr"]]
+    for name, data in sorted(result["files"].items()):
+        parts += [name.encode(), data]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def run_name(name: str, seed: int) -> str:
+    return f"{name} seed={seed}"
+
+
+def write_digests(path: str, src: str, runs=RUNS, seeds=SEEDS) -> None:
+    """Write the digest of every run against ``src``, each in a fresh
+    process, with the numpy and BLAS versions they were taken with."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version")}
+    except (KeyError, TypeError):
+        blas = {"name": "unknown", "version": "unknown"}
+    digests = {run_name(name, seed): digest(run(src, config, argv, env, seed))
+               for name, config, argv, env in runs for seed in seeds}
+    with open(path, "w") as fh:
+        json.dump({"numpy": np.__version__, "blas": blas, "digests": digests},
+                  fh, indent=1)
+        fh.write("\n")
 
 
 def _describe(label: str, old: bytes, new: bytes) -> list[str]:
@@ -416,21 +490,30 @@ def compare(old_src: str, new_src: str, runs=RUNS, seeds=SEEDS) -> int:
                                 run(new_src, config, argv, env, seed))
             if lines:
                 differing += 1
-                print(f"DIFFERS {name} seed={seed}")
+                print(f"DIFFERS {run_name(name, seed)}")
                 print("\n".join(lines))
     print(f"{len(runs) * len(seeds)} runs, {differing} differ")
     return differing
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2 or not all(os.path.isdir(os.path.join(a, "dyson_blocks"))
-                                 for a in args):
+    args = list(sys.argv[1:] if argv is None else argv)
+    digests = args[:1] == ["--write-digests"]
+    if digests and len(args) == 2:
+        args.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 os.pardir, "src"))
+    trees = args[2:] if digests else args
+    if (len(trees) != (1 if digests else 2)
+            or not all(os.path.isdir(os.path.join(a, "dyson_blocks")) for a in trees)):
         print("usage: python tools/compare_outputs.py OLD_SRC NEW_SRC\n"
-              "OLD_SRC and NEW_SRC must each hold a dyson_blocks package",
+              "       python tools/compare_outputs.py --write-digests PATH [SRC]\n"
+              "OLD_SRC, NEW_SRC and SRC must each hold a dyson_blocks package",
               file=sys.stderr)
         return 2
-    return 1 if compare(*args) else 0
+    if digests:
+        write_digests(args[1], trees[0])
+        return 0
+    return 1 if compare(*trees) else 0
 
 
 if __name__ == "__main__":
