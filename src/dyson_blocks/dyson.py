@@ -16,11 +16,26 @@ where plain iteration contracts (Im z > 1.5 ||eta||^(1/2)) and descends
 geometrically to the requested z, taking Newton steps on
 R(G) = (z - eta(G)) G - I at every height.  The map acts through its
 d^2 x d^2 ``CovarianceMap.action`` matrix, which is also the derivative
-of eta.  The driver sweeps its live points in chunks whose Jacobians
-hold at most ``JACOBIAN_ENTRIES`` entries, each chunk's Newton systems
-solved by one batched ``np.linalg.solve``; the residuals and the
-margins' SVDs are chunked alike.  Between sweeps the driver keeps two
-d x d matrices per point, its G and the last accepted one.
+of eta.  The iterates never leave the smallest unital algebra A with
+eta(A) in A, which holds I/z, so when A is smaller than M_d (and its m^3
+structure constants fit ``JACOBIAN_ENTRIES``) each Newton correction is
+solved in the m = dim A coordinates of ``CovarianceMap.subalgebra_basis``:
+an m x m system built from the coordinates of G and eta's
+``structure_constants`` (``_subalgebra_jacobian``).  Otherwise it is the
+d^2 x d^2 system of ``_newton_jacobian``.  The residual, the certificate
+and the margin are always taken on the full d x d matrices.  The
+coordinate step does not correct the rounding that takes G out of A, so
+where G is large its residual can stall above tol: a point that misses a
+height (or its sweeps) in coordinates starts over from its start height
+on the d^2 x d^2 systems, with its sweep count reset, and is solved
+exactly as that path solves it.
+
+The driver solves its points in windows of at most ``chunk`` points, the
+number whose d^2 x d^2 Jacobians hold ``JACOBIAN_ENTRIES`` entries; each
+sweep of a window solves its Newton systems by one batched
+``np.linalg.solve``, and the residuals and the margins' SVDs are chunked
+alike.  It keeps one d x d matrix per point, its G, and the sweep state
+of one window: the last accepted G, heights and descent ratios.
 
 Certificate: a point converges when ||z G - I - eta(G) G||_F <= tol and
 Im G <= 0 (largest eigenvalue of (G - G^*)/2i at most tol).  The branch
@@ -59,8 +74,8 @@ MAX_DESCENT_RATIO = 0.99
 NEWTON_STEPS_PER_HEIGHT = 8
 FAST_HEIGHT_STEPS = 3
 
-# one sweep, the residuals and the margins take points in chunks whose
-# d^2 x d^2 Jacobians or stability operators hold at most this many
+# one window of sweeps, the residuals and the margins take points in chunks
+# whose d^2 x d^2 Jacobians or stability operators hold at most this many
 # entries (64 MiB of complex128)
 JACOBIAN_ENTRIES = 1 << 22
 
@@ -70,7 +85,9 @@ _NEWTON, _DONE, _FAILED = range(3)
 @dataclass
 class SolverOptions:
     """``tol`` bounds the certificate (residual and Im G); the integer
-    ``max_iter`` bounds each point's sweeps (Newton and rejected steps)."""
+    ``max_iter`` bounds each point's sweeps (Newton and rejected steps) on
+    each path, so a point that starts over on the d^2 x d^2 systems may
+    take up to twice as many in all."""
 
     tol: float = 1e-11
     max_iter: int = 20000
@@ -95,9 +112,10 @@ class DysonSolution:
     """One solved point.
 
     ``iterations`` counts the driver sweeps the point took (Newton steps
-    and rejected continuation steps).  ``damping_used`` is always 1.0,
-    since every step is a full Newton step; the field is kept for the
-    callers that read it.
+    and rejected continuation steps) on the path that returned it: a
+    point that started over on the d^2 x d^2 systems counts those.
+    ``damping_used`` is always 1.0, since every step is a full Newton
+    step; the field is kept for the callers that read it.
     ``stability_margin`` is the smallest singular value of the stability
     operator H -> H - G eta(H) G at the returned G; it tends to 0 at a
     spectral edge as Im z -> 0.  It is a property, not a field: the SVDs
@@ -197,6 +215,18 @@ def _newton_jacobian(A, G, action):
     return J.reshape(k, d * d, d * d)
 
 
+def _subalgebra_jacobian(z, g, structure):
+    """m x m Jacobians z I_m - (g @ D).reshape(m, m) of R = A G - I in the
+    coordinates of ``CovarianceMap.subalgebra_basis``, for G and the
+    corrections in that algebra: g (k, m, 1) holds G's coordinates and D is
+    ``structure_constants``."""
+    k, m = len(z), len(structure)
+    J = (g.reshape(k, 1, m) @ structure).reshape(k, m, m)
+    np.subtract(0.0, J, out=J)
+    J.reshape(k, m * m)[:, ::m + 1] += z[:, None]
+    return J
+
+
 def _stability_margin(G, action):
     """Smallest singular value of I - kron(G, G^T) action: H -> H - G eta(H) G."""
     k, d = G.shape[0], G.shape[1]
@@ -224,9 +254,9 @@ def _branch_ok(G, tol: float):
 
 class _Driver:
     """Per-point state of one ``solve_dyson`` or ``certified_traces`` call;
-    ``run`` sweeps until every point is certified or has failed.  Then
-    ``target``, ``G``, ``iterations``, ``mode``, ``residuals()`` and
-    ``margins()`` are the call's result."""
+    ``run`` sweeps each window until every point is certified or has
+    failed.  Then ``target``, ``G``, ``iterations``, ``mode``,
+    ``residuals()`` and ``margins()`` are the call's result."""
 
     def __init__(self, eta: CovarianceMap, target: np.ndarray, opts=None):
         self.action, self.target, self.opts = eta.action, target, opts or SolverOptions()
@@ -234,27 +264,60 @@ class _Driver:
         self.eye = np.eye(d, dtype=np.complex128)
         # points whose d^2 x d^2 arrays hold at most JACOBIAN_ENTRIES entries
         self.chunk = max(1, JACOBIAN_ENTRIES // d ** 4)
-        start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
-        self.z = target.real + 1j * np.maximum(target.imag, start_height)
-        self.G = self.eye / self.z[:, None, None]
-        self.accepted = self.G.copy()               # last certified height
-        self.accepted_height = np.full(m, np.nan)
-        self.ratio = np.full(m, DESCENT_RATIO)
-        self.height_steps = np.zeros(m, dtype=int)
+        self.start_height = START_HEIGHT_FACTOR * np.sqrt(eta.cp_norm())
+        # Newton corrections in the coordinates of eta's invariant subalgebra,
+        # when it is not all of M_d and its m^3 structure constants fit the cap
+        basis = eta.subalgebra_basis.reshape(-1, d * d)
+        self.coordinates = self.lift = self.structure = None
+        if len(basis) < d * d and len(basis) ** 3 <= JACOBIAN_ENTRIES:
+            self.coordinates, self.lift = basis.conj(), np.ascontiguousarray(basis.T)
+            self.structure = eta.structure_constants
+        self.G = np.empty((m, d, d), dtype=np.complex128)
         self.iterations = np.zeros(m, dtype=int)
         self.mode = np.full(m, _NEWTON)
         self._margins = None
 
     def run(self) -> _Driver:
-        while (live := np.flatnonzero(self.mode < _DONE)).size:
-            for part in self._chunks(live.size):
-                self.sweep(live[part])
+        """Solve the points one window of ``chunk`` points at a time, so the
+        sweep state (heights, ratios, accepted G) holds one window's."""
+        whole = self.target, self.G, self.iterations, self.mode
+        for part in self._chunks(len(self.target)):
+            # views: the window's sweeps write the call's arrays
+            self.target, self.G, self.iterations, self.mode = (v[part] for v in whole)
+            n = len(self.target)
+            self.z = np.empty(n, dtype=np.complex128)
+            self.accepted = np.empty_like(self.G)   # last certified height
+            self.accepted_height, self.ratio = np.empty(n), np.empty(n)
+            self.height_steps = np.empty(n, dtype=int)
+            # points that take the d^2 x d^2 Newton systems
+            self.full = np.full(n, self.structure is None)
+            self._start(np.arange(n))
+            while (live := np.flatnonzero(self.mode < _DONE)).size:
+                self.sweep(live)
+        self.target, self.G, self.iterations, self.mode = whole
         self.accepted = None        # sweep state; the result is read from G
         return self
 
+    def _start(self, idx):
+        """Put points at their start height with G = I/z and no sweeps."""
+        self.z[idx] = self.target[idx].real + 1j * np.maximum(self.target[idx].imag,
+                                                              self.start_height)
+        self.G[idx] = self.eye / self.z[idx, None, None]
+        self.accepted[idx] = self.G[idx]
+        self.accepted_height[idx] = np.nan
+        self.ratio[idx] = DESCENT_RATIO
+        self.height_steps[idx] = 0
+        self.iterations[idx] = 0
+
+    def _restart_full(self, idx):
+        """Points that missed a height or their sweeps in the subalgebra's
+        coordinates start over on the d^2 x d^2 systems."""
+        self.full[idx] = True
+        self._start(idx)
+
     def _chunks(self, n: int):
-        """Slices of at most ``chunk`` of n points: the most that one sweep,
-        ``residuals`` or ``margins`` takes at once."""
+        """Slices of at most ``chunk`` of n points: the most that one window
+        of sweeps, ``residuals`` or ``margins`` takes at once."""
         return (slice(lo, lo + self.chunk) for lo in range(0, n, self.chunk))
 
     def _eta(self, G):
@@ -274,7 +337,10 @@ class _Driver:
         done = certified & (z.imag == self.target[live].imag)
         self.mode[live[done]] = _DONE
         out = ~done & (self.iterations[live] >= self.opts.max_iter)
-        self.mode[live[out]] = _FAILED
+        again = out & ~self.full[live]
+        if again.any():
+            self._restart_full(live[again])
+        self.mode[live[out & ~again]] = _FAILED
         go = ~done & ~out
         if not go.all():
             live, G, A, R, res, certified, small = (
@@ -304,7 +370,8 @@ class _Driver:
             R[certified] += dz * G_up
 
         # a failed height (too many steps, non-finite, or the wrong branch):
-        # retry closer to the last accepted height, or fail
+        # retry closer to the last accepted height, or fail (in coordinates:
+        # start over on the d^2 x d^2 systems)
         reject = ~certified & ((self.height_steps[idx] >= NEWTON_STEPS_PER_HEIGHT)
                                | ~np.isfinite(res) | small)
         if reject.any():
@@ -313,16 +380,40 @@ class _Driver:
             if not step.any():
                 return
             idx, G, A, R = idx[step], G[step], A[step], R[step]
-        J = _newton_jacobian(A, G, self.action)
-        delta, solved = _batched_solve(J, -R.reshape(len(J), -1, 1))
-        self.G[idx] = G + delta.reshape(G.shape)
+        full = self.full[idx]
+        if full.all() or not full.any():
+            solved = self._step(idx, G, A, R, full.all())
+        else:
+            solved = np.empty(len(idx), dtype=bool)
+            for on_full in True, False:
+                part = full == on_full
+                solved[part] = self._step(idx[part], G[part], A[part], R[part], on_full)
         self.height_steps[idx] += 1
         if not solved.all():
             self._shorten(idx[~solved])
 
+    def _step(self, idx, G, A, R, full: bool):
+        """One Newton step for the points idx, on the d^2 x d^2 systems or in
+        the subalgebra's m coordinates; returns which systems were solved."""
+        k = len(idx)
+        if full:
+            J = _newton_jacobian(A, G, self.action)
+            delta, solved = _batched_solve(J, -R.reshape(k, -1, 1))
+            self.G[idx] = G + delta.reshape(G.shape)
+        else:
+            g = self.coordinates @ G.reshape(k, -1, 1)
+            J = _subalgebra_jacobian(self.z[idx], g, self.structure)
+            x, solved = _batched_solve(J, -(self.coordinates @ R.reshape(k, -1, 1)))
+            self.G[idx] = G + (self.lift @ x).reshape(G.shape)
+        return solved
+
     def _shorten(self, idx):
         if idx.size == 0:
             return
+        again = ~self.full[idx]
+        if again.any():
+            self._restart_full(idx[again])
+            idx = idx[~again]
         ratio = np.sqrt(self.ratio[idx])
         has = ~np.isnan(self.accepted_height[idx])
         stuck = ~has | (ratio >= MAX_DESCENT_RATIO)

@@ -14,11 +14,18 @@ map is completely positive.
 Constructors lower everything to the Choi tensor, and every map is
 applied through one matrix built from it, ``CovarianceMap.action``:
 vec(eta(B)) = action @ vec(B) with row-major vec(B)[i*d + j] = B[i, j].
+
+Each map also carries, built on first use, an orthonormal basis of the
+smallest unital algebra A that eta maps into itself
+(``CovarianceMap.subalgebra_basis``) and eta's structure constants on it
+(``CovarianceMap.structure_constants``): the solver's Newton corrections
+live in A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +33,9 @@ from .linalg import (as_matrix, is_hermitian, operator_norm, require_square,
                      within_tolerance)
 
 CP_EIGENVALUE_RTOL = 1e-10
+# a candidate spans a new direction of the subalgebra when its part outside
+# the directions found so far is above this fraction of its norm
+SUBALGEBRA_RTOL = 1e-10
 
 
 def psd_factor(mat: np.ndarray, not_hermitian: str, not_psd: str) -> np.ndarray:
@@ -95,6 +105,19 @@ class CovarianceMap:
     ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``, is built from it
     once and read-only, so ``choi4`` must not be modified in place afterwards.
     Equality is identity, as for CovarianceTensor.
+
+    ``subalgebra_basis`` is an orthonormal basis (m, d, d), in the
+    Frobenius inner product <X, Y> = tr(X^* Y), of the smallest unital
+    algebra A of d x d matrices with eta(A) in A (closed under adjoints of
+    eta's values too).  The semicircular root lies in A (Helton, Rashidi
+    Far and Speicher, IMRN 2007), so the solver takes its Newton
+    corrections in these m coordinates when m < d^2 (and D below fits its
+    cap on array entries).  A flat or scalar map
+    has m = 1, a circulant one m = 2 and a Wishart Hermitization
+    m = d^2/2; a generic map has m = d^2.  ``structure_constants`` is the
+    (m, m^2) matrix D of those corrections, D[l, j*m + i] =
+    <Q_j, eta(Q_l) Q_i> + <Q_j, eta(Q_i) Q_l>.  Both are built on first
+    use and kept.
     """
 
     choi4: np.ndarray
@@ -131,10 +154,83 @@ class CovarianceMap:
         """||eta|| = ||eta(I)||_op, valid for completely positive maps."""
         return operator_norm(self.apply(np.eye(self.d)))
 
+    @cached_property
+    def subalgebra_basis(self) -> np.ndarray:
+        """Orthonormal basis (m, d, d) of A, closing {I} under eta, adjoints
+        and products.
+
+        A is spanned by the products of its generators: the directions of
+        eta's values (and their adjoints) that the basis did not hold yet.
+        So each round checks eta on the directions found last round and
+        multiplies them, and the new generators, by the generators only;
+        each round's candidates are orthogonalized together.  A generic map
+        skips the closure: ``_generate_everything`` shows A = M_d from eta(I)
+        and eta(eta(I)) alone, and its basis is the matrix units.
+        """
+        d, n = self.d, self.d * self.d
+        # eta(I) and eta(eta(I)) without a BLAS matrix-vector product, which
+        # can wait milliseconds for OpenBLAS's second thread: vec(eta(I)) is
+        # the sum of the action's columns at I's diagonal entries
+        h1 = self.action[:, ::d + 1].sum(axis=1).reshape(d, d)
+        h1 = (h1 + h1.conj().T) / 2
+        if _generate_everything(h1, np.einsum("ij,j->i", self.action,
+                                              h1.reshape(n)).reshape(d, d)):
+            basis = np.eye(n, dtype=np.complex128).reshape(n, d, d)
+            basis.setflags(write=False)
+            return basis
+        basis = np.eye(d, dtype=np.complex128).reshape(1, n) / np.sqrt(d)
+        gens = basis[:0]
+        unchecked = unmultiplied = basis
+        while len(unchecked) and len(basis) < n:
+            images = unchecked @ self.action.T
+            adjoints = images.reshape(-1, d, d).conj().transpose(0, 2, 1)
+            new_gens = _new_directions(
+                np.concatenate([images, adjoints.reshape(-1, n)]), basis)
+            done = basis[:len(basis) - len(unmultiplied)].reshape(-1, d, d)
+            basis = np.concatenate([basis, new_gens])
+            gens = np.concatenate([gens, new_gens])
+            left, fresh = gens.reshape(-1, 1, d, d), new_gens.reshape(-1, 1, d, d)
+            right = np.concatenate([unmultiplied, new_gens]).reshape(1, -1, d, d)
+            products = np.concatenate([(left @ right).reshape(-1, n),
+                                       (fresh @ done).reshape(-1, n)])
+            unmultiplied = _new_directions(products, basis)
+            basis = np.concatenate([basis, unmultiplied])
+            unchecked = np.concatenate([new_gens, unmultiplied])
+        basis = basis.reshape(-1, d, d)
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """D (m, m^2), D[l, j*m + i] = <Q_j, eta(Q_l) Q_i> + <Q_j, eta(Q_i) Q_l>
+        on ``subalgebra_basis`` Q: the Newton Jacobian at G = sum_l g_l Q_l
+        is z I_m - (g @ D).reshape(m, m)."""
+        basis = self.subalgebra_basis
+        m, n = len(basis), self.d * self.d
+        images = (basis.reshape(m, n) @ self.action.T).reshape(basis.shape)
+        dual = basis.reshape(m, n).conj().T
+        D = np.empty((m, m * m), dtype=np.complex128)
+        # rows l in slices whose m d^2-entry products per row, together, hold
+        # no more entries than D
+        step = max(1, m * m // n)
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            # p[l, i] = eta(Q_l) Q_i + eta(Q_i) Q_l
+            p = images[rows, None] @ basis[None]
+            p += images[None] @ basis[rows, None]
+            D[rows] = (p.reshape(-1, n) @ dual).reshape(-1, m, m).transpose(
+                0, 2, 1).reshape(-1, m * m)
+        D.setflags(write=False)
+        return D
+
 
 @dataclass
 class EtaPair:
-    """The two covariance maps entering the Wishart fixed-point equation."""
+    """The two covariance maps entering the Wishart fixed-point equation.
+
+    The Hermitization is built on first use and kept, with the subalgebra
+    basis it builds in turn, so ``eta1`` and ``eta2`` must not be replaced
+    or modified afterwards."""
 
     eta1: CovarianceMap
     eta2: CovarianceMap
@@ -156,11 +252,73 @@ class EtaPair:
         semicircular equation at z = sqrt(w).  Completely positive when
         eta1 and eta2 are.
         """
+        return self._hermitized
+
+    @cached_property
+    def _hermitized(self) -> CovarianceMap:
         d = self.d
         choi = np.zeros((2, d) * 4, dtype=np.complex128)
         choi[1, :, 0, :, 1, :, 0, :] = self.eta1.choi4
         choi[0, :, 1, :, 0, :, 1, :] = self.eta2.choi4
         return CovarianceMap(choi.reshape((2 * d,) * 4))
+
+
+def _generate_everything(h1: np.ndarray, h2: np.ndarray) -> bool:
+    """True when every matrix that commutes with the Hermitian h1 and with
+    h2 is a multiple of I, so that a unital algebra closed under adjoints
+    that holds both is all of M_d (its commutant is trivial).
+
+    A sufficient test, decided in h1's eigenbasis: h1's eigenvalues are
+    apart by more than their rounding, so a matrix commuting with h1 is
+    diagonal there, x = diag(x_i); it commutes with h2 when x_i = x_j
+    wherever h2's entry (i, j) there is nonzero, beyond its rounding and
+    the relative tolerance SUBALGEBRA_RTOL; so x is a multiple of I when
+    those entries connect every index.  False means only "not shown".
+    """
+    d = len(h1)
+    eps = np.finfo(np.float64).eps
+    # a multiple of I (a flat or scalar map's eta(I)) repeats its eigenvalue:
+    # nothing to show, and no eigensolve, which faults in LAPACK pages
+    off = h1 - np.trace(h1) / d * np.eye(d)
+    if not np.abs(off).max() > 1e3 * d * eps * np.abs(h1).max():
+        return False
+    values, vectors = np.linalg.eigh(h1)
+    scale = max(abs(values[0]), abs(values[-1]))
+    gap = np.diff(values).min(initial=np.inf)
+    if not gap > 1e3 * d * eps * scale:
+        return False
+    b = abs(vectors.conj().T @ h2 @ vectors)
+    # eigenvectors are off by about eps ||h1|| / gap each
+    floor = b.max() * max(SUBALGEBRA_RTOL, 1e3 * d * eps * scale / gap)
+    linked = (b > floor) | (b.T > floor)
+    reached = np.zeros(d, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        grown = reached | linked[reached].any(axis=0)
+        if (grown == reached).all():
+            return False
+        reached = grown
+    return True
+
+
+def _new_directions(candidates: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the parts of the nonzero rows of
+    ``candidates``, each scaled to unit norm, outside the orthonormal rows of
+    ``basis``, to the relative rank tolerance SUBALGEBRA_RTOL."""
+    norms = np.linalg.norm(candidates, axis=1)
+    rest = candidates[norms > 0] / norms[norms > 0, None]
+    for _ in range(2):          # twice is enough (Kahan's rule)
+        rest = rest - (rest @ basis.conj().T) @ basis
+    rest = rest[np.linalg.norm(rest, axis=1) > SUBALGEBRA_RTOL]
+    if not len(rest):
+        return basis[:0]
+    # entries that every candidate leaves exactly 0 stay exactly 0 in the
+    # new directions, so a block-diagonal algebra has exactly 0 blocks
+    cols = rest.any(axis=0)
+    s, vh = np.linalg.svd(rest[:, cols], full_matrices=False)[1:]
+    new = np.zeros((np.count_nonzero(s > SUBALGEBRA_RTOL), len(cols)), dtype=rest.dtype)
+    new[:, cols] = vh[s > SUBALGEBRA_RTOL]
+    return new
 
 
 def _conjugation_choi(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -168,10 +168,17 @@ def resolvent_trace(m, zs) -> np.ndarray:
         y = _resolvent_inverse(_shifted(z, m11))
         t = m21 @ y
         u = y @ m12
-        w = _resolvent_inverse(_shifted(z, m22) - t @ m12)
+        # Y is not needed past its trace: release it before W is formed, and
+        # form the Schur complement in place
+        trace_y = np.trace(y)
+        del y
+        s = _shifted(z, m22)
+        s -= t @ m12
+        w = _resolvent_inverse(s)
+        del s
         # sum_ij W_ij (T U)_ji is a dot of W with (T U)^T = U^T T^T
         tu_t = u.T @ t.T
-        out[k] = (np.trace(y) + np.trace(w) + np.dot(w.ravel(), tu_t.ravel())) / n
+        out[k] = (trace_y + np.trace(w) + np.dot(w.ravel(), tu_t.ravel())) / n
     return out
 
 

@@ -37,3 +37,23 @@ def test_every_run_keeps_its_committed_digest():
     assert not moved and not missing, (
         f"outputs moved: {moved}; committed but not run: {missing} (digests "
         f"taken with numpy {committed['numpy']}, BLAS {committed['blas']})")
+
+
+def test_differing_outputs_name_their_largest_relative_change():
+    tool = _compare_outputs()
+    old = {"exit code": 0, "stdout": b"", "stderr": b"",
+           "files": {"out": b"x,rho\n-0.1,0.3120\n0.0,0.3183\n"}}
+    new = dict(old, files={"out": b"x,rho\n-0.1,0.3120\n0.0,0.3184\n"})
+    assert tool.differences(old, new) == [
+        "  file out: largest relative change 3.141e-04",
+        "    --- old", "    +++ new", "    @@ -3 +3 @@",
+        "    -0.0,0.3183", "    +0.0,0.3184"]
+    assert tool.relative_change("x,rho\n0.0,0.3183\n", "x,rho\n0.0,0.3184\n") == (
+        (0.3184 - 0.3183) / 0.3184)
+    # equal numbers in another notation, and a sign of zero, are no change
+    assert tool.relative_change("1e-05j, 0.0", "1.0e-05j, -0.0") == 0.0
+    # text that differs apart from its numbers, or a column more, has no bound
+    assert tool.relative_change("x,rho\n0.1,0.3\n", "x,rho,n\n0.1,0.3,5\n") is None
+    assert tool.differences(dict(old, stdout=b"rows 3\n"), dict(old, stdout=b"cols 3\n"))[0] == (
+        "  stdout: text differs apart from its numbers")
+    assert tool.relative_change("mean nan", "mean 0.5") == float("inf")

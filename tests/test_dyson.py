@@ -11,9 +11,9 @@ from dyson_blocks.dyson import (SolverFailure, SolverOptions,
                                 scalar_semicircle_cauchy, solve_dyson,
                                 solve_semicircular, solve_wishart,
                                 stieltjes_density)
-from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
-                              eta_kronecker, eta_wishart_pair, flat_map,
-                              scalar_map)
+from dyson_blocks.eta import (CovarianceMap, CovarianceTensor, EtaPair,
+                              choi_map, eta_kronecker, eta_wishart_pair,
+                              flat_map, scalar_map)
 from dyson_blocks.linalg import frobenius_norm, operator_norm
 
 GOLDEN_2I = 1j * (1 - np.sqrt(2))     # root of g^2 - z g + 1 at z = 2i
@@ -279,6 +279,13 @@ def _wishart_pair_d2():
     return eta_wishart_pair(CovarianceTensor((m @ m.T / 4).reshape(2, 2, 2, 2)))
 
 
+def _full_path(monkeypatch):
+    """Every map's subalgebra reads as all of M_d: the driver takes its
+    Newton steps on the d^2 x d^2 systems."""
+    monkeypatch.setattr(CovarianceMap, "subalgebra_basis", property(
+        lambda eta: np.eye(eta.d ** 2, dtype=complex).reshape(-1, eta.d, eta.d)))
+
+
 class TestDriverFallbacks:
     """The driver's paths for a singular Newton system and a failed step."""
 
@@ -304,16 +311,20 @@ class TestDriverFallbacks:
         Returns the solutions and the driver's (G, accepted G, z, accepted
         height, mode) of point m just after the failure."""
         start = dyson.START_HEIGHT_FACTOR * np.sqrt(self.ETA.cp_norm())
-        jacobian, solve, shorten = (dyson._newton_jacobian, dyson._batched_solve,
-                                    dyson._Driver._shorten)
+        solve, shorten = dyson._batched_solve, dyson._Driver._shorten
         row_zs, seen = [], {}
 
-        def spy_jacobian(A, G, action):
+        def spy(build, row_z):
+            def call(*args):
+                row_zs.append(row_z(*args))
+                return build(*args)
+            return call
+
+        def newton_z(A, G, action):
             # the z of each row, up to rounding: A = z I - eta(G)
             k, d = G.shape[0], G.shape[1]
             eta_g = (action @ G.reshape(k, d * d, 1)).reshape(k, d, d)
-            row_zs.append((A + eta_g)[:, 0, 0])
-            return jacobian(A, G, action)
+            return (A + eta_g)[:, 0, 0]
 
         def fail_once(a, b):
             x, ok = solve(a, b)
@@ -331,7 +342,10 @@ class TestDriverFallbacks:
                                  driver.z[m], driver.accepted_height[m],
                                  driver.mode[m])
 
-        monkeypatch.setattr(dyson, "_newton_jacobian", spy_jacobian)
+        monkeypatch.setattr(dyson, "_newton_jacobian",
+                            spy(dyson._newton_jacobian, newton_z))
+        monkeypatch.setattr(dyson, "_subalgebra_jacobian",
+                            spy(dyson._subalgebra_jacobian, lambda z, g, structure: z))
         monkeypatch.setattr(dyson, "_batched_solve", fail_once)
         monkeypatch.setattr(dyson._Driver, "_shorten", spy_shorten)
         return solve_dyson(self.ETA, self.ZS), seen["state"]
@@ -339,6 +353,8 @@ class TestDriverFallbacks:
     @pytest.mark.parametrize("descended", [False, True],
                              ids=["first-step", "below-start"])
     def test_failed_newton_step(self, monkeypatch, descended):
+        # on the d^2 x d^2 systems, which a failed step does not leave
+        _full_path(monkeypatch)
         plain = solve_dyson(self.ETA, self.ZS)
         m = 2                                       # x = 0
         sols, (G, accepted, z, height, mode) = self._fail_one_step(
@@ -365,6 +381,41 @@ class TestDriverFallbacks:
             assert abs(sols[m].trace()
                        - scalar_semicircle_cauchy(1.0, self.ZS[m])) <= 1e-9
 
+    @pytest.mark.parametrize("descended", [False, True],
+                             ids=["first-step", "below-start"])
+    def test_failed_step_in_coordinates_starts_over_on_the_full_path(
+            self, monkeypatch, descended):
+        # the flat map's subalgebra is span{I}: its Newton systems are 1 x 1
+        # until a step fails; then the point starts again from I/z at the
+        # start height on the d^2 x d^2 systems, and gets their bits
+        start = dyson.START_HEIGHT_FACTOR * np.sqrt(self.ETA.cp_norm())
+        plain = solve_dyson(self.ETA, self.ZS)
+        m = 2                                       # x = 0
+        sols, (G, accepted, z, height, mode) = self._fail_one_step(
+            monkeypatch, m, descended)
+        assert mode == dyson._NEWTON and np.isnan(height)
+        assert z == complex(self.ZS[m].real, start)
+        assert np.array_equal(G, np.eye(2) / z) and np.array_equal(accepted, G)
+        for k in range(len(self.ZS)):
+            if k != m:
+                assert _solver_digest(sols[k:k + 1]) == _solver_digest(plain[k:k + 1])
+        _full_path(monkeypatch)
+        full = solve_dyson(self.ETA, self.ZS[m:m + 1])
+        assert sols[m].converged
+        assert _solver_digest(sols[m:m + 1]) == _solver_digest(full)
+
+
+    def test_sweeps_run_out_in_coordinates_starts_over_on_the_full_path(
+            self, monkeypatch):
+        # a point out of sweeps in coordinates starts over on the full path
+        # and fails there, with that path's bits and count of sweeps
+        model, zs = _kronecker_d3(), [0.5 + 1e-3j, 2.0 + 1e-3j]
+        opts = SolverOptions(max_iter=6)
+        sols = solve_dyson(model, zs, opts)
+        assert not any(sol.converged for sol in sols)
+        _full_path(monkeypatch)
+        assert _solver_digest(sols) == _solver_digest(solve_dyson(model, zs, opts))
+
 
 def _solver_digest(solutions) -> str:
     """SHA-256 of each point's G bytes, residual, iterations and converged."""
@@ -382,7 +433,9 @@ class TestGoldenSolves:
     A change to the arithmetic of a Newton step, to the continuation or to
     the certificate changes these hashes.  They assume IEEE doubles and this
     platform's LAPACK (numpy 2.4 with scipy-openblas 0.3.31, x86-64) for
-    the batched LU and the eigenvalues of the branch test.
+    the batched LU, the eigenvalues of the branch test and the SVDs that
+    build each map's subalgebra basis.  All five maps take their Newton
+    steps in the coordinates of that subalgebra.
     """
 
     # (map, z points, converged count, digest)
@@ -390,21 +443,21 @@ class TestGoldenSolves:
         # the bench density grid
         "flat-d2": (lambda: flat_map(2, 2.0),
                     lambda: np.arange(-2.7, 2.7 + 0.05, 0.1) + 1e-4j, 55,
-                    "1d11b54e80a944ead0c89a438c328669090bed2339962f6e0707b6bdb2d983ed"),
+                    "86a721ffdea90c203c1fc99da0be12869d93c8538f778dbb2d2df1a2e861ab95"),
         "kronecker-d3": (_kronecker_d3,
                          lambda: np.arange(-3.5, 3.5 + 0.05, 0.1) + 1e-6j, 71,
-                         "a1f5e05a1a10f1bb79913d337b4c9ce9b06ff81055eaf02820e32e726309113e"),
+                         "79caf44ed8af4e9f17f38e46142622cfec08326982f94e9e60d2e330cc3c419b"),
         "circulant-d3": (lambda: sampler.model_eta(
             sampler.ModelSpec(model="circulant", d=3, N=8)),
             lambda: np.arange(-3.0, 3.0 + 0.025, 0.05) + 1e-4j, 121,
-            "e78a9c167a7e2a5e69f641ba98f6705f76772e79abd457763353cb45a2c4a859"),
+            "8b7626d388daeafe1f2a1cf7864bd1bb4eaeb15a453e52afc3b03b88b11a915a"),
         "wishart-d2": (_wishart_pair_d2,
                        lambda: np.linspace(-0.5, 6.0, 66) + 1e-3j, 66,
-                       "8f27146cafa724a3b1c988c3f564a9422bab53fbaf059b342dcb32e6fd09275c"),
+                       "8c34cf22dd1f3d7157680d0aecf87bf4cef49e231150715b359024cf9ea5ae7b"),
         "kraus-rank-1": (_kraus_rank_one_map,
                          lambda: [complex(x, h) for h in (1e-1, 1e-3, 1e-5)
                                   for x in (-1.0, -0.1, 0.0, 0.1, 1.0)], 13,
-                         "c5c234981b3414c764b44fb7123ca252979092934ec70cc3acc10149583a4253"),
+                         "d2e8b56c09e4af471a9a3bebdb726a5ae4e7c4091170d9de01a183ff93717763"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -420,12 +473,13 @@ class TestStabilityMarginOnDemand:
     read, for all the points of its batch together, and give the same bits
     as margins taken during the solve."""
 
-    # SHA-256 of the margins of TestGoldenSolves' points, taken when
-    # solve_dyson computed every margin during the solve
+    # SHA-256 of the margins of TestGoldenSolves' points, each map solved
+    # under the 64-entry cap of test_margins_are_the_batched_values: on the
+    # Newton systems that NEWTON names
     MARGIN_DIGESTS = {
-        "flat-d2": "e4c3870448b343315cf26b7e1c8a5e48a03b4faac6eaa66089e3014b5bf6d625",
+        "flat-d2": "74a13133053e7fe5a04c64bb5013ac72e63b61df4827e939b10cd5dcfe4de250",
         "wishart-d2": "a63730a003e9331ec422323dbd5c6f561e8a0bf87a7de18851cc545f7c5ed0e7",
-        "kraus-rank-1": "c61559dfe60a19c5f45512a24aa1d89bd85bcd8686065396f876918ec705f14b",
+        "kraus-rank-1": "81bcd332f83a777dc95668a8357722f65bbba53b1bd027eb6f7d04e0ab6331e0",
     }
 
     @staticmethod
@@ -461,40 +515,49 @@ class TestStabilityMarginOnDemand:
         assert cli.main(["--config", str(cfg)]) == cli.EXIT_OK
         assert calls == []
 
+    # the three maps' subalgebras are smaller than M_d, and under the cap of
+    # 64 entries: flat-d2's (m = 1) takes all its steps in coordinates;
+    # kraus-rank-1's (m = 2) too, but its two failed points start over on
+    # the d^2 x d^2 systems; wishart-d2's m^3 = 512 structure constants
+    # exceed the cap, so it takes the d^2 x d^2 systems
+    NEWTON = {"flat-d2": {"subalgebra jacobian"},
+              "kraus-rank-1": {"subalgebra jacobian", "jacobian"},
+              "wishart-d2": {"jacobian"}}
+
     @pytest.mark.parametrize("name", sorted(MARGIN_DIGESTS))
     def test_margins_are_the_batched_values(self, monkeypatch, name):
         # four d = 2 points per chunk of sweep residuals, Jacobians and
         # stability operators, as in TestCertifiedTraces.test_chunks (one
-        # point at the Wishart pair's Hermitized d = 4)
+        # point at the Wishart pair's Hermitized d = 4); the Newton systems
+        # are built as NEWTON says
         model, zs, _, _ = TestGoldenSolves.CASES[name]
         model, zs = model(), zs()
+        d = 2 * model.d if isinstance(model, EtaPair) else model.d
         cap, calls = 4 * 2 ** 4, []
 
-        def spied(build, kind, at):
+        def spied(build, kind):
             def call(*args):
-                G = args[at]                # a (k, d, d) stack
-                calls.append((kind, len(G), max(1, cap // G.shape[1] ** 4)))
+                calls.append((kind, len(args[0])))     # one row per point
                 return build(*args)
             return call
         monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", cap)
-        monkeypatch.setattr(dyson, "_frobenius",
-                            spied(dyson._frobenius, "residual", 0))
-        monkeypatch.setattr(dyson, "_newton_jacobian",
-                            spied(dyson._newton_jacobian, "jacobian", 1))
-        monkeypatch.setattr(dyson, "_stability_margin",
-                            spied(dyson._stability_margin, "margin", 0))
+        for builder, kind in [("_frobenius", "residual"), ("_newton_jacobian", "jacobian"),
+                              ("_subalgebra_jacobian", "subalgebra jacobian"),
+                              ("_stability_margin", "margin")]:
+            monkeypatch.setattr(dyson, builder, spied(getattr(dyson, builder), kind))
         margins = np.array([sol.stability_margin
                             for sol in solve_dyson(model, zs)])
-        assert all(points <= chunk for _, points, chunk in calls)
-        assert sum(points for kind, points, _ in calls if kind == "margin") == len(zs)
-        assert {kind for kind, _, _ in calls} == {"residual", "jacobian", "margin"}
+        assert all(points <= max(1, cap // d ** 4) for _, points in calls)
+        assert sum(points for kind, points in calls if kind == "margin") == len(zs)
+        assert {kind for kind, _ in calls} == {"residual", "margin"} | self.NEWTON[name]
         monkeypatch.undo()
         assert (hashlib.sha256(margins.tobytes()).hexdigest()
                 == self.MARGIN_DIGESTS[name])
-        # the batched value on the G stack of the equation solved: for a
-        # Wishart pair, the Hermitized one at sqrt(w)
+        # the batched value on the G stack of the equation solved, under the
+        # same cap: for a Wishart pair, the Hermitized one at sqrt(w)
         if isinstance(model, EtaPair):
             model, zs = model.hermitization(), np.sqrt(zs)
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", cap)
         stack = np.array([sol.G for sol in solve_dyson(model, zs)])
         assert np.array_equal(dyson._stability_margin(stack, model.action),
                               margins)
@@ -668,6 +731,145 @@ class TestCertifiedTraces:
         assert certified_traces(scalar_map(1, 1.0), []).shape == (0,)
         with pytest.raises(TypeError):
             certified_traces(_wishart_pair_d2(), [1j])
+
+
+def _projector_map():
+    # eta(B) = P B P for a rank-2 orthogonal projector P at d = 3
+    u = np.linalg.qr(rng().standard_normal((3, 2)))[0]
+    p = u @ u.T
+    return choi_map(np.einsum("ki,lj->ikjl", p, p))
+
+
+def _badly_scaled_map():
+    # flat plus a Kraus term E_00 B E_00 1e-8 times smaller: the subalgebra
+    # span{I, E_00} must keep the direction that eta(I) holds only at 1e-8
+    kraus = np.zeros((3, 3, 3, 3))
+    kraus[0, 0, 0, 0] = 1e-8
+    return choi_map(flat_map(3, 1.0).choi4 + kraus)
+
+
+# the Choi matrix of the rank-1 Kraus map of tools/compare_outputs.py's CLI runs
+KRAUS_RANK_ONE_CHOI = [[0.09, 0.045, -0.3, -0.15], [0.045, 0.0225, -0.15, -0.075],
+                       [-0.3, -0.15, 1.0, 0.5], [-0.15, -0.075, 0.5, 0.25]]
+
+
+def _circulant(d):
+    return sampler.model_eta(sampler.ModelSpec(model="circulant", d=d, N=8))
+
+
+class TestSubalgebraNewton:
+    """Newton corrections in the coordinates of eta's invariant subalgebra
+    give the roots of the full d^2 x d^2 Newton systems, to rounding."""
+
+    # (map, spectral edges: exact, or read off the density to 2 digits)
+    CASES = {
+        "flat-d2": (lambda: flat_map(2, 2.0), (-np.sqrt(8), np.sqrt(8))),
+        "kronecker-d3": (_kronecker_d3, (-3.16, 3.16)),
+        "circulant-d3": (lambda: _circulant(3), (-np.sqrt(20 / 3), np.sqrt(20 / 3))),
+        "wishart-d2": (_wishart_pair_d2, (0.0, 5.3)),
+        "kraus-rank-1": (_kraus_rank_one_map, (-3.97, 3.97)),
+        "flat-d5": (lambda: flat_map(5, 1.0), (-2.0, 2.0)),
+        "scalar-d2": (lambda: scalar_map(2, 0.5), (-np.sqrt(2), np.sqrt(2))),
+        "circulant-d4": (lambda: _circulant(4), (-np.sqrt(6), np.sqrt(6))),
+        "circulant-d5": (lambda: _circulant(5), (-np.sqrt(36 / 5), np.sqrt(36 / 5))),
+        "circulant-d6": (lambda: _circulant(6), (-np.sqrt(20 / 3), np.sqrt(20 / 3))),
+        "marchenko-pastur": (lambda: eta_wishart_pair(
+            CovarianceTensor(np.ones((1, 1, 1, 1)))), (0.0, 4.0)),
+        "projector-d3": (_projector_map, (-2.0, 2.0)),
+        "badly-scaled-d3": (_badly_scaled_map, (-2.0, 2.0)),
+        "kraus-rank-1-cli": (lambda: choi_map(KRAUS_RANK_ONE_CHOI), (-1.37, 1.37)),
+    }
+    # the CLI's rank-1 Kraus map certifies x = 0 at Im z = 1e-3 only after a
+    # height is rejected
+    EXTRA = {"kraus-rank-1-cli": [1e-3j]}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_agrees_with_the_full_path(self, monkeypatch, name):
+        model, (lo, hi) = self.CASES[name]
+        model = model()
+        solved = model.hermitization() if isinstance(model, EtaPair) else model
+        assert len(solved.subalgebra_basis) < solved.d ** 2
+        xs = np.union1d(np.linspace(lo, hi, 9), [0.0])
+        zs = np.concatenate([xs + 1j * h for h in (1.0, 1e-2, 1e-4, 1e-6)]
+                            + [self.EXTRA.get(name, [])])
+        restart, restarted = dyson._Driver._restart_full, []
+
+        def spied(driver, idx):
+            restarted.extend(driver.target[idx])
+            return restart(driver, idx)
+        monkeypatch.setattr(dyson._Driver, "_restart_full", spied)
+        reduced = solve_dyson(model, zs)
+        monkeypatch.undo()
+        _full_path(monkeypatch)
+        full = solve_dyson(model, zs)
+        # a point that misses a height or its sweeps in coordinates is solved
+        # again on the full path: every failure, and every point that needed
+        # a shorter height, has the full path's bits
+        again = np.isin(np.sqrt(zs) if isinstance(model, EtaPair) else zs, restarted)
+        assert [s.converged for s in reduced] == [s.converged for s in full]
+        for r, f, whole in zip(reduced, full, again):
+            assert whole or r.converged
+            if whole:
+                assert _solver_digest([r]) == _solver_digest([f])
+            else:
+                assert np.linalg.norm(r.G - f.G) <= 1e-12 * np.linalg.norm(f.G)
+        for z in self.EXTRA.get(name, []):
+            assert again[list(zs).index(z)] and reduced[list(zs).index(z)].converged
+
+    def test_coordinates_only_when_the_structure_constants_fit(self, monkeypatch):
+        # D holds m^3 entries: past JACOBIAN_ENTRIES the driver takes the
+        # d^2 x d^2 systems and never builds D
+        model, zs, _, _ = TestGoldenSolves.CASES["wishart-d2"]
+        model, zs = model(), zs()[:8]
+        m = len(model.hermitization().subalgebra_basis)          # 8
+        calls = []
+
+        def spied(build, name):
+            def call(*args):
+                calls.append(name)
+                return build(*args)
+            return call
+        for builder in ("_newton_jacobian", "_subalgebra_jacobian"):
+            monkeypatch.setattr(dyson, builder, spied(getattr(dyson, builder), builder))
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", m ** 3 - 1)
+        capped = solve_dyson(model, zs)
+        assert set(calls) == {"_newton_jacobian"}
+        assert "structure_constants" not in vars(model.hermitization())
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", m ** 3)
+        calls.clear()
+        solve_dyson(model, zs)
+        assert set(calls) == {"_subalgebra_jacobian"}
+        monkeypatch.undo()
+        _full_path(monkeypatch)
+        assert _solver_digest(capped) == _solver_digest(solve_dyson(model, zs))
+
+    def test_full_path_keeps_its_bits(self):
+        # a map whose subalgebra is all of M_d takes the d^2 x d^2 Newton
+        # systems, with the bits they gave before the subalgebra path existed
+        eta = random_cp_map(rng(), 3)
+        assert len(eta.subalgebra_basis) == 9
+        solutions = solve_dyson(eta, np.linspace(-3, 3, 13) + 0.05j)
+        assert all(sol.converged for sol in solutions)
+        assert _solver_digest(solutions) == (
+            "053176833719e87e3469d1d1b9b1b5f545d31c163300278d0335af99782ea5d8")
+
+    def test_windows_hold_the_sweep_state(self, monkeypatch):
+        # four d = 2 points per window: flat-d2's 55 points take 14 windows,
+        # each sweep sees one window's accepted stack, and every bit of the
+        # results is that of one window
+        model, zs, _, _ = TestGoldenSolves.CASES["flat-d2"]
+        model, zs = model(), zs()
+        whole = _solver_digest(solve_dyson(model, zs))
+        sweep, windows = dyson._Driver.sweep, []
+
+        def spied(driver, live):
+            windows.append((len(driver.accepted), len(driver.target)))
+            return sweep(driver, live)
+        monkeypatch.setattr(dyson, "JACOBIAN_ENTRIES", 4 * 2 ** 4)
+        monkeypatch.setattr(dyson._Driver, "sweep", spied)
+        assert _solver_digest(solve_dyson(model, zs)) == whole
+        assert {held for held, _ in windows} == {4, 3}      # 13 x 4 + 3
+        assert all(held == points for held, points in windows)
 
 
 class TestStieltjesDensity:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -486,3 +488,109 @@ class TestToleranceScaling:
         sigma[0, 0, 1, 1], sigma[1, 1, 0, 0] = 1j * x, -1j * x
         for scale in [1e4, 1e8, 1e12] + self.SCALES:
             assert CovarianceTensor(sigma * scale).is_real is inside, scale
+
+
+class TestSubalgebra:
+    """The smallest unital algebra A with eta(A) in A, and eta's structure
+    constants on its basis."""
+
+    @staticmethod
+    def wishart_hermitization(d):
+        m = rng().standard_normal((d * d, d * d))
+        return eta_wishart_pair(CovarianceTensor(
+            (m @ m.T / d ** 2).reshape(d, d, d, d))).hermitization()
+
+    @staticmethod
+    def random_cp(d):
+        gen = rng()
+        return eta_iid_blocks(samples=[random_b(gen, d) for _ in range(3)])
+
+    @staticmethod
+    def circulant(d):
+        from dyson_blocks import sampler
+        return sampler.model_eta(sampler.ModelSpec(model="circulant", d=d, N=8))
+
+    @pytest.mark.parametrize("build, dim", [
+        (lambda: flat_map(4, 1.0), 1),
+        (lambda: eta_kronecker([I2, E12], np.eye(2)), 1),
+        (lambda: TestSubalgebra.circulant(3), 2),
+        (lambda: TestSubalgebra.circulant(5), 2),
+        (lambda: TestSubalgebra.circulant(6), 2),
+        (lambda: TestSubalgebra.wishart_hermitization(2), 8),
+        (lambda: TestSubalgebra.wishart_hermitization(3), 18),
+        (lambda: TestSubalgebra.wishart_hermitization(4), 32),
+        (lambda: TestSubalgebra.random_cp(2), 4),
+        (lambda: TestSubalgebra.random_cp(3), 9),
+        (lambda: TestSubalgebra.random_cp(5), 25),
+    ], ids=["flat-d4", "kronecker-I-E12", "circulant-d3", "circulant-d5",
+            "circulant-d6", "wishart-d2", "wishart-d3", "wishart-d4",
+            "random-cp-d2", "random-cp-d3", "random-cp-d5"])
+    def test_dimension(self, build, dim):
+        eta = build()
+        basis = eta.subalgebra_basis
+        assert basis.shape == (dim, eta.d, eta.d)
+        assert basis is eta.subalgebra_basis            # built once
+        # orthonormal, and closed under eta and products
+        flat = basis.reshape(dim, -1)
+        assert np.allclose(flat.conj() @ flat.T, np.eye(dim), rtol=0, atol=1e-13)
+
+        def outside(mats):
+            vecs = mats.reshape(-1, eta.d ** 2)
+            return np.abs(vecs - (vecs @ flat.conj().T) @ flat).max()
+        images = np.array([eta(q) for q in basis])
+        assert outside(images) <= 1e-12 * np.abs(images).max()
+        assert outside(basis[:, None] @ basis[None]) <= 1e-12
+
+    def test_structure_constants_hold_a_few_arrays_of_their_size(self):
+        # the products are taken over slices of rows, so the build's traced
+        # peak stays within a few arrays of D's m^3 entries
+        eta = self.wishart_hermitization(4)
+        eta.subalgebra_basis
+        tracemalloc.start()
+        try:
+            D = eta.structure_constants
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.shape == (32, 32 ** 2)
+        assert peak <= 4 * D.nbytes
+
+    @pytest.mark.parametrize("h2, everything", [
+        (np.ones((3, 3)), True),
+        (np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1.0]]), False),    # blocks {0, 1}, {2}
+        (np.diag([3.0, 1.0, 2.0]), False),
+        (np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0.0]]), True),     # a chain
+    ], ids=["dense", "two-blocks", "diagonal", "chain"])
+    def test_generate_everything(self, h2, everything):
+        from dyson_blocks.eta import _generate_everything
+        u = np.linalg.qr(rng().standard_normal((3, 3)))[0]
+        h1 = u @ np.diag([1.0, 2.0, 4.0]) @ u.T
+        assert _generate_everything(h1, u @ h2 @ u.T) is everything
+        # a repeated eigenvalue of h1 shows nothing, a multiple of I too
+        assert not _generate_everything(u @ np.diag([1.0, 1.0, 4.0]) @ u.T, u @ h2 @ u.T)
+        assert not _generate_everything(2.0 * np.eye(3), u @ h2 @ u.T)
+
+    def test_generic_map_skips_the_closure(self, monkeypatch):
+        from dyson_blocks import eta as eta_module
+        monkeypatch.setattr(eta_module, "_new_directions", None)
+        eta = self.random_cp(4)
+        assert np.array_equal(eta.subalgebra_basis.reshape(16, 16), np.eye(16))
+
+    def test_hermitization_is_kept(self):
+        pair = eta_wishart_pair(CovarianceTensor(np.ones((1, 1, 1, 1))))
+        assert pair.hermitization() is pair.hermitization()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_structure_constants_give_the_jacobian(self, d):
+        # on A, the derivative H -> z H - eta(H) G - eta(G) H of
+        # R = (z - eta(G)) G - I is z I_m - (g @ D).reshape(m, m)
+        eta = self.wishart_hermitization(d)
+        basis, D = eta.subalgebra_basis, eta.structure_constants
+        m = len(basis)
+        gen, z = rng(), 0.3 + 0.7j
+        g = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+        G = np.einsum("l,lij->ij", g, basis)
+        columns = [z * q - eta(q) @ G - eta(G) @ q for q in basis]
+        want = np.array([[np.vdot(qj, col) for col in columns] for qj in basis])
+        assert np.allclose(z * np.eye(m) - (g @ D).reshape(m, m), want,
+                           rtol=0, atol=1e-12 * np.abs(want).max())

@@ -9,7 +9,10 @@ is made at seeds 1-3 against both trees, each in a fresh
 ``python -m dyson_blocks.cli`` process and a fresh working directory, so
 output paths and messages read the same on both sides.  The exit code,
 stdout, stderr and the bytes of every file a run writes are compared,
-and each difference is printed.  The script exits 1 if any run differs.
+and each difference is printed, with the largest relative change of the
+numbers in each differing stdout, stderr or file (``relative_change``), or
+a note that its text differs apart from its numbers.  The script exits 1
+if any run differs.
 
 ``--write-digests`` makes the same runs against one tree (SRC, by default
 the ``src`` directory next to this one) and writes the ``digest`` of each,
@@ -61,6 +64,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -452,16 +456,40 @@ def write_digests(path: str, src: str, runs=RUNS, seeds=SEEDS) -> None:
         fh.write("\n")
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def relative_change(old: str, new: str) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) over the numbers of two texts,
+    paired field by field in order (CSV cells, the numbers of a message);
+    None if the texts differ anywhere but in their numbers.  A number that
+    turns into or out of nan or inf counts as an infinite change."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    worst = 0.0
+    for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        x, y = float(a), float(b)
+        if a == b or x == y:
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def _describe(label: str, old: bytes, new: bytes) -> list[str]:
     try:
-        a, b = old.decode().splitlines(), new.decode().splitlines()
+        a, b = old.decode(), new.decode()
     except UnicodeDecodeError:
         at = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y),
                   min(len(old), len(new)))
         return [f"  {label}: {len(old)} -> {len(new)} bytes, first difference "
                 f"at byte {at}"]
-    return [f"  {label}:"] + ["    " + line for line in difflib.unified_diff(
-        a, b, "old", "new", n=0, lineterm="")]
+    change = relative_change(a, b)
+    bound = ("text differs apart from its numbers" if change is None
+             else f"largest relative change {change:.3e}")
+    return [f"  {label}: {bound}"] + ["    " + line for line in difflib.unified_diff(
+        a.splitlines(), b.splitlines(), "old", "new", n=0, lineterm="")]
 
 
 def differences(old: dict, new: dict) -> list[str]:
