@@ -52,8 +52,9 @@ EXIT_IO = 4
 # the largest density grid: a d = 2 grid peaks at about 1.0 kB per point
 # under tracemalloc (20 000 and 100 000 points) and grows the RSS by
 # 1.2 kB per point, so this one holds about 1.2 GB and takes about 35 s on
-# a 2-vCPU host.  The solver holds two d x d matrices per point, so a map
-# of d > 2 gets the same d^2 entries: 4 DENSITY_MAX_POINTS / d^2 points
+# a 2-vCPU host.  The solver holds one d x d matrix per point, plus one
+# window's sweep state, so a map of d > 2 gets the same d^2 entries:
+# 4 DENSITY_MAX_POINTS / d^2 points
 DENSITY_MAX_POINTS = 1_000_000
 
 # mallopt parameters (malloc.h) and the values main sets: the mmap threshold

@@ -25,10 +25,11 @@ an m x m system built from the coordinates of G and eta's
 d^2 x d^2 system of ``_newton_jacobian``.  The residual, the certificate
 and the margin are always taken on the full d x d matrices.  The
 coordinate step does not correct the rounding that takes G out of A, so
-where G is large its residual can stall above tol: a point that misses a
-height (or its sweeps) in coordinates starts over from its start height
-on the d^2 x d^2 systems, with its sweep count reset, and is solved
-exactly as that path solves it.
+where G is large its residual can stall above tol: a pass in coordinates
+ends a point at its first rejected height (or when its sweeps run out),
+and a second pass solves every point it did not certify on the d^2 x d^2
+systems, from its start height with its sweep count reset, exactly as
+that path solves it.
 
 The driver solves its points in windows of at most ``chunk`` points, the
 number whose d^2 x d^2 Jacobians hold ``JACOBIAN_ENTRIES`` entries; each
@@ -86,8 +87,8 @@ _NEWTON, _DONE, _FAILED = range(3)
 class SolverOptions:
     """``tol`` bounds the certificate (residual and Im G); the integer
     ``max_iter`` bounds each point's sweeps (Newton and rejected steps) on
-    each path, so a point that starts over on the d^2 x d^2 systems may
-    take up to twice as many in all."""
+    each pass, so a point that the d^2 x d^2 pass solves again may take up
+    to twice as many in all."""
 
     tol: float = 1e-11
     max_iter: int = 20000
@@ -112,8 +113,8 @@ class DysonSolution:
     """One solved point.
 
     ``iterations`` counts the driver sweeps the point took (Newton steps
-    and rejected continuation steps) on the path that returned it: a
-    point that started over on the d^2 x d^2 systems counts those.
+    and rejected continuation steps) on the pass that returned it: a
+    point that the d^2 x d^2 pass solved again counts that pass's.
     ``damping_used`` is always 1.0, since every step is a full Newton
     step; the field is kept for the callers that read it.
     ``stability_margin`` is the smallest singular value of the stability
@@ -254,9 +255,11 @@ def _branch_ok(G, tol: float):
 
 class _Driver:
     """Per-point state of one ``solve_dyson`` or ``certified_traces`` call;
-    ``run`` sweeps each window until every point is certified or has
-    failed.  Then ``target``, ``G``, ``iterations``, ``mode``,
-    ``residuals()`` and ``margins()`` are the call's result."""
+    ``run`` sweeps each window of each pass until every point is certified
+    or has failed.  Then ``target``, ``G``, ``iterations``, ``mode``,
+    ``residuals()`` and ``margins()`` are the call's result.  A pass takes
+    one path for all its points, in the subalgebra's coordinates while
+    ``in_coordinates``, on the d^2 x d^2 systems otherwise."""
 
     def __init__(self, eta: CovarianceMap, target: np.ndarray, opts=None):
         self.action, self.target, self.opts = eta.action, target, opts or SolverOptions()
@@ -278,42 +281,40 @@ class _Driver:
         self._margins = None
 
     def run(self) -> _Driver:
-        """Solve the points one window of ``chunk`` points at a time, so the
-        sweep state (heights, ratios, accepted G) holds one window's."""
-        whole = self.target, self.G, self.iterations, self.mode
-        for part in self._chunks(len(self.target)):
-            # views: the window's sweeps write the call's arrays
-            self.target, self.G, self.iterations, self.mode = (v[part] for v in whole)
-            n = len(self.target)
-            self.z = np.empty(n, dtype=np.complex128)
-            self.accepted = np.empty_like(self.G)   # last certified height
-            self.accepted_height, self.ratio = np.empty(n), np.empty(n)
-            self.height_steps = np.empty(n, dtype=int)
-            # points that take the d^2 x d^2 Newton systems
-            self.full = np.full(n, self.structure is None)
-            self._start(np.arange(n))
-            while (live := np.flatnonzero(self.mode < _DONE)).size:
-                self.sweep(live)
-        self.target, self.G, self.iterations, self.mode = whole
+        """Solve every point on the path that dim A chooses; after a pass in
+        coordinates, a second pass solves the points it did not certify on
+        the d^2 x d^2 systems."""
+        self.in_coordinates = self.structure is not None
+        self._pass(np.arange(len(self.target)))
+        if self.in_coordinates:
+            self.in_coordinates = False
+            self._pass(np.flatnonzero(self.mode != _DONE))
         self.accepted = None        # sweep state; the result is read from G
         return self
 
-    def _start(self, idx):
-        """Put points at their start height with G = I/z and no sweeps."""
-        self.z[idx] = self.target[idx].real + 1j * np.maximum(self.target[idx].imag,
-                                                              self.start_height)
-        self.G[idx] = self.eye / self.z[idx, None, None]
-        self.accepted[idx] = self.G[idx]
-        self.accepted_height[idx] = np.nan
-        self.ratio[idx] = DESCENT_RATIO
-        self.height_steps[idx] = 0
-        self.iterations[idx] = 0
-
-    def _restart_full(self, idx):
-        """Points that missed a height or their sweeps in the subalgebra's
-        coordinates start over on the d^2 x d^2 systems."""
-        self.full[idx] = True
-        self._start(idx)
+    def _pass(self, idx):
+        """Solve the points idx from I/z at their start height, one window of
+        at most ``chunk`` points at a time, so the sweep state (heights,
+        ratios, accepted G) holds one window's; each window's G, iterations
+        and mode are written back into the call's arrays."""
+        whole = self.target, self.G, self.iterations, self.mode
+        for window in self._chunks(len(idx)):
+            part = idx[window]
+            self.target = whole[0][part]
+            n = len(part)
+            self.z = self.target.real + 1j * np.maximum(self.target.imag,
+                                                         self.start_height)
+            self.G = self.eye / self.z[:, None, None]
+            self.accepted = self.G.copy()           # last certified height
+            self.accepted_height = np.full(n, np.nan)
+            self.ratio = np.full(n, DESCENT_RATIO)
+            self.height_steps = np.zeros(n, dtype=int)
+            self.iterations, self.mode = np.zeros(n, dtype=int), np.full(n, _NEWTON)
+            while (live := np.flatnonzero(self.mode < _DONE)).size:
+                self.sweep(live)
+            whole[1][part], whole[2][part], whole[3][part] = (
+                self.G, self.iterations, self.mode)
+        self.target, self.G, self.iterations, self.mode = whole
 
     def _chunks(self, n: int):
         """Slices of at most ``chunk`` of n points: the most that one window
@@ -337,10 +338,7 @@ class _Driver:
         done = certified & (z.imag == self.target[live].imag)
         self.mode[live[done]] = _DONE
         out = ~done & (self.iterations[live] >= self.opts.max_iter)
-        again = out & ~self.full[live]
-        if again.any():
-            self._restart_full(live[again])
-        self.mode[live[out & ~again]] = _FAILED
+        self.mode[live[out]] = _FAILED
         go = ~done & ~out
         if not go.all():
             live, G, A, R, res, certified, small = (
@@ -370,8 +368,7 @@ class _Driver:
             R[certified] += dz * G_up
 
         # a failed height (too many steps, non-finite, or the wrong branch):
-        # retry closer to the last accepted height, or fail (in coordinates:
-        # start over on the d^2 x d^2 systems)
+        # retry closer to the last accepted height, or fail
         reject = ~certified & ((self.height_steps[idx] >= NEWTON_STEPS_PER_HEIGHT)
                                | ~np.isfinite(res) | small)
         if reject.any():
@@ -380,40 +377,34 @@ class _Driver:
             if not step.any():
                 return
             idx, G, A, R = idx[step], G[step], A[step], R[step]
-        full = self.full[idx]
-        if full.all() or not full.any():
-            solved = self._step(idx, G, A, R, full.all())
-        else:
-            solved = np.empty(len(idx), dtype=bool)
-            for on_full in True, False:
-                part = full == on_full
-                solved[part] = self._step(idx[part], G[part], A[part], R[part], on_full)
+        solved = self._step(idx, G, A, R)
         self.height_steps[idx] += 1
         if not solved.all():
             self._shorten(idx[~solved])
 
-    def _step(self, idx, G, A, R, full: bool):
-        """One Newton step for the points idx, on the d^2 x d^2 systems or in
-        the subalgebra's m coordinates; returns which systems were solved."""
+    def _step(self, idx, G, A, R):
+        """One Newton step for the points idx, in the subalgebra's m
+        coordinates or on the d^2 x d^2 systems, as the pass takes them;
+        returns which systems were solved."""
         k = len(idx)
-        if full:
-            J = _newton_jacobian(A, G, self.action)
-            delta, solved = _batched_solve(J, -R.reshape(k, -1, 1))
-            self.G[idx] = G + delta.reshape(G.shape)
-        else:
+        if self.in_coordinates:
             g = self.coordinates @ G.reshape(k, -1, 1)
             J = _subalgebra_jacobian(self.z[idx], g, self.structure)
             x, solved = _batched_solve(J, -(self.coordinates @ R.reshape(k, -1, 1)))
             self.G[idx] = G + (self.lift @ x).reshape(G.shape)
+        else:
+            J = _newton_jacobian(A, G, self.action)
+            delta, solved = _batched_solve(J, -R.reshape(k, -1, 1))
+            self.G[idx] = G + delta.reshape(G.shape)
         return solved
 
     def _shorten(self, idx):
-        if idx.size == 0:
+        """Retry the rejected heights of the points idx closer to their last
+        accepted ones; fail a point with none to retry.  On a coordinate
+        pass every one fails, for the d^2 x d^2 pass to solve again."""
+        if self.in_coordinates:
+            self.mode[idx] = _FAILED
             return
-        again = ~self.full[idx]
-        if again.any():
-            self._restart_full(idx[again])
-            idx = idx[~again]
         ratio = np.sqrt(self.ratio[idx])
         has = ~np.isnan(self.accepted_height[idx])
         stuck = ~has | (ratio >= MAX_DESCENT_RATIO)

@@ -37,9 +37,7 @@ class EmpiricalCDF:
 
 def empirical_cauchy(eigenvalues, z) -> complex:
     """(1/n) sum_i 1/(z - lambda_i): the normalized resolvent trace."""
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have nonzero imaginary part")
+    (z,) = linalg.resolvent_points(complex(z))
     ev = np.asarray(eigenvalues, dtype=float)
     return complex(np.mean(1.0 / (z - ev)))
 
@@ -107,9 +105,7 @@ def mean_cauchy(spec: ModelSpec, z_list, trials: int) -> MeanCauchyResult:
     resolvent traces (see ``_trial_row``), not eigenvalues.  Trials are
     seeded (spec.seed, trial) and run serially, in trial order.
     """
-    zs = np.atleast_1d(np.asarray(z_list, dtype=np.complex128))
-    if np.any(zs.imag == 0):
-        raise ValueError("z values must have nonzero imaginary part")
+    zs = linalg.resolvent_points(z_list)
     mean, se = trial_mean(lambda t: list(hermitian_blocks(spec, t)), trials,
                           reduce=lambda blocks: _trial_row(blocks, zs))
     return MeanCauchyResult(z=zs, mean=mean, stderr=se, trials=trials)

@@ -79,6 +79,9 @@ class CovarianceTensor:
         if sigma.ndim != 4 or len(set(sigma.shape)) != 1:
             raise ValueError(f"expected a (d,d,d,d) tensor, got shape {sigma.shape}")
         self.d = sigma.shape[0]
+        if self.d < 1:
+            raise ValueError(
+                f"expected a (d,d,d,d) tensor with d >= 1, got d = {self.d}")
         self.sigma = sigma
         self.factor = psd_factor(
             sigma.reshape(self.d ** 2, self.d ** 2),
@@ -104,7 +107,8 @@ class CovarianceMap:
     d^2 x d^2 matrix of the map on row-major vec(B),
     ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``, is built from it
     once and read-only, so ``choi4`` must not be modified in place afterwards.
-    Equality is identity, as for CovarianceTensor.
+    Any other shape than (d, d, d, d) with d >= 1 is a ValueError here, the
+    one check of it.  Equality is identity, as for CovarianceTensor.
 
     ``subalgebra_basis`` is an orthonormal basis (m, d, d), in the
     Frobenius inner product <X, Y> = tr(X^* Y), of the smallest unital
@@ -125,7 +129,10 @@ class CovarianceMap:
     action: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.d = self.choi4.shape[0]
+        shape = self.choi4.shape
+        if len(shape) != 4 or len(set(shape)) != 1 or shape[0] < 1:
+            raise ValueError(f"Choi tensor shape {shape} is not (d,d,d,d) with d >= 1")
+        self.d = shape[0]
         n = self.d * self.d
         self.action = np.ascontiguousarray(
             self.choi4.transpose(1, 3, 0, 2).reshape(n, n), dtype=np.complex128)
@@ -365,11 +372,7 @@ def choi_map(choi) -> CovarianceMap:
         if d * d != n or arr.shape != (n, n):
             raise ValueError(f"Choi matrix shape {arr.shape} is not (d^2, d^2)")
         arr = arr.reshape(d, d, d, d)
-    elif arr.ndim == 4:
-        d = arr.shape[0]
-        if arr.shape != (d, d, d, d):
-            raise ValueError(f"Choi tensor shape {arr.shape} is not (d,d,d,d)")
-    else:
+    elif arr.ndim != 4:
         raise ValueError("Choi data must be a matrix or a rank-4 tensor")
     return CovarianceMap(arr)
 

@@ -138,6 +138,15 @@ def _resolvent_inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def resolvent_points(zs) -> np.ndarray:
+    """``zs`` as a 1-D complex128 array (a scalar as one point); ValueError
+    for a z that is real or not finite, where a resolvent has no value."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
+    if not (np.isfinite(zs).all() and zs.imag.all()):
+        raise ValueError("z values must be finite with nonzero imaginary part")
+    return zs
+
+
 def resolvent_trace(m, zs) -> np.ndarray:
     """(1/n) tr (z - M)^-1 of a Hermitian M at each z, without eigenvalues.
 
@@ -152,15 +161,13 @@ def resolvent_trace(m, zs) -> np.ndarray:
     the resolvent of the Hermitian block M11 and W a block of
     (z - M)^-1, so both are bounded by 1 / |Im z|.  Raises
     HermiticityError as hermitian_eigenvalues does, and ValueError for an
-    empty matrix or a real z.
+    empty matrix or a z that ``resolvent_points`` refuses.
     """
     a = require_hermitian(m)
     n = a.shape[0]
     if n == 0:
         raise ValueError("empty matrix has no normalized trace")
-    zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
-    if np.any(zs.imag == 0):
-        raise ValueError("z values must have nonzero imaginary part")
+    zs = resolvent_points(zs)
     p = n // 2
     m11, m12, m21, m22 = a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:]
     out = np.empty(zs.shape, dtype=np.complex128)

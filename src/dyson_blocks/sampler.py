@@ -208,6 +208,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        for name in ("d", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 1 or self.N < 1:
             raise ValueError("need d >= 1 and N >= 1")
         _check_u64("seed", self.seed)

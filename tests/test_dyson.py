@@ -386,16 +386,30 @@ class TestDriverFallbacks:
     def test_failed_step_in_coordinates_starts_over_on_the_full_path(
             self, monkeypatch, descended):
         # the flat map's subalgebra is span{I}: its Newton systems are 1 x 1
-        # until a step fails; then the point starts again from I/z at the
-        # start height on the d^2 x d^2 systems, and gets their bits
+        # until a step fails; that ends the point's coordinate pass, and the
+        # d^2 x d^2 pass starts it again from I/z at the start height and
+        # gives it that path's bits
         start = dyson.START_HEIGHT_FACTOR * np.sqrt(self.ETA.cp_norm())
         plain = solve_dyson(self.ETA, self.ZS)
         m = 2                                       # x = 0
-        sols, (G, accepted, z, height, mode) = self._fail_one_step(
-            monkeypatch, m, descended)
-        assert mode == dyson._NEWTON and np.isnan(height)
-        assert z == complex(self.ZS[m].real, start)
-        assert np.array_equal(G, np.eye(2) / z) and np.array_equal(accepted, G)
+        sweep, restarts = dyson._Driver.sweep, []
+
+        def spied(driver, live):
+            if not driver.in_coordinates and not restarts:
+                restarts.append((driver.target.copy(), driver.G.copy(),
+                                 driver.accepted.copy(), driver.z.copy(),
+                                 driver.accepted_height.copy(),
+                                 driver.iterations.copy(), driver.mode.copy()))
+            return sweep(driver, live)
+        monkeypatch.setattr(dyson._Driver, "sweep", spied)
+        sols, (_, _, _, _, mode) = self._fail_one_step(monkeypatch, m, descended)
+        assert mode == dyson._FAILED
+        target, G, accepted, z, height, iterations, mode = restarts[0]
+        assert target.tolist() == [self.ZS[m]]
+        assert z.tolist() == [complex(self.ZS[m].real, start)]
+        assert np.array_equal(G, np.eye(2) / z[:, None, None])
+        assert np.array_equal(accepted, G) and np.isnan(height).all()
+        assert iterations.tolist() == [0] and mode.tolist() == [dyson._NEWTON]
         for k in range(len(self.ZS)):
             if k != m:
                 assert _solver_digest(sols[k:k + 1]) == _solver_digest(plain[k:k + 1])
@@ -403,7 +417,6 @@ class TestDriverFallbacks:
         full = solve_dyson(self.ETA, self.ZS[m:m + 1])
         assert sols[m].converged
         assert _solver_digest(sols[m:m + 1]) == _solver_digest(full)
-
 
     def test_sweeps_run_out_in_coordinates_starts_over_on_the_full_path(
             self, monkeypatch):
@@ -761,23 +774,24 @@ class TestSubalgebraNewton:
     """Newton corrections in the coordinates of eta's invariant subalgebra
     give the roots of the full d^2 x d^2 Newton systems, to rounding."""
 
-    # (map, spectral edges: exact, or read off the density to 2 digits)
+    # (map, spectral edges: exact, or read off the density to 2 digits,
+    # points that the coordinate pass leaves to the d^2 x d^2 pass)
     CASES = {
-        "flat-d2": (lambda: flat_map(2, 2.0), (-np.sqrt(8), np.sqrt(8))),
-        "kronecker-d3": (_kronecker_d3, (-3.16, 3.16)),
-        "circulant-d3": (lambda: _circulant(3), (-np.sqrt(20 / 3), np.sqrt(20 / 3))),
-        "wishart-d2": (_wishart_pair_d2, (0.0, 5.3)),
-        "kraus-rank-1": (_kraus_rank_one_map, (-3.97, 3.97)),
-        "flat-d5": (lambda: flat_map(5, 1.0), (-2.0, 2.0)),
-        "scalar-d2": (lambda: scalar_map(2, 0.5), (-np.sqrt(2), np.sqrt(2))),
-        "circulant-d4": (lambda: _circulant(4), (-np.sqrt(6), np.sqrt(6))),
-        "circulant-d5": (lambda: _circulant(5), (-np.sqrt(36 / 5), np.sqrt(36 / 5))),
-        "circulant-d6": (lambda: _circulant(6), (-np.sqrt(20 / 3), np.sqrt(20 / 3))),
+        "flat-d2": (lambda: flat_map(2, 2.0), (-np.sqrt(8), np.sqrt(8)), 0),
+        "kronecker-d3": (_kronecker_d3, (-3.16, 3.16), 0),
+        "circulant-d3": (lambda: _circulant(3), (-np.sqrt(20 / 3), np.sqrt(20 / 3)), 0),
+        "wishart-d2": (_wishart_pair_d2, (0.0, 5.3), 0),
+        "kraus-rank-1": (_kraus_rank_one_map, (-3.97, 3.97), 2),
+        "flat-d5": (lambda: flat_map(5, 1.0), (-2.0, 2.0), 0),
+        "scalar-d2": (lambda: scalar_map(2, 0.5), (-np.sqrt(2), np.sqrt(2)), 0),
+        "circulant-d4": (lambda: _circulant(4), (-np.sqrt(6), np.sqrt(6)), 0),
+        "circulant-d5": (lambda: _circulant(5), (-np.sqrt(36 / 5), np.sqrt(36 / 5)), 0),
+        "circulant-d6": (lambda: _circulant(6), (-np.sqrt(20 / 3), np.sqrt(20 / 3)), 0),
         "marchenko-pastur": (lambda: eta_wishart_pair(
-            CovarianceTensor(np.ones((1, 1, 1, 1)))), (0.0, 4.0)),
-        "projector-d3": (_projector_map, (-2.0, 2.0)),
-        "badly-scaled-d3": (_badly_scaled_map, (-2.0, 2.0)),
-        "kraus-rank-1-cli": (lambda: choi_map(KRAUS_RANK_ONE_CHOI), (-1.37, 1.37)),
+            CovarianceTensor(np.ones((1, 1, 1, 1)))), (0.0, 4.0), 0),
+        "projector-d3": (_projector_map, (-2.0, 2.0), 2),
+        "badly-scaled-d3": (_badly_scaled_map, (-2.0, 2.0), 0),
+        "kraus-rank-1-cli": (lambda: choi_map(KRAUS_RANK_ONE_CHOI), (-1.37, 1.37), 3),
     }
     # the CLI's rank-1 Kraus map certifies x = 0 at Im z = 1e-3 only after a
     # height is rejected
@@ -785,19 +799,20 @@ class TestSubalgebraNewton:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_agrees_with_the_full_path(self, monkeypatch, name):
-        model, (lo, hi) = self.CASES[name]
+        model, (lo, hi), passed_on = self.CASES[name]
         model = model()
         solved = model.hermitization() if isinstance(model, EtaPair) else model
         assert len(solved.subalgebra_basis) < solved.d ** 2
         xs = np.union1d(np.linspace(lo, hi, 9), [0.0])
         zs = np.concatenate([xs + 1j * h for h in (1.0, 1e-2, 1e-4, 1e-6)]
                             + [self.EXTRA.get(name, [])])
-        restart, restarted = dyson._Driver._restart_full, []
+        run_pass, restarted = dyson._Driver._pass, []
 
         def spied(driver, idx):
-            restarted.extend(driver.target[idx])
-            return restart(driver, idx)
-        monkeypatch.setattr(dyson._Driver, "_restart_full", spied)
+            if not driver.in_coordinates:
+                restarted.extend(driver.target[idx])
+            return run_pass(driver, idx)
+        monkeypatch.setattr(dyson._Driver, "_pass", spied)
         reduced = solve_dyson(model, zs)
         monkeypatch.undo()
         _full_path(monkeypatch)
@@ -805,6 +820,7 @@ class TestSubalgebraNewton:
         # a point that misses a height or its sweeps in coordinates is solved
         # again on the full path: every failure, and every point that needed
         # a shorter height, has the full path's bits
+        assert len(restarted) == passed_on
         again = np.isin(np.sqrt(zs) if isinstance(model, EtaPair) else zs, restarted)
         assert [s.converged for s in reduced] == [s.converged for s in full]
         for r, f, whole in zip(reduced, full, again):

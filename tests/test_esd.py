@@ -3,12 +3,18 @@ import threading
 import numpy as np
 import pytest
 
+from dyson_blocks import esd
 from dyson_blocks.dyson import scalar_semicircle_cauchy
 from dyson_blocks.esd import (EmpiricalCDF, empirical_cauchy,
                               kolmogorov_distance, mean_cauchy, trial_mean)
 from dyson_blocks.linalg import invert, resolvent_trace
 from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, Rademacher,
                                   TwoPoint, rng_for, sample_matrix, spectrum)
+
+
+NON_FINITE_Z = [complex(0.0, np.nan), complex(np.nan, 1.0), complex(np.inf, 1.0),
+                complex(0.0, np.inf)]
+NON_FINITE_IDS = ["nan-imag", "nan-real", "inf-real", "inf-imag"]
 
 
 class TestEmpiricalCauchy:
@@ -65,6 +71,11 @@ class TestEmpiricalCauchy:
     def test_rejects_real_z(self):
         with pytest.raises(ValueError):
             empirical_cauchy([0.0], 1.0)
+
+    @pytest.mark.parametrize("z", NON_FINITE_Z, ids=NON_FINITE_IDS)
+    def test_rejects_a_non_finite_z(self, z):
+        with pytest.raises(ValueError, match="finite with nonzero imaginary part"):
+            empirical_cauchy([0.0, 1.0], z)
 
 
 class TestEmpiricalCDF:
@@ -159,6 +170,16 @@ class TestMeanCauchy:
                          law=ComplexGaussian(1.0), seed=5)
         with pytest.raises(ValueError):
             mean_cauchy(spec, [2j], trials=1)
+
+    @pytest.mark.parametrize("z", [1.0] + NON_FINITE_Z, ids=["real"] + NON_FINITE_IDS)
+    def test_rejects_a_real_or_non_finite_z_before_any_trial(self, monkeypatch, z):
+        def draw(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(esd, "hermitian_blocks", draw)
+        spec = ModelSpec(model="hermitized_iid", d=1, N=4,
+                         law=ComplexGaussian(1.0), seed=5)
+        with pytest.raises(ValueError, match="finite with nonzero imaginary part"):
+            mean_cauchy(spec, [2j, z], trials=2)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec(model="circulant", d=3, N=8, seed=5),

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyson_blocks.eta import (CovarianceTensor, EtaPair, choi_map,
-                              eta_correlated_tensor, eta_exchangeable_pool,
-                              eta_iid_blocks, eta_kronecker,
-                              eta_wigner_blocks, eta_wishart_pair, flat_map,
-                              psd_factor, scalar_map)
+from dyson_blocks.eta import (CovarianceMap, CovarianceTensor, EtaPair,
+                              choi_map, eta_correlated_tensor,
+                              eta_exchangeable_pool, eta_iid_blocks,
+                              eta_kronecker, eta_wigner_blocks,
+                              eta_wishart_pair, flat_map, psd_factor,
+                              scalar_map)
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -360,6 +361,25 @@ class TestChoiAndNorms:
         m = scalar_map(2, 0.0)
         assert m.cp_norm() == 0.0
         assert m.is_completely_positive()
+
+    @pytest.mark.parametrize("build", [
+        lambda: choi_map(np.zeros((0, 0))),
+        lambda: choi_map(np.zeros((0,) * 4)),
+        lambda: choi_map(np.zeros((2, 2, 2, 3))),
+        lambda: CovarianceMap(np.zeros((0,) * 4)),
+        lambda: CovarianceMap(np.zeros((4, 4))),
+        lambda: eta_iid_blocks([np.zeros((0, 0))]),
+    ], ids=["choi-matrix-d0", "choi-tensor-d0", "choi-tensor-uneven",
+            "map-d0", "map-matrix", "iid-blocks-d0"])
+    def test_refuses_a_tensor_that_is_not_d4_with_d_positive(self, build):
+        # the one shape check is CovarianceMap's: a d = 0 map never reaches
+        # the solver, whose window size divides by d^4
+        with pytest.raises(ValueError, match=r"is not \(d,d,d,d\) with d >= 1"):
+            build()
+
+    def test_covariance_tensor_names_d(self):
+        with pytest.raises(ValueError, match="with d >= 1, got d = 0"):
+            CovarianceTensor(np.zeros((0,) * 4))
 
     def test_matrix_unit_conjugation_norm(self):
         m = eta_wigner_blocks(samples=[E12, -E12])

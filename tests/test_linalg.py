@@ -107,6 +107,16 @@ class TestResolventTrace:
         with pytest.raises(ValueError):
             resolvent_trace(np.zeros((0, 0)), [1j])
 
+    @pytest.mark.parametrize("z", [complex(0.0, np.nan), complex(np.nan, 1.0),
+                                   complex(np.inf, 1.0), complex(0.0, np.inf)],
+                             ids=["nan-imag", "nan-real", "inf-real", "inf-imag"])
+    def test_rejects_a_non_finite_z(self, z):
+        with pytest.raises(ValueError, match="finite with nonzero imaginary part"):
+            linalg.resolvent_points([1j, z])
+        with pytest.raises(ValueError, match="finite with nonzero imaginary part"):
+            resolvent_trace(np.eye(2), [1j, z])
+        assert linalg.resolvent_points(-0.5 - 2j).tolist() == [-0.5 - 2j]
+
 
 LEAF = linalg.RESOLVENT_LEAF
 EPS = np.finfo(np.float64).eps

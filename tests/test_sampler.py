@@ -650,6 +650,17 @@ class TestModelSpecAndIO:
         with pytest.raises(ValueError, match="seed must be an integer"):
             ModelSpec(model="circulant", d=2, N=4, seed=seed)
 
+    @pytest.mark.parametrize("name, value", [
+        ("d", 2.0), ("N", 2.5), ("d", True), ("N", np.float64(3.0)), ("d", "2")])
+    def test_d_and_n_must_be_integers(self, name, value):
+        # a float d once built, and sample_matrix then failed on a float shape
+        sizes = {"d": 2, "N": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ModelSpec(model="hermitized_iid", law=ComplexGaussian(), **sizes)
+        spec = ModelSpec(model="hermitized_iid", law=ComplexGaussian(),
+                         d=np.int64(2), N=np.int32(3))
+        assert sample_matrix(spec, 0).shape == (6, 6)
+
     @pytest.mark.parametrize("kwargs, stray", [
         (dict(model="kronecker", d=2, N=4, betas=(I2, E12), sigma_l=np.eye(2)),
          dict(law=ComplexGaussian(1.0))),

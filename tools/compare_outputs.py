@@ -28,9 +28,10 @@ invalid value for each of the three variant tables; ``z`` with
 ``density`` grids too fine for an array, too large for memory and above
 the point cap), solver failures (``max_iter`` on ``solve``, ``density``,
 ``rate`` and ``wishart``, and a Kraus-rank-1 map on ``solve`` and on a
-``density`` grid that fails only at its interior point x = 0), solves at d = 3
-through both spectral edges and a d = 3 Wishart tensor and
-correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
+``density`` grid that fails only at its interior point x = 0), a
+Kraus-rank-1 ``solve`` whose point x = 0 certifies only on the solver's
+d^2 x d^2 pass, solves at d = 3 through both spectral edges and a
+d = 3 Wishart tensor and correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
 correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
 circulant DFT blocks at odd and even d with complex, real and
 Rademacher entries, and the Monte Carlo commands at several
@@ -140,6 +141,11 @@ RUNS = [
                                   "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
                                   "z_grid": [[1.0, 0.1], [0.0, 0.1], [0.0, 1e-3],
                                              [0.0, 1e-5], [0.5, 1e-5]]}, [], {}),
+    # every point certifies; x = 0 only on the driver's d^2 x d^2 pass
+    ("solve-kraus-rank-1-full-pass", {"command": "solve",
+                                      "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
+                                      "z_grid": [[0.0, 1e-3], [0.5, 1e-3], [0.0, 1e-2]]},
+     [], {}),
     # only the interior point x = 0 fails: the density path's first failure
     ("density-kraus-rank-1-fails", {"command": "density",
                                     "eta": {"form": "choi", "matrix": KRAUS_RANK_ONE_CHOI},
