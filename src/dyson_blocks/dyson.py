@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -554,23 +553,21 @@ def circulant_mixture(d: int, exact: bool = False):
     Odd d:  (d-1)/d at variance (d-1)/d  and  1/d at variance (2d-1)/d.
     Even d: (d-2)/d at variance (d-2)/d  and  2/d at variance (2d-2)/d.
     With exact=True returns Fractions (the identities sum(w) = 1 and
-    sum(w*t) = 1 then hold exactly).
+    sum(w*t) = 1 then hold exactly), else floats: each an int / int, which
+    rounds once and so has the bits of the Fraction's float.
     """
     if d < 2:
         raise ValueError("circulant mixture needs d >= 2")
-    if d % 2:
-        w = [Fraction(d - 1, d), Fraction(1, d)]
-        t = [Fraction(d - 1, d), Fraction(2 * d - 1, d)]
-    else:
-        w = [Fraction(d - 2, d), Fraction(2, d)]
-        t = [Fraction(d - 2, d), Fraction(2 * d - 2, d)]
-    # d=2 puts zero mass on a zero-variance component; drop it
-    keep = [i for i, wi in enumerate(w) if wi != 0]
-    w = [w[i] for i in keep]
-    t = [t[i] for i in keep]
+    k = 1 if d % 2 else 2
+    # numerators over d of (weight, variance); d = 2 puts zero mass on a
+    # zero-variance component, which is dropped
+    parts = [(nw, nt) for nw, nt in ((d - k, d - k), (k, 2 * d - k)) if nw]
     if exact:
-        return w, t
-    return [float(x) for x in w], [float(x) for x in t]
+        from fractions import Fraction      # here only: it imports decimal
+        ratio = Fraction
+    else:
+        ratio = operator.truediv
+    return [ratio(nw, d) for nw, _ in parts], [ratio(nt, d) for _, nt in parts]
 
 
 def stieltjes_density(g, grid, eps: float,

@@ -3,10 +3,6 @@ Kolmogorov distance and seeded Monte Carlo averaging."""
 
 from __future__ import annotations
 
-# no pool runs; this import and _map_trials's unused ``workers`` stay
-# because bench/tracer.py subclasses esd.ThreadPoolExecutor and calls the
-# mapper with ``workers``
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +47,18 @@ def kolmogorov_distance(f: EmpiricalCDF, g) -> float:
     lower = np.concatenate([[0.0], upper[:-1]])
     gv = np.asarray(g(values), dtype=float)
     return float(np.max(np.maximum(np.abs(upper - gv), np.abs(lower - gv))))
+
+
+# no pool runs, so concurrent.futures (and the logging, queue and traceback
+# modules it imports) stays out of start-up.  bench/tracer.py still looks up
+# and subclasses esd.ThreadPoolExecutor and calls the mapper with
+# ``workers``; the name resolves on each lookup and is never stored here, so
+# a lookup leaves esd's names as they were
+def __getattr__(name):
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _map_trials(fn, trials: int, workers: int | None) -> list:

@@ -108,7 +108,8 @@ class CovarianceMap:
     ``choi4.transpose(1, 3, 0, 2).reshape(d*d, d*d)``, is built from it
     once and read-only, so ``choi4`` must not be modified in place afterwards.
     Any other shape than (d, d, d, d) with d >= 1 is a ValueError here, the
-    one check of it.  Equality is identity, as for CovarianceTensor.
+    one check of it, and so is a NaN or infinite entry.  Equality is
+    identity, as for CovarianceTensor.
 
     ``subalgebra_basis`` is an orthonormal basis (m, d, d), in the
     Frobenius inner product <X, Y> = tr(X^* Y), of the smallest unital
@@ -136,6 +137,8 @@ class CovarianceMap:
         n = self.d * self.d
         self.action = np.ascontiguousarray(
             self.choi4.transpose(1, 3, 0, 2).reshape(n, n), dtype=np.complex128)
+        if not np.isfinite(self.action).all():
+            raise ValueError("Choi tensor has a NaN or infinite entry")
         self.action.setflags(write=False)
 
     def apply(self, b) -> np.ndarray:

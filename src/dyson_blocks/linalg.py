@@ -175,16 +175,23 @@ def resolvent_trace(m, zs) -> np.ndarray:
         y = _resolvent_inverse(_shifted(z, m11))
         t = m21 @ y
         u = y @ m12
-        # Y is not needed past its trace: release it before W is formed, and
-        # form the Schur complement in place
+        # Y and U are not needed past tr Y and (T U)^T = U^T T^T, whose dot
+        # with W is sum_ij W_ij (T U)_ji: release each as soon as it is read
         trace_y = np.trace(y)
         del y
-        s = _shifted(z, m22)
-        s -= t @ m12
+        tu_t = u.T @ t.T
+        del u
+        # the Schur complement z - M22 - T M12 in the buffer of T M12:
+        # -(T M12 + M22) off the diagonal, the bits of (-M22) - T M12, and
+        # on it (-M22_ii + z) - (T M12)_ii, in that order
+        s = t @ m12
+        del t
+        tm_diag = s.diagonal().copy()
+        s += m22
+        np.negative(s, out=s)
+        s.flat[::s.shape[0] + 1] = (-m22.diagonal() + z) - tm_diag
         w = _resolvent_inverse(s)
         del s
-        # sum_ij W_ij (T U)_ji is a dot of W with (T U)^T = U^T T^T
-        tu_t = u.T @ t.T
         out[k] = (trace_y + np.trace(w) + np.dot(w.ravel(), tu_t.ravel())) / n
     return out
 

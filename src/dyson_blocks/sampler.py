@@ -23,6 +23,10 @@ from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
 # entry laws
 # ---------------------------------------------------------------------------
 
+# floats a ComplexGaussian draw buffers at a time (64 KiB)
+DRAW_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class _Gaussian:
     """Centered Gaussian law with E|x|^2 = variance, finite and >= 0."""
@@ -43,12 +47,23 @@ class ComplexGaussian(_Gaussian):
     """Circular complex Gaussian, E x = 0, E x^2 = 0, E|x|^2 = variance."""
 
     def draw(self, rng, n: int) -> np.ndarray:
-        """n real parts, then n imaginary parts, from one stream call."""
-        g = rng.standard_normal(2 * n)
+        """n real parts, then n imaginary parts, in stream order.
+
+        The normals pass through a buffer of at most DRAW_CHUNK floats and
+        are scaled on their way into the output: the bits of scaling the
+        whole complex draw, except that a complex product by 0 signs each
+        zero from both parts, so at variance 0 the output takes it too.
+        """
+        scale = np.sqrt(self.variance / 2.0)
         out = np.empty(n, dtype=np.complex128)
-        out.real = g[:n]
-        out.imag = g[n:]
-        out *= np.sqrt(self.variance / 2.0)
+        buf = np.empty(min(n, DRAW_CHUNK))
+        for part in (out.real, out.imag):
+            for i in range(0, n, DRAW_CHUNK):
+                chunk = buf[:min(DRAW_CHUNK, n - i)]
+                rng.standard_normal(out=chunk)
+                np.multiply(chunk, scale, out=part[i:i + chunk.size])
+        if scale == 0.0:
+            out *= scale
         return out
 
 
@@ -311,12 +326,13 @@ def _raw_blocks(law: EntryLaw, rng, n: int, d: int) -> np.ndarray:
 def _sample_hermitized(spec: ModelSpec, trial: int) -> np.ndarray:
     """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian."""
     N, d = spec.N, spec.d
-    m = _raw_blocks(spec.law, rng_for(spec.seed, trial), N * N, d)
-    m = m.reshape(N, N, d, d).transpose(0, 2, 1, 3).reshape(N * d, N * d)  # frees the draw
-    h = np.conj(m.T, order="C")
-    h += m
+    x = _raw_blocks(spec.law, rng_for(spec.seed, trial), N * N, d).reshape(N, N, d, d)
+    # the block layout m has x[r, c, a, b] at row r d + a, column c d + b,
+    # so m^T has x[c, r, b, a] there: h is built without forming m
+    h = np.conj(x.transpose(1, 3, 0, 2), order="C")
+    h += x.transpose(0, 2, 1, 3)
     h /= np.sqrt(2 * N)
-    return h
+    return h.reshape(N * d, N * d)
 
 
 def _sample_wigner_blocks(spec: ModelSpec, trial: int) -> np.ndarray:

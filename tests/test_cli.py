@@ -824,7 +824,9 @@ class TestExperimentCommands:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(esd, "ThreadPoolExecutor", no_pool)
+        # set in esd's namespace, so that undoing it deletes the name again
+        # instead of keeping the class that esd's __getattr__ resolved
+        monkeypatch.setitem(vars(esd), "ThreadPoolExecutor", no_pool)
         configs = [self.rate_config(tmp_path)]
         for name, data in {
                 "universality": TestConfigValidation.UNIVERSALITY,
@@ -1082,3 +1084,30 @@ class TestFlags:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), check=True)
         assert proc.stdout == "[]\n"
+
+    def test_no_command_imports_the_pool_or_fraction_modules(self, tmp_path):
+        # no CLI path starts a pool or takes an exact mixture, so neither the
+        # import nor any command imports concurrent.futures (which pulls in
+        # logging) or fractions (which pulls in decimal);
+        # esd.ThreadPoolExecutor still resolves, without being kept in esd
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_blocks.__file__)))
+        V = TestConfigValidation
+        model = dict(V.RATE["model"], law={"variant": "complex_gaussian"})
+        runs = [dict(V.RATE, model=model), {"command": "sample", "model": model},
+                V.UNIVERSALITY, V.CIRCULANT_KS, V.WISHART, V.DENSITY, V.MIXTURE,
+                V.SOLVE]
+        configs = [write_config(tmp_path, dict(data, out=str(tmp_path / f"{i}.out")),
+                                name=f"{i}.json") for i, data in enumerate(runs)]
+        code = ("import sys, dyson_blocks, dyson_blocks.cli\n"
+                "names = {'concurrent.futures', 'fractions', 'decimal', 'logging'}\n"
+                "print(sorted(names & set(sys.modules)))\n"
+                f"for cfg in {configs!r}:\n"
+                "    assert dyson_blocks.cli.main(['--config', cfg]) == 0, cfg\n"
+                "print(sorted(names & set(sys.modules)))\n"
+                "import concurrent.futures\n"
+                "from dyson_blocks import esd\n"
+                "print(esd.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor,"
+                " 'ThreadPoolExecutor' in vars(esd))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout == "[]\n[]\nTrue False\n"

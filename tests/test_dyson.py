@@ -102,6 +102,15 @@ class TestMixture:
             assert sum(w) == Fraction(1)
             assert sum(wi * ti for wi, ti in zip(w, t)) == Fraction(1)
 
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_floats_are_the_exact_values_rounded(self, d):
+        # the float path divides ints and never builds a Fraction; it must
+        # give the bits (and the component count) of the exact one
+        floats = circulant_mixture(d)
+        exact = circulant_mixture(d, exact=True)
+        for got, want in zip(floats, exact, strict=True):
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
 
 class TestSolveSemicircular:
     def test_zero_map(self):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,22 @@ class TestResolventTraceOfSamples:
         for z, got in zip(zs, resolvent_trace(m, zs)):
             tol = 1e-13 * max(1.0, z.imag ** -2)
             assert abs(got - np.mean(1.0 / (z - ev))) <= tol, z
+
+    def test_trial_peak(self):
+        # one n = 256 trial: the sample (1 MiB), then its trace, which holds
+        # at most T M12 or the Schur complement, U^T T^T and W at n/2 next to
+        # the sample and the inverse's own buffers: 2.13 MiB traced, where
+        # holding T, U, S and T M12 at once read 2.38 MiB
+        spec = ModelSpec(model="hermitized_iid", d=2, N=128,
+                         law=ComplexGaussian(1.0), seed=4)
+        resolvent_trace(sample_matrix(spec, 0), [3j])      # warm numpy's caches
+        tracemalloc.start()
+        try:
+            resolvent_trace(sample_matrix(spec, 1), [3j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 2 ** 20, peak / 2 ** 20
 
 
 class TestTrialMean:

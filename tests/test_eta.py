@@ -377,6 +377,16 @@ class TestChoiAndNorms:
         with pytest.raises(ValueError, match=r"is not \(d,d,d,d\) with d >= 1"):
             build()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_refuses_a_non_finite_choi_tensor(self, bad):
+        # such a map used to construct, and solve_dyson and certified_traces
+        # then failed in cp_norm's SVD with LinAlgError
+        choi = flat_map(2, 1.0).choi4.copy()
+        choi[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="Choi tensor has a NaN or infinite entry"):
+            CovarianceMap(choi)
+
     def test_covariance_tensor_names_d(self):
         with pytest.raises(ValueError, match="with d >= 1, got d = 0"):
             CovarianceTensor(np.zeros((0,) * 4))

@@ -46,6 +46,18 @@ class TestEntryLaws:
         assert abs(sample_var - var) <= 3 * np.sqrt(3) * var / np.sqrt(n)
         assert np.isclose(law.variance, var)
 
+    @pytest.mark.parametrize("variance", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [0, 1, sampler.DRAW_CHUNK, 2 * sampler.DRAW_CHUNK + 3])
+    def test_complex_gaussian_has_the_bits_of_one_scaled_stream_call(self, variance, n):
+        # the draw buffers its normals in chunks and scales them as it copies;
+        # at variance 0 the signs of the zeros must match too
+        g = rng_for(77, 1).standard_normal(2 * n)
+        want = np.empty(n, dtype=np.complex128)
+        want.real, want.imag = g[:n], g[n:]
+        want *= np.sqrt(variance / 2.0)
+        got = ComplexGaussian(variance).draw(rng_for(77, 1), n)
+        assert got.tobytes() == want.tobytes()
+
     def test_two_point_mean_and_variance(self):
         law = TwoPoint(3.0, -1.0, 0.25)
         assert np.isclose(law.mean, 0.0)
@@ -156,6 +168,21 @@ class TestHermitized:
                          law=Rademacher(), seed=20240817)
         golden = np.array([[1.0 + 0j, 0.0 + 0j], [0.0 + 0j, -1.0 + 0j]])
         assert np.array_equal(sample_matrix(spec, 0), golden)
+
+    @pytest.mark.parametrize("law", [ComplexGaussian(1.0), ComplexGaussian(0.0),
+                                     Rademacher(), PermutationPool(np.arange(225) - 1j)],
+                             ids=["gaussian", "gaussian-v0", "rademacher", "pool"])
+    def test_bits_of_the_block_layout_copy(self, law):
+        # h is built from transposed views of the draw, with no copy of it
+        # into the block layout first
+        N, d = 5, 3
+        spec = ModelSpec(model="hermitized_iid", d=d, N=N, law=law, seed=8)
+        x = sampler._raw_blocks(law, rng_for(8, 2), N * N, d)
+        m = x.reshape(N, N, d, d).transpose(0, 2, 1, 3).reshape(N * d, N * d)
+        want = np.conj(m.T, order="C")
+        want += m
+        want /= np.sqrt(2 * N)
+        assert sample_matrix(spec, 2).tobytes() == want.tobytes()
 
     def test_bit_exact_reproducibility_across_threads(self):
         spec = ModelSpec(model="hermitized_iid", d=2, N=16,
