@@ -508,7 +508,8 @@ def _run(args) -> int:
     cfg = parse_config(args.config)
     values = cfg.values
     # --seed and --out are written into the config, so --print-config echoes
-    # them; --threads is checked and otherwise unused, since trials run serially
+    # them; --threads is checked and otherwise unused: no trial loop takes a
+    # thread count
     if args.seed is not None:
         values["seed"] = cfg.data["seed"] = _FIELDS["seed"](args.seed, "--seed")
     if args.threads is not None:
@@ -530,7 +531,7 @@ _FLAGS = {
     "config": ("CONFIG", str, "path to the JSON config"),
     "out": ("OUT", str, "override the config output path"),
     "seed": ("SEED", int, "override the config seed (u64)"),
-    "threads": ("THREADS", int, "accepted and checked (>= 1); trials run serially"),
+    "threads": ("THREADS", int, "accepted and checked (>= 1); outputs do not depend on it"),
     "print-config": (None, bool, "echo the parsed config as canonical JSON and exit"),
 }
 

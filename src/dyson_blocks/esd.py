@@ -3,6 +3,7 @@ Kolmogorov distance and seeded Monte Carlo averaging."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +67,75 @@ def _map_trials(fn, trials: int, workers: int | None) -> list:
     return [fn(t) for t in range(trials)]
 
 
-def trial_mean(draw, trials: int, reduce=None):
+def _overlapped_trials(draw, reduce, trials: int) -> list:
+    """[reduce(draw(0)), ..., reduce(draw(trials - 1))], with draw(t + 1)
+    made on one helper thread while the calling thread reduces trial t.
+
+    The reductions run on the caller, in trial order.  The helper draws
+    only into an empty slot, so at most two samples are alive: the one
+    being reduced and the next.  A draw's exception is raised here, from
+    the trial that drew it.  On any exit the helper is told to stop and
+    joined, so it never outlives the call.
+    """
+    slot = []                              # [(sample, exception)], at most one
+    filled = threading.Semaphore(0)
+    empty = threading.Semaphore(1)
+    stop = False
+
+    def helper():
+        for t in range(trials):
+            empty.acquire()
+            if stop:
+                return
+            try:
+                slot.append((draw(t), None))
+            except BaseException as exc:   # handed to the caller, raised there
+                slot.append((None, exc))
+                filled.release()
+                return
+            filled.release()
+
+    thread = threading.Thread(target=helper, name="dyson-blocks-draw", daemon=True)
+    thread.start()
+    rows = []
+    try:
+        for _ in range(trials):
+            filled.acquire()
+            sample, exc = slot.pop()
+            if exc is not None:
+                raise exc
+            empty.release()
+            rows.append(reduce(sample))
+            del sample
+    finally:
+        stop = True
+        empty.release()
+        thread.join()
+    return rows
+
+
+def trial_mean(draw, trials: int, reduce=None, overlap: bool = False):
     """Mean and standard error over the trial axis of
     reduce(draw(0)), ..., reduce(draw(trials - 1)).
 
     Each trial has two stages: ``draw(t)`` makes the trial's sample, and
     ``reduce`` (default: the identity) turns it into a real or complex
-    scalar or 1-D array.  Trials run serially on the calling thread, in
-    trial order, and each sample is freed within its own trial.  Complex
-    data takes the larger of the real and imaginary standard errors.
-    Fewer than 2 trials are rejected before any trial runs.
+    scalar or 1-D array.  By default trials run serially on the calling
+    thread, in trial order, and each sample is freed within its own trial.
+    With ``overlap``, each draw runs on a helper thread while the previous
+    trial reduces (``_overlapped_trials``); the reductions keep their
+    order, so the result is the same.  Complex data takes the larger of the
+    real and imaginary standard errors.  Fewer than 2 trials are rejected
+    before any trial runs.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     reduce = reduce or (lambda sample: sample)
-    data = np.array(_map_trials(lambda t: reduce(draw(t)), trials, None))
+    if overlap:
+        rows = _overlapped_trials(draw, reduce, trials)
+    else:
+        rows = _map_trials(lambda t: reduce(draw(t)), trials, None)
+    data = np.array(rows)
     se = data.real.std(axis=0, ddof=1)
     if np.iscomplexobj(data):
         se = np.maximum(se, data.imag.std(axis=0, ddof=1))
@@ -111,9 +166,16 @@ def mean_cauchy(spec: ModelSpec, z_list, trials: int) -> MeanCauchyResult:
 
     Each trial draws the sample's Hermitian blocks, then takes their
     resolvent traces (see ``_trial_row``), not eigenvalues.  Trials are
-    seeded (spec.seed, trial) and run serially, in trial order.
+    seeded (spec.seed, trial).  numpy's OpenBLAS is held at one thread for
+    the loop (``linalg.one_blas_thread``), and each trial's draw then runs
+    on a helper thread while the previous trial's traces are taken, on
+    this thread and in trial order.  Where the thread count cannot be set,
+    the trials run serially, and only then do the result's bits depend on
+    the host's BLAS thread count.
     """
     zs = linalg.resolvent_points(z_list)
-    mean, se = trial_mean(lambda t: list(hermitian_blocks(spec, t)), trials,
-                          reduce=lambda blocks: _trial_row(blocks, zs))
+    with linalg.one_blas_thread() as pinned:
+        mean, se = trial_mean(lambda t: list(hermitian_blocks(spec, t)), trials,
+                              reduce=lambda blocks: _trial_row(blocks, zs),
+                              overlap=pinned)
     return MeanCauchyResult(z=zs, mean=mean, stderr=se, trials=trials)

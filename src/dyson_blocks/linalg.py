@@ -3,12 +3,18 @@
 Contract-checked kernels: Hermitian eigenvalues (numpy.linalg.eigvalsh),
 resolvent traces by recursive Schur complements (matmuls, with
 numpy.linalg.inv only on small leaf blocks), certified inversion and
-norms.  All functions are pure and safe to call concurrently.  No package
-code calls ``invert``; it is kept because bench/tracer.py patches it
-(ROADMAP item 2).
+norms.  All functions are pure and safe to call concurrently, except
+``one_blas_thread``, which sets the process's OpenBLAS thread count for
+the length of a block.  No package code calls ``invert``; it is kept
+because bench/tracer.py patches it (ROADMAP item 2).
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
 
 import numpy as np
 
@@ -20,6 +26,58 @@ HERMITICITY_ROW_BLOCK = 64
 RESOLVENT_LEAF = 32
 INVERT_RESIDUAL_RTOL = 1e-9
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+# open one_blas_thread blocks, and the count the first one found
+_BLAS_PIN = threading.Lock()
+_blas_pins = {"open": 0, "saved": 0}
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of numpy's own OpenBLAS, as exported
+    by the scipy-openblas builds in numpy's wheels; None for a numpy that
+    exports neither symbol."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block; the count it
+    had is restored on any exit.  Yields True, or False, changing nothing,
+    where ``_blas_thread_calls`` finds no symbols.
+
+    The count is process-wide: blocks open on several threads at once
+    share one pin, and the last to close restores the count.  One BLAS
+    thread makes every product in the block independent of the host's
+    thread count, and leaves the second core to other Python threads,
+    which OpenBLAS's spinning worker would otherwise take.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    with _BLAS_PIN:
+        if _blas_pins["open"] == 0:
+            _blas_pins["saved"] = get()
+            set_(1)
+        _blas_pins["open"] += 1
+    try:
+        yield True
+    finally:
+        with _BLAS_PIN:
+            _blas_pins["open"] -= 1
+            if _blas_pins["open"] == 0:
+                set_(_blas_pins["saved"])
 
 
 class HermiticityError(ValueError):

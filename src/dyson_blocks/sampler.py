@@ -23,8 +23,35 @@ from .eta import (CovarianceMap, CovarianceTensor, EtaPair,
 # entry laws
 # ---------------------------------------------------------------------------
 
-# floats a ComplexGaussian draw buffers at a time (64 KiB)
+# floats a Gaussian fill buffers at a time (64 KiB), or one row if larger
 DRAW_CHUNK = 8192
+# side of the tiles in which _add_adjoint symmetrises a sample in place; its
+# three scratch tiles take 48 KiB
+HERMITIZE_TILE = 32
+
+
+def _fill_normals(rng, out: np.ndarray, scale: float) -> None:
+    """scale times standard normals into the complex array ``out``: its real
+    parts, then its imaginary parts, each in out's C order, which is the
+    order of the stream.  ``out`` may be a strided view.
+
+    The normals pass through a buffer of whole rows of out's first axis,
+    as many as fit in DRAW_CHUNK floats (at least one), are scaled there
+    and copied into ``out``, so no full-size temporary is made.  (A ufunc
+    writing into a strided view of more than one dimension would buffer
+    it in numpy's own 8192-element arrays; a copy does not.)
+    """
+    if out.size == 0:
+        return
+    rows = len(out)
+    step = max(1, DRAW_CHUNK * rows // out.size)
+    buf = np.empty((min(step, rows),) + out.shape[1:])
+    for part in (out.real, out.imag):
+        for i in range(0, rows, step):
+            chunk = buf[:min(step, rows - i)]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            np.copyto(part[i:i + len(chunk)], chunk)
 
 
 @dataclass(frozen=True)
@@ -46,24 +73,23 @@ class _Gaussian:
 class ComplexGaussian(_Gaussian):
     """Circular complex Gaussian, E x = 0, E x^2 = 0, E|x|^2 = variance."""
 
-    def draw(self, rng, n: int) -> np.ndarray:
-        """n real parts, then n imaginary parts, in stream order.
+    def fill(self, rng, out: np.ndarray) -> None:
+        """Draw into the complex array ``out``: its real parts, then its
+        imaginary parts, each in out's C order (see ``_fill_normals``).
 
-        The normals pass through a buffer of at most DRAW_CHUNK floats and
-        are scaled on their way into the output: the bits of scaling the
-        whole complex draw, except that a complex product by 0 signs each
-        zero from both parts, so at variance 0 the output takes it too.
+        The bits of scaling the whole complex draw, except that a complex
+        product by 0 signs each zero from both parts, so at variance 0
+        ``out`` takes it too.
         """
         scale = np.sqrt(self.variance / 2.0)
-        out = np.empty(n, dtype=np.complex128)
-        buf = np.empty(min(n, DRAW_CHUNK))
-        for part in (out.real, out.imag):
-            for i in range(0, n, DRAW_CHUNK):
-                chunk = buf[:min(DRAW_CHUNK, n - i)]
-                rng.standard_normal(out=chunk)
-                np.multiply(chunk, scale, out=part[i:i + chunk.size])
+        _fill_normals(rng, out, scale)
         if scale == 0.0:
             out *= scale
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        """n real parts, then n imaginary parts, in stream order."""
+        out = np.empty(n, dtype=np.complex128)
+        self.fill(rng, out)
         return out
 
 
@@ -288,7 +314,13 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def _standard_complex(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    """Standard circular complex normals of the given shape: the bits of
+    (a + 1j b) / sqrt(2) for real draws a, then b, made in one buffer.
+    That complex division by the real sqrt(2) multiplies each part by
+    1 / sqrt(2)."""
+    out = np.empty(shape, dtype=np.complex128)
+    _fill_normals(rng, out, 1 / np.sqrt(2))
+    return out
 
 
 def _hermitian_fill(blocks: np.ndarray, N: int) -> np.ndarray:
@@ -323,16 +355,58 @@ def _raw_blocks(law: EntryLaw, rng, n: int, d: int) -> np.ndarray:
     return law.draw(rng, n * d * d).reshape(n, d, d)
 
 
+def _add_adjoint(h: np.ndarray, scale: float) -> None:
+    """h <- (conj(h^T) + h) / scale in place, HERMITIZE_TILE-square tile by
+    tile, with the bits of that formula.
+
+    Each pair of mirrored tiles is copied out before either is written:
+    entry (i, j) becomes (conj(h_ji) + h_ij) / scale and (j, i) becomes
+    (conj(h_ij) + h_ji) / scale.  All arithmetic runs on three contiguous
+    scratch tiles, since numpy buffers a ufunc over a strided 2-D view in
+    arrays of 8192 elements each, larger than the tiles.
+    """
+    n = h.shape[0]
+    k = min(n, HERMITIZE_TILE)
+    scratch = np.empty((3, k * k), dtype=np.complex128)
+    for i in range(0, n, k):
+        for j in range(i, n, k):
+            a, b = h[i:i + k, j:j + k], h[j:j + k, i:i + k]
+            old_a, old_bt, out = (buf[:a.size].reshape(a.shape) for buf in scratch)
+            np.copyto(old_a, a)
+            np.copyto(old_bt, b.T)
+            np.conjugate(old_bt, out=out)
+            out += old_a
+            out /= scale
+            np.copyto(a, out)
+            if i != j:
+                np.conjugate(old_a, out=out)
+                out += old_bt
+                out /= scale
+                np.copyto(b.T, out)
+
+
 def _sample_hermitized(spec: ModelSpec, trial: int) -> np.ndarray:
-    """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian."""
-    N, d = spec.N, spec.d
-    x = _raw_blocks(spec.law, rng_for(spec.seed, trial), N * N, d).reshape(N, N, d, d)
-    # the block layout m has x[r, c, a, b] at row r d + a, column c d + b,
-    # so m^T has x[c, r, b, a] there: h is built without forming m
-    h = np.conj(x.transpose(1, 3, 0, 2), order="C")
-    h += x.transpose(0, 2, 1, 3)
-    h /= np.sqrt(2 * N)
-    return h.reshape(N * d, N * d)
+    """A(x): block (i, j) equals (x_ij + x_ji^*) / sqrt(2N); exactly Hermitian.
+
+    The draw goes straight into the block layout m, which has x[r, c, a, b]
+    at row r d + a, column c d + b: a complex Gaussian law fills it whole
+    rows of x at a time, any other law through its flat draw.  m is then
+    symmetrised in place, so the sample stage holds one n x n buffer.
+    """
+    N, d, law = spec.N, spec.d, spec.law
+    rng = rng_for(spec.seed, trial)
+    # another law draws first, so a size too large fails in its draw
+    x = None if isinstance(law, ComplexGaussian) else _raw_blocks(law, rng, N * N, d)
+    m = np.empty((N, d, N, d), dtype=np.complex128)
+    slots = m.transpose(0, 2, 1, 3)            # slots[r, c] is block (r, c)
+    if x is None:
+        law.fill(rng, slots)
+    else:
+        slots[...] = x.reshape(N, N, d, d)
+        del x
+    h = m.reshape(N * d, N * d)
+    _add_adjoint(h, np.sqrt(2 * N))
+    return h
 
 
 def _sample_wigner_blocks(spec: ModelSpec, trial: int) -> np.ndarray:
@@ -458,10 +532,21 @@ def sample_wishart_factor(spec: ModelSpec, trial: int = 0) -> np.ndarray:
     if spec.model != "wishart_correlated":
         raise ValueError("spec.model must be 'wishart_correlated'")
     N, d = spec.N, spec.d
-    rng = rng_for(spec.seed, trial)
-    v = _standard_complex(rng, (N * N, d * d)) @ spec.tensor.factor.T
-    grid = v.reshape(N, N, d, d)
-    return grid.transpose(0, 2, 1, 3).reshape(N * d, N * d) / np.sqrt(d * N)
+    h = np.empty((N, d, N, d), dtype=np.complex128)
+    # slots[r, c] is the grid of the d^2 entries at position (r, c); they
+    # are drawn in the stream's (r, c, i, j) order straight into the layout
+    slots = h.transpose(0, 2, 1, 3)
+    _fill_normals(rng_for(spec.seed, trial), slots, 1 / np.sqrt(2))
+    # the factor product and the scaling, a few grid rows at a time, in
+    # place: each position's entries are one row of the product
+    factor, scale = spec.tensor.factor.T, np.sqrt(d * N)
+    step = max(1, DRAW_CHUNK // (N * d * d))
+    for r in range(0, N, step):
+        rows = slots[r:r + step]
+        v = rows.reshape(-1, d * d) @ factor
+        v /= scale
+        rows[...] = v.reshape(rows.shape)
+    return h.reshape(N * d, N * d)
 
 
 def _sample_wishart(spec: ModelSpec, trial: int) -> np.ndarray:

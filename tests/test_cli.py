@@ -818,7 +818,8 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("argv", [["--threads", "4"], []],
                              ids=["flag", "default"])
     def test_no_thread_pool(self, tmp_path, monkeypatch, argv):
-        # trials run serially at any thread count
+        # no thread pool at any thread count: the one helper thread of
+        # mean_cauchy is not a pool
         from dyson_blocks import esd
 
         def no_pool(*args, **kwargs):
@@ -837,6 +838,45 @@ class TestExperimentCommands:
                                         name=f"{name}.json"))
         for cfg in configs:
             assert main(["--config", cfg, *argv]) == EXIT_OK
+
+    def test_rate_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at n = 256 OpenBLAS threads the trace's np.dot unless the trial
+        # loop holds it at one thread; the unset case takes the host's count
+        data = {"command": "rate", "model": {"model": "hermitized_iid", "d": 2, "N": 32,
+                                             "law": {"variant": "complex_gaussian"}},
+                "z": [0.0, 3.0], "N_grid": [32, 64, 128], "trials": 3, "seed": 4}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_blocks.__file__)))
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"rate-{threads}.csv"
+            cfg = write_config(tmp_path, dict(data, out=str(out)), name=f"{threads}.json")
+            subprocess.run([sys.executable, "-m", "dyson_blocks.cli", "--config", cfg],
+                           env=dict(env, PYTHONPATH=src), check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("blas_calls", [True, False], ids=["overlapped", "serial"])
+    def test_a_failing_draw_exits_2_and_leaves_no_thread(self, tmp_path, capsys,
+                                                         monkeypatch, blas_calls):
+        import threading
+        from dyson_blocks import linalg
+        if not blas_calls:
+            monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+        # nine pool values cannot fill the 64 entry slots of N = 8; the
+        # first trial's draw raises, on the helper thread when overlapped
+        pool = {"variant": "permutation_pool", "values": [float(k) - 4.0 for k in range(9)]}
+        data = {"command": "universality", "out": str(tmp_path / "u.csv"),
+                "model": {"model": "hermitized_iid", "d": 1, "N": 8,
+                          "law": {"variant": "rademacher"}},
+                "laws": [pool, pool], "z": [0.0, 3.0], "N": 8, "trials": 3}
+        assert main(["--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config: pool size 9 != 64 entry draws the model consumes\n")
+        assert not (tmp_path / "u.csv").exists()
+        assert [t for t in threading.enumerate() if t.name == "dyson-blocks-draw"] == []
 
     def test_universality_command(self, tmp_path):
         data = {"command": "universality", "out": str(tmp_path / "u.csv"),
@@ -995,7 +1035,7 @@ def reference_parser():
     parser.add_argument("--out", help="override the config output path")
     parser.add_argument("--seed", type=int, help="override the config seed (u64)")
     parser.add_argument("--threads", type=int,
-                        help="accepted and checked (>= 1); trials run serially")
+                        help="accepted and checked (>= 1); outputs do not depend on it")
     parser.add_argument("--print-config", action="store_true",
                         help="echo the parsed config as canonical JSON and exit")
     return parser

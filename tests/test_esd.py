@@ -4,18 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dyson_blocks import esd
+from dyson_blocks import esd, linalg
 from dyson_blocks.dyson import scalar_semicircle_cauchy
 from dyson_blocks.esd import (EmpiricalCDF, empirical_cauchy,
                               kolmogorov_distance, mean_cauchy, trial_mean)
 from dyson_blocks.linalg import invert, resolvent_trace
-from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, Rademacher,
-                                  TwoPoint, rng_for, sample_matrix, spectrum)
+from dyson_blocks.sampler import (ComplexGaussian, ModelSpec, PermutationPool,
+                                  Rademacher, TwoPoint, rng_for, sample_matrix,
+                                  spectrum)
 
 
 NON_FINITE_Z = [complex(0.0, np.nan), complex(np.nan, 1.0), complex(np.inf, 1.0),
                 complex(0.0, np.inf)]
 NON_FINITE_IDS = ["nan-imag", "nan-real", "inf-real", "inf-imag"]
+needs_blas_calls = pytest.mark.skipif(
+    linalg._blas_thread_calls() is None,
+    reason="numpy's BLAS exports no thread-count calls")
 
 
 class TestEmpiricalCauchy:
@@ -286,3 +290,169 @@ class TestTrialMean:
         with pytest.raises(ValueError, match="at least 2 trials"):
             trial_mean(ran.append, trials)
         assert ran == []
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name == "dyson-blocks-draw"]
+
+
+class TestOverlappedTrials:
+    """trial_mean(..., overlap=True) and mean_cauchy's overlapped loop."""
+
+    @staticmethod
+    def counted_samples():
+        lock, alive, peak = threading.Lock(), [0], [0]
+
+        class Sample:
+            def __init__(self, t):
+                self.t = t
+                with lock:
+                    alive[0] += 1
+                    peak[0] = max(peak[0], alive[0])
+
+            def __del__(self):
+                with lock:
+                    alive[0] -= 1
+
+        return Sample, alive, peak
+
+    def test_two_samples_alive_draws_on_one_helper_reduced_in_trial_order(self):
+        Sample, alive, peak = self.counted_samples()
+        trials = 7
+        drawn = [threading.Event() for _ in range(trials)]
+        draws, reductions = [], []
+
+        def draw(t):
+            draws.append((t, threading.get_ident()))
+            drawn[t].set()
+            return Sample(t)
+
+        def reduce(sample):
+            # the next trial's draw starts while this trial is reduced
+            if sample.t + 1 < trials:
+                assert drawn[sample.t + 1].wait(10.0)
+            reductions.append((sample.t, threading.get_ident()))
+            return complex(sample.t, sample.t ** 2)
+
+        mean, se = trial_mean(draw, trials, reduce=reduce, overlap=True)
+        caller = threading.get_ident()
+        assert [t for t, _ in draws] == list(range(trials))
+        helpers = {ident for _, ident in draws}
+        assert len(helpers) == 1 and caller not in helpers
+        assert reductions == [(t, caller) for t in range(trials)]
+        assert peak[0] == 2 and alive[0] == 0
+        assert _helper_threads() == []
+        serial = trial_mean(lambda t: complex(t, t ** 2), trials)
+        assert mean == serial[0] and se == serial[1]
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_a_draw_that_raises_at_trial_k_raises_from_the_call(self, k):
+        failure = RuntimeError(f"draw {k} failed")
+        reduced = []
+
+        def draw(t):
+            if t == k:
+                raise failure
+            return t
+
+        with pytest.raises(RuntimeError) as info:
+            trial_mean(draw, 7, reduce=lambda t: reduced.append(t) or float(t),
+                       overlap=True)
+        assert info.value is failure
+        assert reduced == list(range(k))
+        assert _helper_threads() == []
+
+    def test_a_reduction_that_raises_stops_the_helper(self):
+        drawn = []
+
+        def reduce(t):
+            if t == 2:
+                raise KeyError("reduce 2")
+            return float(t)
+
+        with pytest.raises(KeyError, match="reduce 2"):
+            trial_mean(lambda t: drawn.append(t) or t, 50, reduce=reduce, overlap=True)
+        assert _helper_threads() == []
+        assert drawn == list(range(len(drawn))) and len(drawn) <= 4
+
+    def spec(self, N=16, d=2, law=None):
+        return ModelSpec(model="hermitized_iid", d=d, N=N,
+                         law=law or ComplexGaussian(1.0), seed=9)
+
+    def spied(self, monkeypatch):
+        """Thread of each draw and each reduction of mean_cauchy's trials,
+        and the BLAS thread count each one saw."""
+        get = linalg._blas_thread_calls()[0]
+        stages = []
+        blocks, row = esd.hermitian_blocks, esd._trial_row
+
+        def draw(spec, t):
+            stages.append(("draw", t, threading.get_ident(), get()))
+            return blocks(spec, t)
+
+        def reduce(sample, zs):
+            stages.append(("reduce", None, threading.get_ident(), get()))
+            return row(sample, zs)
+
+        monkeypatch.setattr(esd, "hermitian_blocks", draw)
+        monkeypatch.setattr(esd, "_trial_row", reduce)
+        return stages
+
+    @needs_blas_calls
+    def test_mean_cauchy_draws_on_a_helper_at_one_blas_thread(self, monkeypatch):
+        get = linalg._blas_thread_calls()[0]
+        before = get()
+        stages = self.spied(monkeypatch)
+        res = mean_cauchy(self.spec(), [3j, 0.5 + 1j], 5)
+        caller = threading.get_ident()
+        draws = [s for s in stages if s[0] == "draw"]
+        reductions = [s for s in stages if s[0] == "reduce"]
+        assert [s[1] for s in draws] == list(range(5))
+        assert len({s[2] for s in draws}) == 1 and draws[0][2] != caller
+        assert {s[2] for s in reductions} == {caller}
+        assert {s[3] for s in stages} == {1}
+        assert get() == before
+        assert _helper_threads() == []
+        # the serial loop, on the caller, has the same bits at this size
+        monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+        serial = mean_cauchy(self.spec(), [3j, 0.5 + 1j], 5)
+        assert res.mean.tobytes() == serial.mean.tobytes()
+        assert res.stderr.tobytes() == serial.stderr.tobytes()
+
+    def test_without_the_blas_calls_the_trials_run_serially(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+        stages = []
+        blocks = esd.hermitian_blocks
+
+        def draw(spec, t):
+            stages.append(threading.get_ident())
+            return blocks(spec, t)
+
+        monkeypatch.setattr(esd, "hermitian_blocks", draw)
+        mean_cauchy(self.spec(), [3j], 4)
+        assert stages == [threading.get_ident()] * 4
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_failing_draw_restores_the_blas_count_and_stops_the_helper(
+            self, monkeypatch, k):
+        calls = linalg._blas_thread_calls()
+        before = calls[0]() if calls else None
+        if k == 0:
+            # a pool sized for N = 3 cannot fill the N = 4 draw
+            spec = self.spec(N=4, d=1, law=PermutationPool(np.arange(9.0)))
+            match = "pool size 9 != 16 entry draws"
+        else:
+            blocks = esd.hermitian_blocks
+
+            def draw(spec, t):
+                if t == k:
+                    raise ValueError(f"draw {t} failed")
+                return blocks(spec, t)
+
+            monkeypatch.setattr(esd, "hermitian_blocks", draw)
+            spec, match = self.spec(), f"draw {k} failed"
+        with pytest.raises(ValueError, match=match):
+            mean_cauchy(spec, [3j], 5)
+        assert _helper_threads() == []
+        if calls:
+            assert calls[0]() == before

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -361,3 +364,79 @@ class TestNorms:
         for scale in (1e-300, 1.0, 1e150):
             m = scale * (gen.standard_normal((9, 9)) + 1j * gen.standard_normal((9, 9)))
             assert frobenius_norm(m) == np.linalg.norm(m)
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def calls(self):
+        calls = linalg._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS exports no thread-count calls")
+        get, set_ = calls
+        before = get()
+        set_(3)                 # a count that differs from the pin's
+        yield get
+        set_(before)
+
+    def test_pins_one_thread_and_restores_the_count(self, calls):
+        with linalg.one_blas_thread() as pinned:
+            assert pinned is True and calls() == 1
+        assert calls() == 3
+
+    def test_restores_the_count_after_an_exception(self, calls):
+        with pytest.raises(KeyError):
+            with linalg.one_blas_thread():
+                raise KeyError("inside")
+        assert calls() == 3
+
+    def test_nested_and_concurrent_blocks_share_one_pin(self, calls):
+        inner_open, outer_closed = threading.Event(), threading.Event()
+        seen = []
+
+        def other():
+            with linalg.one_blas_thread():
+                inner_open.set()
+                assert outer_closed.wait(10.0)
+                seen.append(calls())
+            seen.append(calls())
+
+        thread = threading.Thread(target=other)
+        with linalg.one_blas_thread():
+            with linalg.one_blas_thread():
+                assert calls() == 1
+            assert calls() == 1
+            thread.start()
+            assert inner_open.wait(10.0)
+        outer_closed.set()
+        thread.join()
+        assert seen == [1, 3] and calls() == 3
+
+    def test_many_threads_keep_the_pin_and_restore_the_count(self, calls):
+        # more threads than cores, switching often: a lost update of the
+        # open-block count would unpin a block early or never restore
+        inside = []
+
+        def worker():
+            for _ in range(200):
+                with linalg.one_blas_thread():
+                    inside.append(calls())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(inside) == 1600 and set(inside) == {1}
+        assert calls() == 3
+
+    def test_missing_symbols_change_nothing(self, monkeypatch, calls):
+        monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+        with linalg.one_blas_thread() as pinned:
+            assert pinned is False and calls() == 3
+        assert calls() == 3

@@ -34,8 +34,10 @@ d^2 x d^2 pass, solves at d = 3 through both spectral edges and a
 d = 3 Wishart tensor and correlated-blocks sample, a d = 3 Kronecker ``rate`` with a
 correlated ``sigma_l``, a ``rate`` whose standard errors are all 0,
 circulant DFT blocks at odd and even d with complex, real and
-Rademacher entries, and the Monte Carlo commands at several
-``--threads`` values.  ``--threads`` is checked and otherwise unused;
+Rademacher entries, a ``rate`` at n = 512 and a ``universality`` at
+n = 256 (the sizes at which the resolvent trace's ``np.dot`` runs
+threaded unless OpenBLAS is held at one thread), and the Monte Carlo
+commands at several ``--threads`` values.  ``--threads`` is checked and otherwise unused;
 ``DYSON_BLOCKS_THREADS`` is set on two runs, though no command reads it.
 A ``threads`` key, and a ``solver`` key on a command that never solves,
 are unknown keys; the ``--print-config`` echo carries ``--seed`` and
@@ -218,6 +220,19 @@ RUNS = [
                                             "b": 1.0, "p": 0.5}},
                           "z": [0.0, 3.0], "N_grid": [4, 8, 16], "trials": 3},
      [], {}),
+    # n = 512 and n = 256 samples: the first sizes at which the trace's
+    # np.dot runs threaded in OpenBLAS when the loop does not hold it at
+    # one thread, so these bytes depend on BLAS threads only then
+    ("rate-n512", {"command": "rate",
+                   "model": {"model": "hermitized_iid", "d": 2, "N": 64,
+                             "law": {"variant": "complex_gaussian"}},
+                   "z": [0.0, 3.0], "N_grid": [64, 128, 256], "trials": 2}, [], {}),
+    ("universality-n256", {"command": "universality",
+                           "model": {"model": "hermitized_iid", "d": 2, "N": 128,
+                                     "law": {"variant": "rademacher"}},
+                           "laws": [{"variant": "rademacher"},
+                                    {"variant": "complex_gaussian"}],
+                           "z": [0.5, 2.5], "N": 128, "trials": 3}, [], {}),
     ("universality", {"command": "universality",
                       "model": {"model": "wigner_blocks", "d": 2, "N": 6,
                                 "law": {"variant": "rademacher"}},
